@@ -613,7 +613,10 @@ impl VehicleSession {
             Workload::Navigation => {
                 let out = {
                     let _prof = lgv_trace::prof::scope("nav/amcl");
-                    self.amcl.as_mut().unwrap().process(odom, scan)
+                    self.amcl
+                        .as_mut()
+                        .expect("Navigation sessions always build AMCL")
+                        .process(odom, scan)
                 };
                 self.charge_node(NodeKind::Localization, &out.work, true);
                 self.pose_est = out.pose.pose;
@@ -639,7 +642,10 @@ impl VehicleSession {
                 } else {
                     1
                 };
-                let slam = self.slam.as_mut().unwrap();
+                let slam = self
+                    .slam
+                    .as_mut()
+                    .expect("Exploration sessions always build SLAM");
                 slam.set_threads(threads);
                 let out = slam.process(odom, scan);
                 let t = self.charge_node(NodeKind::Slam, &out.work, !slam_remote);
@@ -647,7 +653,11 @@ impl VehicleSession {
                 self.pose_est = out.pose.pose;
                 self.pose_conf = out.pose.confidence;
                 self.odom_at_fix = Some(odom.pose);
-                self.known_map = self.slam.as_ref().unwrap().best_map(self.now);
+                self.known_map = self
+                    .slam
+                    .as_ref()
+                    .expect("Exploration sessions always build SLAM")
+                    .best_map(self.now);
                 self.costmap.set_static_map(&self.known_map);
             }
         }

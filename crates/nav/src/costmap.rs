@@ -7,6 +7,20 @@
 //! and the first node of the VDP (paper Table II / Fig. 4), so its
 //! cycle accounting matters: the per-update work is dominated by the
 //! full-grid inflation pass.
+//!
+//! The inflation pass is a two-pass chamfer distance transform. Each
+//! pass sweeps row by row: it first folds in the three neighbours from
+//! the row already swept, a per-cell loop that vectorises, then runs
+//! the serial chain along the row. Both steps take `min`s of finite
+//! `f32`s, so the distances match the classic cell-by-cell sweep bit
+//! for bit.
+//!
+//! Trajectory checks ask [`Costmap::footprint_collides`] whether a disc
+//! overlaps a blocked cell. A `ClearanceWindow` answers most of those
+//! questions up front: it holds the exact Chebyshev clearance of every
+//! cell near the robot, and a disc centred in a cell with enough
+//! clearance cannot collide. `Costmap` owns the rule for what counts as
+//! blocked in both places.
 
 use lgv_types::prelude::*;
 
@@ -128,7 +142,7 @@ impl Costmap {
         for row in lo.row..=hi.row {
             for col in lo.col..=hi.col {
                 let idx = GridIndex::new(col, row);
-                if self.cost(idx) >= COST_INSCRIBED {
+                if self.blocked(idx) {
                     let c = self.dims.grid_to_world(idx);
                     if c.distance(p) <= r + self.dims.resolution * 0.71 {
                         return true;
@@ -193,9 +207,7 @@ impl Costmap {
 
         // Distance (in metres) to the nearest lethal cell, via a
         // two-pass chamfer transform.
-        let res = self.dims.resolution;
-        let big = 1e9f32;
-        let mut dist = vec![big; n];
+        let mut dist = vec![CHAMFER_FAR; n];
         #[allow(clippy::needless_range_loop)] // two parallel arrays
         for i in 0..n {
             let lethal = self.static_lethal[i]
@@ -205,47 +217,7 @@ impl Costmap {
                 dist[i] = 0.0;
             }
         }
-        let (orth, diag) = (res as f32, res as f32 * std::f32::consts::SQRT_2);
-        // Forward sweep.
-        for row in 0..h {
-            for col in 0..w {
-                let i = row * w + col;
-                let mut d = dist[i];
-                if col > 0 {
-                    d = d.min(dist[i - 1] + orth);
-                }
-                if row > 0 {
-                    d = d.min(dist[i - w] + orth);
-                    if col > 0 {
-                        d = d.min(dist[i - w - 1] + diag);
-                    }
-                    if col + 1 < w {
-                        d = d.min(dist[i - w + 1] + diag);
-                    }
-                }
-                dist[i] = d;
-            }
-        }
-        // Backward sweep.
-        for row in (0..h).rev() {
-            for col in (0..w).rev() {
-                let i = row * w + col;
-                let mut d = dist[i];
-                if col + 1 < w {
-                    d = d.min(dist[i + 1] + orth);
-                }
-                if row + 1 < h {
-                    d = d.min(dist[i + w] + orth);
-                    if col > 0 {
-                        d = d.min(dist[i + w - 1] + diag);
-                    }
-                    if col + 1 < w {
-                        d = d.min(dist[i + w + 1] + diag);
-                    }
-                }
-                dist[i] = d;
-            }
-        }
+        chamfer(&mut dist, w, self.dims.resolution as f32);
 
         // Master grid from distance + known/unknown state.
         let inscribed = self.cfg.inscribed_radius as f32;
@@ -298,6 +270,191 @@ impl Costmap {
         let total = n as f64 * cost::CYCLES_PER_REFRESH_CELL;
         meter.serial_ops(1, total * 0.1);
         meter.parallel_ops(1, total * 0.9, 512);
+    }
+
+    /// Is a cell blocked for the footprint test (inscribed, lethal or
+    /// off the map)?
+    fn blocked(&self, idx: GridIndex) -> bool {
+        self.cost(idx) >= COST_INSCRIBED
+    }
+
+    /// Build the [`ClearanceWindow`] for footprints of radius `radius`
+    /// centred anywhere within `reach` metres of `center`.
+    pub(crate) fn clearance_window(
+        &self,
+        center: Point2,
+        reach: f64,
+        radius: f64,
+    ) -> ClearanceWindow<'_> {
+        let res = self.dims.resolution;
+        // `footprint_collides`' box spans at most ceil(r / res) cells
+        // either side of the centre cell, plus one for the rounding of
+        // `world_to_grid` at the box corners.
+        let free_above = (radius.max(0.0) / res).ceil() as u32 + 1;
+        let half = (reach.max(0.0) / res).ceil() as i64 + free_above as i64 + 2;
+        // Clip to the map: cells beyond it are blocked anyway.
+        let c = self.dims.world_to_grid(center);
+        let lo_col = (c.col as i64 - half).max(0);
+        let lo_row = (c.row as i64 - half).max(0);
+        let hi_col = (c.col as i64 + half).min(self.dims.width as i64 - 1);
+        let hi_row = (c.row as i64 + half).min(self.dims.height as i64 - 1);
+        let cols = (hi_col - lo_col + 1).max(0) as usize;
+        let rows = (hi_row - lo_row + 1).max(0) as usize;
+
+        // Chessboard distance transform over the window plus a one-cell
+        // blocked border, two passes with the 3×3 mask (exact for the
+        // Chebyshev metric).
+        let stride = cols + 2;
+        let mut clear = vec![0u8; stride * (rows + 2)];
+        for r in 0..rows {
+            for col in 0..cols {
+                let idx = GridIndex::new((lo_col + col as i64) as i32, (lo_row + r as i64) as i32);
+                if !self.blocked(idx) {
+                    clear[(r + 1) * stride + col + 1] = u8::MAX;
+                }
+            }
+        }
+        let step = |d: u8| d.saturating_add(1);
+        for r in 1..=rows {
+            for col in 1..=cols {
+                let i = r * stride + col;
+                clear[i] = clear[i]
+                    .min(step(clear[i - 1]))
+                    .min(step(clear[i - stride - 1]))
+                    .min(step(clear[i - stride]))
+                    .min(step(clear[i - stride + 1]));
+            }
+        }
+        for r in (1..=rows).rev() {
+            for col in (1..=cols).rev() {
+                let i = r * stride + col;
+                clear[i] = clear[i]
+                    .min(step(clear[i + 1]))
+                    .min(step(clear[i + stride - 1]))
+                    .min(step(clear[i + stride]))
+                    .min(step(clear[i + stride + 1]));
+            }
+        }
+        ClearanceWindow {
+            cm: self,
+            radius,
+            origin: GridIndex::new(lo_col as i32 - 1, lo_row as i32 - 1),
+            stride,
+            rows: rows + 2,
+            clear,
+            free_above,
+        }
+    }
+}
+
+/// Chebyshev clearance of the cells around a point: the chessboard
+/// distance, in cells, from each cell to the nearest blocked one
+/// (`cost >= COST_INSCRIBED`, which includes cells off the map). Every
+/// cell outside the window counts as blocked, so a clearance never
+/// over-estimates.
+///
+/// [`Costmap::footprint_collides`] for a disc of radius `r` only looks
+/// at cells within Chebyshev distance `k = ceil(r / res) + 1` of the
+/// disc centre's cell. A centre cell whose clearance exceeds `k`
+/// therefore cannot collide, and
+/// [`ClearanceWindow::footprint_collides`] skips the scan there; every
+/// other cell still gets it.
+#[derive(Debug, Clone)]
+pub(crate) struct ClearanceWindow<'a> {
+    cm: &'a Costmap,
+    /// Footprint radius the window answers for.
+    radius: f64,
+    /// Grid index of the first cell of the (bordered) window.
+    origin: GridIndex,
+    stride: usize,
+    rows: usize,
+    /// Row-major clearances, saturating at `u8::MAX`.
+    clear: Vec<u8>,
+    /// `k`: clearances above this rule out a collision.
+    free_above: u32,
+}
+
+impl ClearanceWindow<'_> {
+    /// Same answer as [`Costmap::footprint_collides`] with the window's
+    /// radius, without the scan when the clearance of `p`'s cell rules
+    /// a collision out.
+    pub(crate) fn footprint_collides(&self, p: Point2) -> bool {
+        !self.rules_out_collision(self.cm.dims.world_to_grid(p))
+            && self.cm.footprint_collides(p, self.radius)
+    }
+
+    /// Chebyshev clearance of `idx` in cells; 0 outside the window.
+    fn clearance(&self, idx: GridIndex) -> u8 {
+        let col = idx.col as i64 - self.origin.col as i64;
+        let row = idx.row as i64 - self.origin.row as i64;
+        if col < 0 || row < 0 || col >= self.stride as i64 || row >= self.rows as i64 {
+            return 0;
+        }
+        self.clear[row as usize * self.stride + col as usize]
+    }
+
+    /// Is `footprint_collides` certainly `false` for every disc centred
+    /// in cell `idx`?
+    fn rules_out_collision(&self, idx: GridIndex) -> bool {
+        self.clearance(idx) as u32 > self.free_above
+    }
+}
+
+/// Seed distance of non-lethal cells in the chamfer transform.
+const CHAMFER_FAR: f32 = 1e9;
+
+/// Two-pass chamfer distance transform, in place, of a row-major grid
+/// `w` cells wide whose lethal cells hold 0 and all others
+/// [`CHAMFER_FAR`].
+///
+/// Each pass takes one row at a time in two steps: first it folds in
+/// the three neighbours from the row already swept (each cell
+/// independent of the others, so the loops vectorise), then it runs
+/// the serial chain along the row. `min` of finite values is exact in
+/// any order, so the result is bit-identical to the cell-by-cell
+/// sweep.
+fn chamfer(dist: &mut [f32], w: usize, res: f32) {
+    if w == 0 {
+        return;
+    }
+    let (orth, diag) = (res, res * std::f32::consts::SQRT_2);
+    let h = dist.len() / w;
+    // Forward: rows top to bottom, each chained left to right.
+    for row in 0..h {
+        let (done, rest) = dist.split_at_mut(row * w);
+        let cur = &mut rest[..w];
+        if row > 0 {
+            fold_adjacent_row(cur, &done[(row - 1) * w..], orth, diag);
+        }
+        for col in 1..w {
+            cur[col] = cur[col].min(cur[col - 1] + orth);
+        }
+    }
+    // Backward: rows bottom to top, each chained right to left.
+    for row in (0..h).rev() {
+        let (head, done) = dist.split_at_mut((row + 1) * w);
+        let cur = &mut head[row * w..];
+        if row + 1 < h {
+            fold_adjacent_row(cur, &done[..w], orth, diag);
+        }
+        for col in (0..w - 1).rev() {
+            cur[col] = cur[col].min(cur[col + 1] + orth);
+        }
+    }
+}
+
+/// `cur[c] = min(cur[c], adj[c] + orth, adj[c - 1] + diag, adj[c + 1] + diag)`
+/// for an adjacent row `adj` of the same width.
+fn fold_adjacent_row(cur: &mut [f32], adj: &[f32], orth: f32, diag: f32) {
+    let w = cur.len();
+    for (d, &a) in cur.iter_mut().zip(adj) {
+        *d = d.min(a + orth);
+    }
+    for (d, &a) in cur[1..].iter_mut().zip(&adj[..w - 1]) {
+        *d = d.min(a + diag);
+    }
+    for (d, &a) in cur[..w - 1].iter_mut().zip(&adj[1..]) {
+        *d = d.min(a + diag);
     }
 }
 
@@ -423,6 +580,208 @@ mod tests {
         assert!(cm.footprint_collides(Point2::new(2.1, 2.1), 0.11));
         assert!(cm.footprint_collides(Point2::new(2.35, 2.1), 0.11));
         assert!(!cm.footprint_collides(Point2::new(4.0, 4.0), 0.11));
+    }
+
+    /// The cell-by-cell two-sweep chamfer that `chamfer` replaces.
+    fn chamfer_reference(dist: &mut [f32], w: usize, res: f32) {
+        let h = dist.len() / w;
+        let (orth, diag) = (res, res * std::f32::consts::SQRT_2);
+        for row in 0..h {
+            for col in 0..w {
+                let i = row * w + col;
+                let mut d = dist[i];
+                if col > 0 {
+                    d = d.min(dist[i - 1] + orth);
+                }
+                if row > 0 {
+                    d = d.min(dist[i - w] + orth);
+                    if col > 0 {
+                        d = d.min(dist[i - w - 1] + diag);
+                    }
+                    if col + 1 < w {
+                        d = d.min(dist[i - w + 1] + diag);
+                    }
+                }
+                dist[i] = d;
+            }
+        }
+        for row in (0..h).rev() {
+            for col in (0..w).rev() {
+                let i = row * w + col;
+                let mut d = dist[i];
+                if col + 1 < w {
+                    d = d.min(dist[i + 1] + orth);
+                }
+                if row + 1 < h {
+                    d = d.min(dist[i + w] + orth);
+                    if col > 0 {
+                        d = d.min(dist[i + w - 1] + diag);
+                    }
+                    if col + 1 < w {
+                        d = d.min(dist[i + w + 1] + diag);
+                    }
+                }
+                dist[i] = d;
+            }
+        }
+    }
+
+    #[test]
+    fn row_split_chamfer_is_bit_identical_to_reference() {
+        let mut rng = SimRng::seed_from_u64(7);
+        let mut shapes = vec![(1, 1), (1, 37), (37, 1), (2, 2), (1, 240), (240, 1)];
+        for _ in 0..60 {
+            shapes.push((1 + rng.index(90), 1 + rng.index(90)));
+        }
+        for (w, h) in shapes {
+            for density in [0.0, 0.002, 0.05, 0.4, 1.0] {
+                let res = [0.05f32, 0.1, 0.07][rng.index(3)];
+                let seed: Vec<f32> = (0..w * h)
+                    .map(|_| {
+                        if rng.chance(density) {
+                            0.0
+                        } else {
+                            CHAMFER_FAR
+                        }
+                    })
+                    .collect();
+                let (mut fast, mut slow) = (seed.clone(), seed);
+                chamfer(&mut fast, w, res);
+                chamfer_reference(&mut slow, w, res);
+                let bits = |v: &[f32]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "{w}x{h} density {density}");
+            }
+        }
+    }
+
+    /// A random map up to 40×40 cells with a random origin and
+    /// resolution, random lethal cells, and sometimes a lethal border.
+    fn random_costmap(rng: &mut SimRng) -> Costmap {
+        let (w, h) = (1 + rng.index(40) as u32, 1 + rng.index(40) as u32);
+        let res = [0.05, 0.1, 0.07][rng.index(3)];
+        let origin = Point2::new(rng.uniform_range(-1.0, 1.0), rng.uniform_range(-1.0, 1.0));
+        let dims = GridDims::new(w, h, res, origin);
+        let density = rng.uniform_range(0.0, 0.15);
+        let border: [bool; 4] = std::array::from_fn(|_| rng.chance(0.5));
+        let mut cells = vec![MapMsg::FREE; dims.len()];
+        for (i, c) in cells.iter_mut().enumerate() {
+            let idx = dims.unflat(i);
+            let on_border = (border[0] && idx.col == 0)
+                || (border[1] && idx.col as u32 == w - 1)
+                || (border[2] && idx.row == 0)
+                || (border[3] && idx.row as u32 == h - 1);
+            if on_border || rng.chance(density) {
+                *c = MapMsg::OCCUPIED;
+            } else if rng.chance(0.1) {
+                *c = MapMsg::UNKNOWN;
+            }
+        }
+        let map = MapMsg {
+            stamp: SimTime::EPOCH,
+            dims,
+            cells,
+        };
+        Costmap::from_map(CostmapConfig::default(), &map)
+    }
+
+    /// A point in the square of half-width `half` around `c`; a third of
+    /// them sit on a cell edge, where `world_to_grid` rounds.
+    fn random_point(rng: &mut SimRng, dims: &GridDims, c: Point2, half: f64) -> Point2 {
+        let p = Point2::new(
+            c.x + rng.uniform_range(-half, half),
+            c.y + rng.uniform_range(-half, half),
+        );
+        if rng.chance(0.33) {
+            let idx = dims.world_to_grid(p);
+            let corner = dims.grid_to_world(idx);
+            Point2::new(
+                corner.x - dims.resolution * 0.5,
+                corner.y - dims.resolution * 0.5,
+            )
+        } else {
+            p
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn clearance_window_agrees_with_footprint_collides(seed in 0u64..1_000_000) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let cm = random_costmap(&mut rng);
+            let dims = *cm.dims();
+            let (ww, wh) = dims.world_size();
+            let centre = Point2::new(
+                dims.origin.x + rng.uniform_range(-0.3, ww + 0.3),
+                dims.origin.y + rng.uniform_range(-0.3, wh + 0.3),
+            );
+            let reach = rng.uniform_range(0.0, 0.8);
+            let r = rng.uniform_range(0.05, 0.2);
+            let window = cm.clearance_window(centre, reach, r);
+            for _ in 0..300 {
+                let p = random_point(&mut rng, &dims, centre, reach + 0.5);
+                proptest::prop_assert_eq!(
+                    window.footprint_collides(p),
+                    cm.footprint_collides(p, r),
+                    "at {:?} r={}", p, r
+                );
+            }
+        }
+
+        #[test]
+        fn clearance_window_is_the_exact_chessboard_distance(seed in 0u64..1_000_000) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let cm = random_costmap(&mut rng);
+            let dims = *cm.dims();
+            let centre = dims.grid_to_world(GridIndex::new(
+                rng.index(dims.width as usize) as i32,
+                rng.index(dims.height as usize) as i32,
+            ));
+            let window = cm.clearance_window(centre, rng.uniform_range(0.0, 0.6), 0.11);
+            let o = window.origin;
+            let interior = |idx: GridIndex| {
+                idx.col > o.col
+                    && idx.row > o.row
+                    && idx.col < o.col + window.stride as i32 - 1
+                    && idx.row < o.row + window.rows as i32 - 1
+            };
+            for row in o.row..o.row + window.rows as i32 {
+                for col in o.col..o.col + window.stride as i32 {
+                    let idx = GridIndex::new(col, row);
+                    // Smallest ring around `idx` holding a blocked or
+                    // out-of-window cell.
+                    let brute = (0..=255i32)
+                        .find(|&d| {
+                            (-d..=d).any(|dr| {
+                                (-d..=d).any(|dc| {
+                                    let n = GridIndex::new(col + dc, row + dr);
+                                    (dr.abs() == d || dc.abs() == d)
+                                        && (!interior(n) || cm.blocked(n))
+                                })
+                            })
+                        })
+                        .unwrap_or(255);
+                    proptest::prop_assert_eq!(window.clearance(idx) as i32, brute, "{:?}", idx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clearance_window_rules_out_only_open_space_inside_it() {
+        let cm = Costmap::from_map(CostmapConfig::default(), &map_with_block(100, 100));
+        let centre = Point2::new(3.5, 3.5);
+        let window = cm.clearance_window(centre, 0.5, 0.11);
+        let dims = *cm.dims();
+        // Open space around the centre: the pre-check rules it out.
+        assert!(window.rules_out_collision(dims.world_to_grid(centre)));
+        // Next to the block, and beyond the window: the full check runs.
+        assert!(!window.rules_out_collision(dims.world_to_grid(Point2::new(2.3, 2.1))));
+        assert!(!window.rules_out_collision(dims.world_to_grid(Point2::new(4.5, 3.5))));
+        // Off the map the window is empty rather than wrong.
+        let outside = cm.clearance_window(Point2::new(-20.0, -20.0), 0.5, 0.11);
+        assert_eq!(outside.clearance(GridIndex::new(0, 0)), 0);
     }
 
     #[test]

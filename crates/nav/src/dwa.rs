@@ -9,8 +9,16 @@
 //! duplicated scoring work" the paper parallelizes; we distribute the
 //! `M` trajectories over `N` threads with the same [`ParallelExecutor`]
 //! SLAM uses.
+//!
+//! Each activation first builds one `ClearanceWindow` around the
+//! robot, sized to the farthest pose any rollout can reach. A rollout
+//! pose whose cell has enough Chebyshev clearance cannot collide, so
+//! only the remaining poses pay for the full
+//! [`Costmap::footprint_collides`] scan. The pre-check only skips
+//! scans whose answer is already known, so scores, feasibility and
+//! the modelled `Work` are unchanged.
 
-use crate::costmap::Costmap;
+use crate::costmap::{ClearanceWindow, Costmap};
 use lgv_slam::pool::ParallelExecutor;
 use lgv_types::prelude::*;
 
@@ -212,12 +220,17 @@ impl DwaPlanner {
         // of the robot's projection (falls back to the final goal).
         let target = carrot_point(path, pose.position(), cfg.lookahead, goal);
 
-        // Parallel scoring (paper Fig. 5): each thread takes a chunk.
+        // Clearance around every pose a rollout can reach, to skip the
+        // footprint scan where it cannot find a collision.
         let steps = (cfg.sim_horizon / cfg.sim_dt).round() as u32;
+        let reach = v_lo.abs().max(v_hi.abs()) * steps as f64 * cfg.sim_dt + cfg.footprint_radius;
+        let window = cm.clearance_window(pose.position(), reach, cfg.footprint_radius);
+
+        // Parallel scoring (paper Fig. 5): each thread takes a chunk.
         let cfg_ref = &self.cfg;
         self.executor.run_chunks(&mut candidates, |chunk| {
             for c in chunk.iter_mut() {
-                *c = score_trajectory(cfg_ref, cm, pose, path, target, c.v, c.w, steps);
+                *c = score_trajectory(cfg_ref, cm, &window, pose, path, target, c.v, c.w, steps);
             }
         });
 
@@ -254,11 +267,13 @@ impl DwaPlanner {
     }
 }
 
-/// Forward-simulate one `(v, w)` candidate and score it.
+/// Forward-simulate one `(v, w)` candidate and score it. `window`
+/// answers the footprint check on `cm` for `cfg.footprint_radius`.
 #[allow(clippy::too_many_arguments)]
 fn score_trajectory(
     cfg: &DwaConfig,
     cm: &Costmap,
+    window: &ClearanceWindow,
     pose: Pose2D,
     path: &PathMsg,
     goal: Point2,
@@ -272,7 +287,7 @@ fn score_trajectory(
     for _ in 0..steps {
         p = p.integrate(Twist::new(v, w), cfg.sim_dt);
         executed += 1;
-        if cm.footprint_collides(p.position(), cfg.footprint_radius) {
+        if window.footprint_collides(p.position()) {
             return Candidate {
                 v,
                 w,

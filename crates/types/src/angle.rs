@@ -22,8 +22,15 @@ pub fn normalize_angle(a: f64) -> f64 {
     if a.is_nan() || a.is_infinite() {
         return 0.0;
     }
-    // rem_euclid keeps the result in [0, 2π); shift into (-π, π].
-    let r = (a + PI).rem_euclid(2.0 * PI);
+    // rem_euclid keeps the result in [0, 2π); shift into (-π, π]. A
+    // value already in [0, 2π) comes back from it unchanged, so skip
+    // the division for the common case.
+    let shifted = a + PI;
+    let r = if (0.0..2.0 * PI).contains(&shifted) {
+        shifted
+    } else {
+        shifted.rem_euclid(2.0 * PI)
+    };
     let out = r - PI;
     if out <= -PI {
         out + 2.0 * PI
@@ -139,6 +146,64 @@ mod tests {
     fn normalize_handles_non_finite() {
         assert_eq!(normalize_angle(f64::NAN), 0.0);
         assert_eq!(normalize_angle(f64::INFINITY), 0.0);
+    }
+
+    /// `normalize_angle` before its in-range fast path.
+    fn normalize_reference(a: f64) -> f64 {
+        if a.is_nan() || a.is_infinite() {
+            return 0.0;
+        }
+        let out = (a + PI).rem_euclid(2.0 * PI) - PI;
+        if out <= -PI {
+            out + 2.0 * PI
+        } else {
+            out
+        }
+    }
+
+    #[test]
+    fn normalize_matches_rem_euclid_formula_bit_for_bit() {
+        let specials = [
+            PI,
+            -PI,
+            0.0,
+            -0.0,
+            2.0 * PI,
+            -2.0 * PI,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        // splitmix64: random bit patterns plus values near the wrap.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut inputs = specials.to_vec();
+        for _ in 0..20_000 {
+            let bits = next();
+            let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
+            inputs.push(f64::from_bits(bits));
+            inputs.push((unit - 0.5) * 8.0 * PI);
+            inputs.push(PI * if bits & 1 == 0 { 1.0 } else { -1.0 } + (unit - 0.5) * 1e-12);
+            inputs.push((unit - 0.5) * 1e9);
+        }
+        for a in inputs {
+            let (got, want) = (normalize_angle(a), normalize_reference(a));
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "normalize_angle({a:e}): {got:e} vs {want:e}"
+            );
+        }
     }
 
     #[test]
