@@ -25,8 +25,8 @@
 //! (profiled vs unattributed time). `--top N` resizes the table
 //! (default 20).
 
-use lgv_bench::json::Value;
 use lgv_bench::TablePrinter;
+use lgv_trace::json::Value;
 use lgv_trace::{TraceEvent, TraceReader, TraceRecord};
 use std::collections::BTreeMap;
 use std::process::ExitCode;

@@ -1,10 +1,10 @@
 //! # lgv-bench
 //!
-//! Shared machinery for the table/figure regeneration binaries (see
-//! `src/bin/`) and the Criterion micro-benchmarks (see `benches/`).
-//! Every binary prints the rows/series of one table or figure from the
-//! paper's evaluation section; `EXPERIMENTS.md` records paper-reported
-//! vs measured values.
+//! The evaluation harness: every table and figure of the paper's
+//! evaluation section is one registered [`suite`] scenario, run,
+//! printed, traced and gated through the `suite` binary (see
+//! `src/bin/suite.rs`). `EXPERIMENTS.md` records paper-reported vs
+//! measured values.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -14,52 +14,13 @@ use lgv_sim::{Lidar, LidarConfig};
 use lgv_types::prelude::*;
 use std::io::{self, Write};
 
-pub mod json;
+pub mod gate;
 pub mod scenarios;
 pub mod suite;
 
-/// Quick mode: set `LGV_BENCH_QUICK=1` to shrink sweeps for smoke runs.
-pub fn quick_mode() -> bool {
-    std::env::var("LGV_BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// Build a [`lgv_trace::Tracer`] from the process arguments: passing
-/// `--trace <path>` to a figure binary attaches a JSONL file sink (one
-/// event per line, stamped with virtual time — see
-/// `docs/OBSERVABILITY.md`). Without the flag the returned tracer is
-/// disabled and adds zero overhead. With several missions per binary
-/// the streams are concatenated in run order; split on the
-/// `mission_start` events to separate them.
-pub fn tracer_from_args() -> lgv_trace::Tracer {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            let Some(path) = args.next() else {
-                eprintln!("warning: --trace requires a file path; tracing disabled");
-                return lgv_trace::Tracer::disabled();
-            };
-            match lgv_trace::JsonlSink::create(&path) {
-                Ok(sink) => {
-                    let tracer = lgv_trace::Tracer::enabled();
-                    tracer.attach(sink);
-                    println!("(trace: {path})");
-                    return tracer;
-                }
-                Err(e) => {
-                    eprintln!("warning: cannot create trace file {path}: {e}; tracing disabled");
-                    return lgv_trace::Tracer::disabled();
-                }
-            }
-        }
-    }
-    lgv_trace::Tracer::disabled()
-}
-
 /// A deterministic scan/odometry stream: a scripted tour through a
-/// world, sampled by the standard lidar. Feeds the SLAM and VDP
-/// microbenchmarks the same kind of data the Intel Research Lab
+/// world, sampled by the standard lidar. Feeds the Fig. 9 SLAM
+/// scenario the same kind of data the Intel Research Lab
 /// dataset gives the paper (see DESIGN.md substitution table).
 pub struct ScanStream {
     world: World,
@@ -109,7 +70,7 @@ impl ScanStream {
     }
 }
 
-/// Simple fixed-width table printer for the figure binaries, with CSV
+/// Simple fixed-width table printer for the scenarios, with CSV
 /// export so downstream plotting scripts can consume the same data.
 pub struct TablePrinter {
     headers: Vec<String>,
@@ -197,16 +158,9 @@ impl TablePrinter {
     }
 
     /// Write the table as `target/figures/<name>.csv` (best effort:
-    /// prints a warning instead of failing the figure run on IO
-    /// errors). Returns the path on success.
-    pub fn save_csv(&self, name: &str) -> Option<std::path::PathBuf> {
-        let mut out = io::stdout();
-        self.save_csv_to(&mut out, name)
-            .expect("stdout write failed")
-    }
-
-    /// [`TablePrinter::save_csv`], but the `(csv: …)` confirmation line
-    /// goes to `out` so suite-captured scenario output stays
+    /// warns on stderr instead of failing the scenario on IO errors)
+    /// and return the path on success. The `(csv: …)` confirmation
+    /// line goes to `out`, so captured scenario output stays
     /// self-contained. Scenario names are unique, so concurrent suite
     /// jobs never write the same CSV path.
     pub fn save_csv_to(
@@ -233,12 +187,7 @@ impl TablePrinter {
     }
 }
 
-/// Print a figure/table banner.
-pub fn banner(title: &str, paper_claim: &str) {
-    write_banner(&mut io::stdout(), title, paper_claim).expect("stdout write failed");
-}
-
-/// [`banner`], into an arbitrary writer (suite capture).
+/// Write a figure/table banner into a scenario's output.
 pub fn write_banner(out: &mut dyn Write, title: &str, paper_claim: &str) -> io::Result<()> {
     writeln!(out)?;
     writeln!(out, "==== {title} ====")?;
@@ -288,7 +237,9 @@ mod tests {
     fn save_csv_writes_file() {
         let mut t = TablePrinter::new(vec!["x"]);
         t.row(vec!["7"]);
-        if let Some(path) = t.save_csv("test_table") {
+        let mut out = Vec::new();
+        if let Some(path) = t.save_csv_to(&mut out, "test_table").unwrap() {
+            assert!(String::from_utf8(out).unwrap().contains("test_table.csv"));
             let content = std::fs::read_to_string(&path).unwrap();
             assert!(content.contains("7"));
             let _ = std::fs::remove_file(path);

@@ -13,11 +13,11 @@
 //!   scale-ups) against the elastic scheduler, with the waste priced
 //!   in the cost ledger.
 //!
-//! Every arm prints one machine-greppable
-//! `SLO arm=<name> ttr_s=<x> degraded_frac=<x> missed=<n>` line —
-//! `scripts/check_recovery.sh` diffs these against the committed
-//! `BENCH_recovery_baseline.txt` so recovery-SLO regressions fail CI
-//! the same way perf regressions do.
+//! Every arm prints one machine-readable
+//! `SLO arm=<name> ttr_s=<x> degraded_frac=<x> missed=<n>` line
+//! ([`Slo`]) — `suite check-recovery` reads these back and diffs them
+//! against the committed `BENCH_recovery_baseline.txt`, so
+//! recovery-SLO regressions fail CI the same way perf regressions do.
 
 use crate::suite::ScenarioCtx;
 use crate::{write_banner, TablePrinter};
@@ -44,6 +44,66 @@ impl Write for SharedBuf {
     }
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
+    }
+}
+
+/// One arm's recovery SLOs: the `SLO` line it prints, and what the
+/// recovery gate ([`crate::gate::check_recovery`]) reads back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Slo {
+    /// Arm name.
+    pub arm: String,
+    /// Mean heartbeat-miss → re-offload latency (seconds); `None` when
+    /// the arm never re-offloaded (printed as `n/a`).
+    pub ttr_s: Option<f64>,
+    /// Fraction of the trace spent at reduced fidelity.
+    pub degraded_frac: f64,
+    /// Control cycles dropped while degraded.
+    pub missed: u64,
+}
+
+impl Slo {
+    /// `ttr_s` as printed: milliseconds precision, or `n/a`.
+    fn ttr_text(&self) -> String {
+        self.ttr_s.map_or("n/a".to_string(), |t| format!("{t:.3}"))
+    }
+
+    /// The printed line.
+    pub fn line(&self) -> String {
+        format!(
+            "SLO arm={} ttr_s={} degraded_frac={:.4} missed={}",
+            self.arm,
+            self.ttr_text(),
+            self.degraded_frac,
+            self.missed
+        )
+    }
+
+    /// Every `SLO ` line of `text`, in order; other lines are skipped
+    /// and a malformed SLO line is an error.
+    pub fn parse_all(text: &str) -> Result<Vec<Slo>, String> {
+        text.lines()
+            .filter(|l| l.starts_with("SLO "))
+            .map(|l| Slo::parse_line(l).ok_or_else(|| format!("malformed SLO line {l:?}")))
+            .collect()
+    }
+
+    fn parse_line(line: &str) -> Option<Slo> {
+        let mut fields = line.strip_prefix("SLO ")?.split(' ');
+        let mut next = |key: &str| fields.next()?.strip_prefix(key)?.strip_prefix('=');
+        let arm = next("arm")?.to_string();
+        let ttr_s = match next("ttr_s")? {
+            "n/a" => None,
+            t => Some(t.parse().ok()?),
+        };
+        let degraded_frac = next("degraded_frac")?.parse().ok()?;
+        let missed = next("missed")?.parse().ok()?;
+        fields.next().is_none().then_some(Slo {
+            arm,
+            ttr_s,
+            degraded_frac,
+            missed,
+        })
     }
 }
 
@@ -153,6 +213,8 @@ fn run_arm(arm: &Arm, seed: u64, size: usize) -> (FleetReport, TraceAnalysis) {
 
 /// Regenerate the chaos-fleet recovery-SLO study.
 pub fn run(ctx: &mut ScenarioCtx) -> io::Result<()> {
+    // The banner is checksummed output: it keeps naming the shell gate
+    // that `suite check-recovery` replaced.
     write_banner(
         ctx.out,
         "Chaos-fleet: recovery SLOs under crash, blackout, and cloud chaos",
@@ -187,9 +249,14 @@ pub fn run(ctx: &mut ScenarioCtx) -> io::Result<()> {
                     r.checkpoints,
                 )
             });
-        let ttr = analysis
-            .mean_reoffload_latency_ns()
-            .map_or("n/a".to_string(), |ns| format!("{:.3}", ns as f64 / 1e9));
+        let slo = Slo {
+            arm: arm.name.to_string(),
+            ttr_s: analysis
+                .mean_reoffload_latency_ns()
+                .map(|ns| ns as f64 / 1e9),
+            degraded_frac,
+            missed,
+        };
         let wasted = report
             .cloud
             .as_ref()
@@ -202,13 +269,10 @@ pub fn run(ctx: &mut ScenarioCtx) -> io::Result<()> {
             ckpts.to_string(),
             format!("{degraded_s:.1}"),
             missed.to_string(),
-            ttr.clone(),
+            slo.ttr_text(),
             format!("{wasted:.1}"),
         ]);
-        slo_lines.push(format!(
-            "SLO arm={} ttr_s={} degraded_frac={:.4} missed={}",
-            arm.name, ttr, degraded_frac, missed
-        ));
+        slo_lines.push(slo.line());
     }
     table.write_to(ctx.out)?;
     table.save_csv_to(ctx.out, "chaos_fleet")?;
@@ -242,4 +306,34 @@ pub fn run(ctx: &mut ScenarioCtx) -> io::Result<()> {
         t_of("blackout-degraded"),
     )?;
     writeln!(ctx.out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_slo_lines_read_back_and_print_identically() {
+        let text = include_str!("../../../../BENCH_recovery_baseline.txt");
+        let slos = Slo::parse_all(text).expect("baseline parses");
+        assert_eq!(slos.len(), 6);
+        let printed: Vec<String> = slos.iter().map(Slo::line).collect();
+        assert_eq!(printed, text.lines().collect::<Vec<_>>());
+        assert_eq!(slos[0].ttr_s, Some(10.8));
+        assert_eq!(slos[2].ttr_s, None);
+    }
+
+    #[test]
+    fn malformed_slo_lines_are_errors_and_other_lines_are_skipped() {
+        assert_eq!(Slo::parse_all("==== banner ====\nok: x\n"), Ok(vec![]));
+        for bad in [
+            "SLO arm=a ttr_s=x degraded_frac=0.1 missed=0",
+            "SLO arm=a ttr_s=n/a degraded_frac=0.1",
+            "SLO arm=a ttr_s=n/a degraded_frac=0.1 missed=-1",
+            "SLO arm=a ttr_s=n/a missed=0 degraded_frac=0.1",
+            "SLO arm=a ttr_s=n/a degraded_frac=0.1 missed=0 extra=1",
+        ] {
+            assert!(Slo::parse_all(bad).is_err(), "accepted {bad:?}");
+        }
+    }
 }

@@ -2,10 +2,8 @@
 //!
 //! Each submodule exports one `run(ctx)` entry point writing the
 //! scenario's human-readable output into [`ScenarioCtx::out`]. The
-//! `src/bin/` binaries are thin standalone wrappers around these same
-//! functions (stdout + `LGV_BENCH_QUICK` + `--trace`); the
-//! [`crate::suite`] runner captures the output in memory instead and
-//! checksums it.
+//! [`crate::suite`] runner captures that output in memory and
+//! checksums it; `suite --only NAME --print-output` prints it.
 //!
 //! Determinism contract: a scenario's output may depend only on
 //! [`ScenarioCtx::seed`] and [`ScenarioCtx::quick`] — never on wall

@@ -8,7 +8,8 @@
 //! [`ParallelExecutor`] the parallel gmapping algorithm uses for its
 //! particles — captures each scenario's text output in memory, and
 //! emits a machine-readable `BENCH_suite.json` with per-job wall-clock
-//! and virtual-time accounting.
+//! and virtual-time accounting. [`Artifact`] reads that file back for
+//! the perf gate ([`crate::gate`]) and the freshness test.
 //!
 //! Because each scenario runs on its own virtual clock, its own RNG
 //! seeds, and its own captured output buffer, running the suite with
@@ -57,30 +58,34 @@
 //! See `docs/CI.md` for how the gate consumes these files.
 
 use lgv_slam::pool::ParallelExecutor;
+use lgv_trace::json::Value;
 use lgv_trace::prof::{self, ProfileTree};
-use lgv_trace::{TraceRecord, TraceSink, Tracer};
+use lgv_trace::{JsonlSink, TraceRecord, TraceSink, Tracer};
 use std::io::{self, Write};
+use std::sync::Mutex;
+
+/// Schema tag of the `BENCH_suite.json` artifact.
+pub const SCHEMA: &str = "lgv-bench-suite/v3";
 
 /// Everything a scenario needs to run: an output writer (captured and
-/// checksummed by the suite; stdout when run standalone), the quick
-/// flag, the scenario's base RNG seed, and a tracer whose events are
-/// tallied into the JSON artifact.
+/// checksummed by the suite), the quick flag, the scenario's base RNG
+/// seed, and a tracer whose events are tallied into the JSON artifact.
 pub struct ScenarioCtx<'a> {
     /// Where the scenario's human-readable output goes.
     pub out: &'a mut dyn Write,
-    /// Shrink sweeps for smoke runs (`LGV_BENCH_QUICK=1` standalone).
+    /// Shrink sweeps for smoke runs (`suite --quick`).
     pub quick: bool,
     /// Base RNG seed for the scenario's top-level randomness.
     pub seed: u64,
-    /// Tracer for virtual-time event accounting. Standalone binaries
-    /// wire `--trace <path>` here; the suite attaches a counting sink.
+    /// Tracer for virtual-time event accounting: the suite attaches a
+    /// counting sink, plus a JSONL file sink under `suite --trace`.
     pub tracer: Tracer,
 }
 
 /// A registered table/figure job.
 #[derive(Clone, Copy)]
 pub struct Scenario {
-    /// Unique job name (also the binary name for standalone runs).
+    /// Unique job name (what `suite --only` selects).
     pub name: &'static str,
     /// One-line description of what the scenario reproduces.
     pub title: &'static str,
@@ -211,26 +216,6 @@ pub fn registry() -> Vec<Scenario> {
     ]
 }
 
-/// Look a scenario up by name.
-pub fn find(name: &str) -> Option<Scenario> {
-    registry().into_iter().find(|s| s.name == name)
-}
-
-/// Run one scenario exactly as its standalone binary does: output to
-/// stdout, quick mode from `LGV_BENCH_QUICK`, tracer from `--trace`.
-pub fn run_scenario_standalone(name: &str) {
-    let scenario = find(name).unwrap_or_else(|| panic!("unknown scenario {name:?}"));
-    let mut out = io::stdout();
-    let mut ctx = ScenarioCtx {
-        out: &mut out,
-        quick: crate::quick_mode(),
-        seed: scenario.seed,
-        tracer: crate::tracer_from_args(),
-    };
-    (scenario.run)(&mut ctx).expect("scenario output write failed");
-    ctx.tracer.flush();
-}
-
 /// Counts records and tracks the largest virtual timestamp — the
 /// cheapest possible sink, used for the JSON accounting fields.
 #[derive(Debug, Default)]
@@ -269,8 +254,8 @@ pub struct JobResult {
     pub sim_time_s: f64,
     /// Trace events emitted on the scenario's virtual clock.
     pub events: u64,
-    /// The captured scenario output (what the standalone binary would
-    /// have printed, minus `--trace` side effects).
+    /// The captured scenario output (what `suite --print-output`
+    /// prints).
     pub output: Vec<u8>,
     /// `fnv1a:<16 hex digits>` over `output`.
     pub checksum: String,
@@ -296,10 +281,13 @@ pub struct SuiteReport {
     pub results: Vec<JobResult>,
 }
 
-fn run_job(scenario: &Scenario, quick: bool) -> JobResult {
+fn run_job(scenario: &Scenario, quick: bool, trace: Option<JsonlSink>) -> JobResult {
     let mut output: Vec<u8> = Vec::with_capacity(4096);
     let tracer = Tracer::enabled();
     let counter = tracer.attach(CountingSink::default());
+    if let Some(sink) = trace {
+        tracer.attach(sink);
+    }
     // Drop any profile residue from a previous job on this worker, and
     // root this job's scopes under a node named after the scenario (a
     // no-op unless profiling is collecting).
@@ -313,7 +301,9 @@ fn run_job(scenario: &Scenario, quick: bool) -> JobResult {
             seed: scenario.seed,
             tracer,
         };
-        (scenario.run)(&mut ctx).err()
+        let err = (scenario.run)(&mut ctx).err();
+        ctx.tracer.flush();
+        err
     };
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     drop(prof_root);
@@ -349,12 +339,21 @@ fn run_job(scenario: &Scenario, quick: bool) -> JobResult {
 /// job's scope tree lands in [`JobResult::profile`]. Profiling cannot
 /// change scenario outputs — the determinism tests run with it both on
 /// and off.
+///
+/// `trace` attaches a JSONL sink to the job's tracer; it needs exactly
+/// one scenario, so the file holds one job's stream.
 pub fn run_suite(
     scenarios: &[Scenario],
     threads: usize,
     quick: bool,
     profile: bool,
+    trace: Option<JsonlSink>,
 ) -> SuiteReport {
+    assert!(
+        trace.is_none() || scenarios.len() == 1,
+        "a trace file needs exactly one scenario"
+    );
+    let trace = Mutex::new(trace);
     let threads = threads.max(1);
     let profiled = profile && prof::is_available();
     if profiled {
@@ -383,7 +382,8 @@ pub fn run_suite(
         let mut done = Vec::new();
         for bucket in chunk.iter() {
             for &i in bucket {
-                done.push((i, run_job(&scenarios[i], quick)));
+                let sink = trace.lock().expect("trace sink poisoned").take();
+                done.push((i, run_job(&scenarios[i], quick, sink)));
             }
         }
         done
@@ -442,7 +442,7 @@ impl SuiteReport {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n");
-        s.push_str("  \"schema\": \"lgv-bench-suite/v3\",\n");
+        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
         s.push_str(&format!("  \"threads\": {},\n", self.threads));
         s.push_str(&format!("  \"quick\": {},\n", self.quick));
         s.push_str(&format!("  \"scenario_count\": {},\n", self.results.len()));
@@ -623,6 +623,67 @@ impl SuiteReport {
     }
 }
 
+/// One scenario row of a suite artifact, as [`Artifact::parse`] reads
+/// it back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArtifactRow {
+    /// Scenario name.
+    pub name: String,
+    /// Wall-clock duration of the job (milliseconds).
+    pub wall_ms: f64,
+    /// `fnv1a:<16 hex digits>` over the scenario's output.
+    pub checksum: String,
+}
+
+/// A `BENCH_suite.json` artifact read back through
+/// [`lgv_trace::json`]: the fields of [`SuiteReport::to_json`] that the
+/// perf gate and the freshness test compare.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Artifact {
+    /// Whether the run was in quick mode.
+    pub quick: bool,
+    /// One row per scenario, in artifact order.
+    pub rows: Vec<ArtifactRow>,
+}
+
+impl Artifact {
+    /// Parse artifact text; anything but a well-formed [`SCHEMA`]
+    /// document is an error.
+    pub fn parse(text: &str) -> Result<Artifact, String> {
+        let v = Value::parse(text)?;
+        let schema = v.get("schema").and_then(Value::as_str);
+        if schema != Some(SCHEMA) {
+            return Err(format!("not a {SCHEMA} artifact (schema {schema:?})"));
+        }
+        let rows = v
+            .get("scenarios")
+            .map(Value::items)
+            .unwrap_or(&[])
+            .iter()
+            .map(|sc| {
+                let text = |key: &str| {
+                    sc.get(key)
+                        .and_then(Value::as_str)
+                        .map(str::to_string)
+                        .ok_or_else(|| format!("scenario row without a string `{key}`"))
+                };
+                Ok(ArtifactRow {
+                    name: text("name")?,
+                    wall_ms: sc
+                        .get("wall_ms")
+                        .and_then(Value::as_f64)
+                        .ok_or("scenario row without a numeric `wall_ms`")?,
+                    checksum: text("checksum")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Artifact {
+            quick: v.get("quick") == Some(&Value::Bool(true)),
+            rows,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,6 +790,40 @@ mod tests {
         assert!(j.contains("\"total_ns\": 800, \"self_ns\": 500"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+    }
+
+    #[test]
+    fn round_trips_a_real_suite_report() {
+        let report = SuiteReport {
+            threads: 2,
+            quick: true,
+            profiled: false,
+            total_wall_ms: 5.0,
+            results: vec![job("x", 0, 0.0), job("y", 3, 1.0)],
+        };
+        let json = report.to_json();
+        let artifact = Artifact::parse(&json).expect("suite JSON reads back");
+        assert!(artifact.quick);
+        let names: Vec<&str> = artifact.rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["x", "y"]);
+        assert_eq!(artifact.rows[0].wall_ms, 1.0);
+        assert_eq!(artifact.rows[0].checksum, report.results[0].checksum);
+        let v = Value::parse(&json).unwrap();
+        let sc = &v.get("scenarios").unwrap().items()[0];
+        assert_eq!(sc.get("sim_time_s"), Some(&Value::Null));
+        assert_eq!(sc.get("events"), Some(&Value::Null));
+        let hv = Value::parse(&report.history_line()).expect("history line parses");
+        assert_eq!(
+            hv.get("schema").and_then(Value::as_str),
+            Some("lgv-bench-history/v1")
+        );
+        let pv = Value::parse(&report.profile_json()).expect("profile JSON parses");
+        assert_eq!(
+            pv.get("schema").and_then(Value::as_str),
+            Some("lgv-bench-profile/v1")
+        );
+        // Another schema is not a suite artifact.
+        assert!(Artifact::parse(&report.history_line()).is_err());
     }
 
     #[test]

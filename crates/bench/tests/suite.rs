@@ -11,7 +11,9 @@
 //! missions are slow; `scripts/ci.sh` runs it in release mode
 //! (`cargo test --release -p lgv-bench --test suite -- --ignored`).
 
-use lgv_bench::suite::{registry, run_suite, Scenario};
+use lgv_bench::suite::{registry, run_suite, Artifact, Scenario};
+use lgv_trace::json::Value;
+use std::collections::BTreeSet;
 
 /// Profiled and unprofiled suite runs share one process-wide collection
 /// flag; tests that turn it on (or assert it stayed off) must not
@@ -31,8 +33,8 @@ fn assert_identical_runs(scenarios: &[Scenario], quick: bool) {
     let _guard = PROF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Profile one of the two runs: wall-clock profiling must never
     // leak into scenario outputs either.
-    let serial = run_suite(scenarios, 1, quick, false);
-    let parallel = run_suite(scenarios, 4, quick, true);
+    let serial = run_suite(scenarios, 1, quick, false, None);
+    let parallel = run_suite(scenarios, 4, quick, true, None);
     assert_eq!(serial.results.len(), parallel.results.len());
     for (s, p) in serial.results.iter().zip(&parallel.results) {
         assert_eq!(s.name, p.name, "result order must match registry order");
@@ -73,9 +75,9 @@ fn all_scenarios_parallel_matches_serial() {
 #[test]
 fn suite_json_is_valid_and_lists_every_scenario() {
     let scenarios = fast_scenarios();
-    let report = run_suite(&scenarios, 2, true, false);
+    let report = run_suite(&scenarios, 2, true, false, None);
     let json = report.to_json();
-    json_validate(&json).expect("suite JSON must parse");
+    Value::parse(&json).expect("suite JSON must parse");
     assert!(json.contains("\"schema\": \"lgv-bench-suite/v3\""));
     assert!(json.contains(&format!("\"scenario_count\": {}", scenarios.len())));
     assert!(json.contains("\"total_sim_time_s\": "));
@@ -118,10 +120,10 @@ fn profile_json_is_valid_and_attributes_named_kernels() {
         .into_iter()
         .filter(|s| s.name == "fig11")
         .collect();
-    let report = run_suite(&scenarios, 1, true, true);
+    let report = run_suite(&scenarios, 1, true, true, None);
     assert!(report.profiled);
     let json = report.profile_json();
-    json_validate(&json).expect("profile JSON must parse");
+    Value::parse(&json).expect("profile JSON must parse");
     assert!(json.contains("\"schema\": \"lgv-bench-profile/v1\""));
     assert!(json.contains("\"name\": \"fig11\""));
     // fig11 drives the UDP channel directly (no mission engine), so
@@ -158,7 +160,7 @@ fn profiled_fig13_covers_its_wall_time_with_named_kernels() {
         .into_iter()
         .filter(|s| s.name == "fig13")
         .collect();
-    let report = run_suite(&scenarios, 1, true, true);
+    let report = run_suite(&scenarios, 1, true, true, None);
     let r = &report.results[0];
     assert!(r.error.is_none(), "{:?}", r.error);
     let root = r
@@ -208,152 +210,50 @@ fn unprofiled_run_has_empty_trees() {
         .into_iter()
         .filter(|s| s.name == "table1")
         .collect();
-    let report = run_suite(&scenarios, 1, true, false);
+    let report = run_suite(&scenarios, 1, true, false, None);
     assert!(!report.profiled);
     assert!(report.results[0].profile.is_empty());
     let json = report.profile_json();
-    json_validate(&json).expect("even an empty profile renders valid JSON");
+    Value::parse(&json).expect("even an empty profile renders valid JSON");
     assert!(json.contains("\"profiled\": false"));
     assert!(json.contains("\"coverage\": 0.0000"));
 }
 
-/// The committed artifact must stay in sync with the registry: valid
-/// JSON, current schema tag, one entry per registered scenario.
+/// The committed artifact must stay in sync with the registry: a
+/// readable artifact of the current schema whose scenario-name set is
+/// exactly the registered one — no missing names and no stale ones.
 #[test]
 fn committed_bench_artifact_matches_registry() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_suite.json");
     let text = std::fs::read_to_string(path)
         .expect("BENCH_suite.json missing at repo root — regenerate with `suite`");
-    json_validate(&text).expect("committed BENCH_suite.json must parse");
-    assert!(text.contains("\"schema\": \"lgv-bench-suite/v3\""));
-    for s in registry() {
-        assert!(
-            text.contains(&format!("\"name\": \"{}\"", s.name)),
-            "committed artifact lacks scenario {:?} — regenerate with `suite`",
-            s.name
-        );
-    }
+    let artifact = Artifact::parse(&text).expect("committed BENCH_suite.json must read back");
+    let committed: BTreeSet<&str> = artifact.rows.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(
+        committed.len(),
+        artifact.rows.len(),
+        "duplicate scenario rows"
+    );
+    let registered: BTreeSet<&str> = registry().iter().map(|s| s.name).collect();
+    assert_eq!(
+        committed, registered,
+        "BENCH_suite.json scenario set differs from the registry — regenerate with `suite`"
+    );
 }
 
-// ------------------------------------------------------------------
-// Minimal JSON syntax checker (the workspace is hermetic — no
-// serde_json), enough to catch malformed artifacts: verifies the text
-// is exactly one well-formed JSON value.
-
-fn json_validate(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    json_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn json_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                json_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at offset {pos}"));
-                }
-                *pos += 1;
-                json_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                json_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'"') => json_string(b, pos),
-        Some(b't') => json_literal(b, pos, b"true"),
-        Some(b'f') => json_literal(b, pos, b"false"),
-        Some(b'n') => json_literal(b, pos, b"null"),
-        Some(_) => json_number(b, pos),
-    }
-}
-
-fn json_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at offset {pos}"));
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => *pos += 2,
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn json_literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() - *pos >= lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at offset {pos}"))
-    }
-}
-
-fn json_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    if *pos == start {
-        return Err(format!("expected value at offset {start}"));
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(|_| ())
-        .ok_or_else(|| format!("bad number at offset {start}"))
+/// `suite --trace`: the JSONL sink rides on the job's own tracer, so
+/// the file holds exactly the events the artifact counts.
+#[test]
+fn traced_job_writes_its_event_stream() {
+    let scenarios: Vec<Scenario> = registry()
+        .into_iter()
+        .filter(|s| s.name == "fig11")
+        .collect();
+    let path = std::env::temp_dir().join(format!("lgv-suite-trace-{}.jsonl", std::process::id()));
+    let sink = lgv_trace::JsonlSink::create(&path).expect("temp trace file");
+    let report = run_suite(&scenarios, 1, true, false, Some(sink));
+    let records = lgv_trace::TraceReader::read_file(&path).expect("trace reads back");
+    let _ = std::fs::remove_file(&path);
+    assert!(report.results[0].events > 0);
+    assert_eq!(records.len() as u64, report.results[0].events);
 }

@@ -259,8 +259,8 @@ impl VehicleSession {
         };
         let cmd_sub = robot_bus.subscribe(TopicName::CMD_VEL_NAV, 1);
         let remote_scan_sub = remote_bus.subscribe(TopicName::SCAN, 1);
-        let mut switcher = if cfg.deployment.offloaded() {
-            let mut link_cfg = LinkConfig::new(cfg.deployment.site.unwrap(), cfg.wap);
+        let mut switcher = if let Some(site) = cfg.deployment.site {
+            let mut link_cfg = LinkConfig::new(site, cfg.wap);
             link_cfg.wireless = cfg.wireless.clone();
             link_cfg.wan_latency = cfg.wan_latency_override;
             let link = DuplexLink::new(link_cfg, &mut rng);
@@ -335,11 +335,11 @@ impl VehicleSession {
             profiler,
             controller,
             governor,
-            migration: if cfg.deployment.offloaded() {
+            migration: if let Some(site) = cfg.deployment.site {
                 let sm = SignalModel::new(cfg.wireless.clone(), cfg.wap);
                 let wan = cfg
                     .wan_latency_override
-                    .unwrap_or_else(|| cfg.deployment.site.unwrap().wan_latency());
+                    .unwrap_or_else(|| site.wan_latency());
                 let mut mig = MigrationManager::new(sm, wan, rng.fork(0xC3));
                 mig.set_tracer(tracer.clone());
                 mig.set_faults(cfg.faults.clone());

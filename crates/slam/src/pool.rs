@@ -80,18 +80,6 @@ impl ParallelExecutor {
             })
             .collect()
     }
-
-    /// Map every item to a value in parallel, preserving order.
-    pub fn map<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&mut T) -> R + Sync,
-    {
-        let per_chunk =
-            self.run_chunks(items, |chunk| chunk.iter_mut().map(&f).collect::<Vec<R>>());
-        per_chunk.into_iter().flatten().collect()
-    }
 }
 
 #[cfg(test)]
@@ -127,11 +115,23 @@ mod tests {
         assert!(v.iter().enumerate().all(|(i, &x)| x == 2 * i as i64));
     }
 
+    /// Per-item results of `f`, concatenated in chunk order.
+    fn map<T: Send, R: Send>(
+        ex: &ParallelExecutor,
+        items: &mut [T],
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        ex.run_chunks(items, |c| c.iter().map(&f).collect::<Vec<R>>())
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
     #[test]
     fn map_preserves_order() {
         let ex = ParallelExecutor::new(4);
         let mut v: Vec<u32> = (0..57).collect();
-        let out = ex.map(&mut v, |x| *x * 10);
+        let out = map(&ex, &mut v, |x| *x * 10);
         assert_eq!(out, (0..57).map(|x| x * 10).collect::<Vec<_>>());
     }
 
@@ -139,7 +139,7 @@ mod tests {
     fn more_threads_than_items_is_fine() {
         let ex = ParallelExecutor::new(16);
         let mut v = vec![5u8, 6];
-        let r = ex.map(&mut v, |x| *x + 1);
+        let r = map(&ex, &mut v, |x| *x + 1);
         assert_eq!(r, vec![6, 7]);
     }
 
@@ -147,7 +147,7 @@ mod tests {
     fn empty_input_is_noop() {
         let ex = ParallelExecutor::new(4);
         let mut v: Vec<u8> = vec![];
-        let r: Vec<u8> = ex.map(&mut v, |x| *x);
+        let r = ex.run_chunks(&mut v, |c| c.len());
         assert!(r.is_empty());
     }
 
@@ -186,8 +186,8 @@ mod tests {
         let parallel = ParallelExecutor::new(8);
         let mut a: Vec<f64> = (0..500).map(|i| i as f64 * 0.1).collect();
         let mut b = a.clone();
-        let ra = serial.map(&mut a, |x| x.sin());
-        let rb = parallel.map(&mut b, |x| x.sin());
+        let ra = map(&serial, &mut a, |x| x.sin());
+        let rb = map(&parallel, &mut b, |x| x.sin());
         assert_eq!(ra, rb);
     }
 }

@@ -59,6 +59,7 @@
 
 mod analyze;
 mod event;
+pub mod json;
 mod metrics;
 pub mod prof;
 mod reader;

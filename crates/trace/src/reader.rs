@@ -3,10 +3,10 @@
 //! [`TraceReader`] parses JSON Lines produced by a [`crate::JsonlSink`]
 //! back into [`TraceRecord`]s, so analysis code (the `trace_report`
 //! binary, tests, replay tooling) works on typed events instead of
-//! string matching. The parser is hand-rolled like the encoder — this
-//! crate has no dependencies — and accepts exactly the flat-object
-//! schema the encoder emits: every value is a string, number, bool, or
-//! `null` (non-finite floats round-trip as `null` → NaN → `null`).
+//! string matching. Lines go through the crate's [`crate::json`]
+//! reader — this crate has no dependencies — and must be the flat
+//! objects the encoder emits: every value is a string, number, bool,
+//! or `null` (non-finite floats round-trip as `null` → NaN → `null`).
 //!
 //! Because the encoder prints floats in shortest-round-trip form and
 //! fixes the field order per kind, a parsed record re-encodes
@@ -23,6 +23,7 @@
 //! ```
 
 use crate::event::{SendKind, TraceEvent, TraceRecord};
+use crate::json::Value;
 use crate::span::{MsgId, SpanId};
 use std::fmt;
 use std::path::Path;
@@ -53,16 +54,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// One decoded JSON value (the schema is flat: no nesting).
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    U64(u64),
-    F64(f64),
-    Bool(bool),
-    Null,
-}
-
 /// The key/value pairs of one parsed line, in file order.
 ///
 /// Lookups skip the first `skip` fields: envelope keys (`t_ns`, `seq`,
@@ -74,6 +65,21 @@ struct Obj {
 }
 
 impl Obj {
+    /// Parse one line as a flat object: every value a string, number,
+    /// bool or `null`.
+    fn parse(line: &str) -> Result<Obj, String> {
+        let Value::Obj(fields) = Value::parse(line)? else {
+            return Err("expected a JSON object".into());
+        };
+        if let Some((key, _)) = fields
+            .iter()
+            .find(|(_, v)| matches!(v, Value::Arr(_) | Value::Obj(_)))
+        {
+            return Err(format!("field `{key}`: nested value in a flat record"));
+        }
+        Ok(Obj { fields, skip: 0 })
+    }
+
     /// The same pairs with lookups scoped past the `kind` field, for
     /// event-field access.
     fn past_kind(self) -> Result<Obj, String> {
@@ -148,168 +154,6 @@ impl Obj {
 
     fn msg(&self, name: &str) -> Result<MsgId, String> {
         Ok(MsgId(self.u64(name)?))
-    }
-}
-
-/// Cursor over one line's characters.
-struct Scanner<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(line: &'a str) -> Self {
-        Scanner { rest: line }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start_matches([' ', '\t']);
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.rest.chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.rest = &self.rest[c.len_utf8()..];
-        Some(c)
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        match self.bump() {
-            Some(got) if got == c => Ok(()),
-            Some(got) => Err(format!("expected `{c}`, got `{got}`")),
-            None => Err(format!("expected `{c}`, got end of line")),
-        }
-    }
-
-    fn eat(&mut self, lit: &str) -> bool {
-        if let Some(rest) = self.rest.strip_prefix(lit) {
-            self.rest = rest;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// A JSON string body, positioned after the opening quote.
-    fn string_body(&mut self) -> Result<String, String> {
-        let mut out = String::new();
-        loop {
-            match self.bump().ok_or("unterminated string")? {
-                '"' => return Ok(out),
-                '\\' => match self.bump().ok_or("unterminated escape")? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'b' => out.push('\u{0008}'),
-                    'f' => out.push('\u{000c}'),
-                    'u' => {
-                        let hi = self.hex4()?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: the low half must follow.
-                            if !self.eat("\\u") {
-                                return Err("high surrogate without a pair".into());
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err("invalid low surrogate".into());
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            hi
-                        };
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| "invalid \\u escape".to_string())?,
-                        );
-                    }
-                    other => return Err(format!("invalid escape `\\{other}`")),
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let mut code = 0u32;
-        for _ in 0..4 {
-            let c = self.bump().ok_or("truncated \\u escape")?;
-            code = code * 16
-                + c.to_digit(16)
-                    .ok_or_else(|| format!("bad hex digit `{c}`"))?;
-        }
-        Ok(code)
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek().ok_or("expected a value, got end of line")? {
-            '"' => {
-                self.bump();
-                Ok(Value::Str(self.string_body()?))
-            }
-            't' if self.eat("true") => Ok(Value::Bool(true)),
-            'f' if self.eat("false") => Ok(Value::Bool(false)),
-            'n' if self.eat("null") => Ok(Value::Null),
-            '-' | '0'..='9' => self.number(),
-            c => Err(format!("unexpected character `{c}`")),
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let len = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        let (token, rest) = self.rest.split_at(len);
-        self.rest = rest;
-        if token.contains(['.', 'e', 'E']) || token.starts_with('-') {
-            token
-                .parse::<f64>()
-                .map(Value::F64)
-                .map_err(|e| format!("bad number `{token}`: {e}"))
-        } else {
-            token
-                .parse::<u64>()
-                .map(Value::U64)
-                .map_err(|e| format!("bad integer `{token}`: {e}"))
-        }
-    }
-
-    /// Parse one flat `{...}` object to key/value pairs.
-    fn object(&mut self) -> Result<Obj, String> {
-        self.skip_ws();
-        self.expect('{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some('}') {
-            self.bump();
-        } else {
-            loop {
-                self.skip_ws();
-                self.expect('"')?;
-                let key = self.string_body()?;
-                self.skip_ws();
-                self.expect(':')?;
-                let value = self.value()?;
-                fields.push((key, value));
-                self.skip_ws();
-                match self.bump() {
-                    Some(',') => continue,
-                    Some('}') => break,
-                    Some(c) => return Err(format!("expected `,` or `}}`, got `{c}`")),
-                    None => return Err("unterminated object".into()),
-                }
-            }
-        }
-        self.skip_ws();
-        if !self.rest.is_empty() {
-            return Err(format!("trailing content after object: `{}`", self.rest));
-        }
-        Ok(Obj { fields, skip: 0 })
     }
 }
 
@@ -496,7 +340,7 @@ pub struct TraceReader;
 impl TraceReader {
     /// Parse one JSONL line into a typed record.
     pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
-        let obj = Scanner::new(line).object()?;
+        let obj = Obj::parse(line)?;
         let t_ns = obj.u64("t_ns")?;
         let seq = obj.u64("seq")?;
         let span = SpanId(obj.u64("span")?);
@@ -544,6 +388,7 @@ impl TraceReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_envelope_and_event() {
@@ -792,5 +637,33 @@ mod tests {
         let paired = line.replace('\u{1F600}', "\\ud83d\\ude00");
         let rec2 = TraceReader::parse_line(&paired).unwrap();
         assert_eq!(rec2, original);
+    }
+
+    /// A valid line whose string field carries every kind of `\u` escape.
+    const LINE: &str = r#"{"t_ns":7,"seq":2,"span":4,"kind":"mission_end","completed":true,"reason":"\u00e9\ud83d\ude00"}"#;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Truncated, spliced, over-nested and random lines each parse
+        /// or fail; none panics.
+        #[test]
+        fn parse_line_returns_ok_or_err_on_arbitrary_text(
+            cut in 0usize..LINE.len() + 1,
+            piece in 0usize..6,
+            depth in 0usize..(crate::json::MAX_DEPTH * 3),
+            raw in ".{0,32}",
+        ) {
+            prop_assert!(TraceReader::parse_line(LINE).is_ok());
+            let pieces = ["\\u", "\\ud83d", "\\ude00", "[", "{", "\""];
+            // LINE is ASCII, so every cut is a char boundary.
+            let _ = TraceReader::parse_line(&LINE[..cut]);
+            let spliced = format!("{}{}{}", &LINE[..cut], pieces[piece], &LINE[cut..]);
+            let _ = TraceReader::parse_line(&spliced);
+            let _ = TraceReader::parse_line(&raw);
+            // A nested value is never a valid record field, at any depth.
+            let nested = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+            prop_assert!(TraceReader::parse_line(&LINE.replacen("true", &nested, 1)).is_err());
+        }
     }
 }

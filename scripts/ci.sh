@@ -15,9 +15,9 @@
 #             (every scenario must succeed; writes BENCH_ci.json and
 #             the wall-clock profile BENCH_profile.json), the
 #             parallel-vs-serial and sharded-fleet determinism gates,
-#             the elastic-fleet and chaos-fleet quick jobs, and the
-#             registry-driven artifact-freshness check
-#   perf    — scripts/check_perf.sh: the suite-stage artifact vs the
+#             the elastic-fleet quick job, and the chaos-fleet quick
+#             job with its recovery-SLO gate (suite check-recovery)
+#   perf    — suite check-perf: the suite-stage artifact vs the
 #             committed BENCH_baseline_quick.json — fails on >15%
 #             per-scenario wall-time regressions and checksum drift
 #   noprof  — rebuild the suite with the profiler compiled out
@@ -90,7 +90,7 @@ stage_suite() {
     # the chaos sweep the old resilience gate ran) and writes the JSON
     # artifact plus the wall-clock scope profile. A non-zero exit
     # means some scenario failed.
-    LGV_BENCH_QUICK=1 ./target/release/suite --threads 4 \
+    ./target/release/suite --quick --threads 4 \
         --out target/BENCH_ci.json \
         --profile --profile-out target/BENCH_profile.json
     # Byte-identical parallel vs serial across every scenario, in
@@ -108,45 +108,36 @@ stage_suite() {
     # Elastic-fleet quick job: the elasticity ablation on its own, so
     # a regression in the elastic scheduler fails fast with readable
     # output.
-    LGV_BENCH_QUICK=1 ./target/release/suite --threads 2 --only elastic-fleet \
+    ./target/release/suite --quick --threads 2 --only elastic-fleet \
         --out target/BENCH_elastic.json
     # Chaos-fleet quick job + recovery-SLO gate: the SLO lines from a
     # quick chaos-fleet run (time-to-recover, degraded fraction,
     # missed cycles — all virtual-clock, machine-independent) are
-    # diffed against the committed baseline. LGV_RECOVERY_SKIP=1
-    # bypasses.
-    LGV_BENCH_QUICK=1 ./target/release/chaos_fleet > target/BENCH_recovery.txt
-    ./scripts/check_recovery.sh target/BENCH_recovery.txt BENCH_recovery_baseline.txt
-    # Artifact freshness: the committed BENCH_suite.json must list
-    # exactly the registered scenario set — no stale names, no missing
-    # ones. Registry-driven, so adding a scenario without regenerating
-    # the artifact fails here without any script edit.
-    diff <(./target/release/suite --list-names | sort) \
-         <(grep -oE '"name": "[^"]+"' BENCH_suite.json \
-               | sed -E 's/"name": "([^"]+)"/\1/' | sort) \
-        || { echo "BENCH_suite.json is stale: scenario set differs from the registry (regenerate with ./target/release/suite --out BENCH_suite.json)"; exit 1; }
+    # diffed against the committed baseline.
+    ./target/release/suite --quick --only chaos-fleet --print-output \
+        > target/BENCH_recovery.txt
+    ./target/release/suite check-recovery target/BENCH_recovery.txt BENCH_recovery_baseline.txt
 }
 
 stage_perf() {
     # Diffs the suite-stage quick artifact against the committed
     # baseline: >15% per-scenario wall-time regression or any checksum
-    # drift fails. Set LGV_PERF_SKIP=1 on hardware slower than the
-    # baseline machine.
-    ./scripts/check_perf.sh target/BENCH_ci.json BENCH_baseline_quick.json
+    # drift fails. Skip the stage (LGV_CI_STAGES) on hardware slower
+    # than the baseline machine.
+    ./target/release/suite check-perf target/BENCH_ci.json BENCH_baseline_quick.json
 }
 
 stage_noprof() {
     # Profiler-off control build in its own target dir (keeps the
     # default build's cache intact), then a checksum-only comparison
-    # against the committed baseline: an effectively infinite wall
-    # tolerance leaves checksum drift as the only failure mode, so
-    # this gate proves compiling the profiler out changes no output
-    # byte.
+    # against the committed baseline: with the wall-time check off,
+    # checksum drift is the only failure mode, so this gate proves
+    # compiling the profiler out changes no output byte.
     CARGO_TARGET_DIR=target/noprof cargo build --release -p lgv-bench \
         --no-default-features --bin suite
-    LGV_BENCH_QUICK=1 ./target/noprof/release/suite --threads 4 \
+    ./target/noprof/release/suite --quick --threads 4 \
         --no-history --out target/BENCH_noprof.json
-    LGV_PERF_TOLERANCE=1000 ./scripts/check_perf.sh \
+    ./target/noprof/release/suite check-perf --checksums-only \
         target/BENCH_noprof.json BENCH_baseline_quick.json
 }
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Plot the CSVs the figure binaries export to target/figures/.
+"""Plot the CSVs the suite scenarios export to target/figures/.
 
 Usage:
-    # 1. regenerate the data
-    cargo run --release -p lgv-bench --bin fig9   # …and the others
+    # 1. regenerate the data (or `--only fig9 --print-output` for one)
+    cargo run --release -p lgv-bench --bin suite
     # 2. plot everything found
     python3 scripts/plot_figures.py [target/figures] [out_dir]
 
