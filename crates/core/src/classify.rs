@@ -11,10 +11,9 @@
 //!   T1 = ECN ∖ VDP, T2 = VDP ∖ ECN, T3 = ECN ∩ VDP, T4 = neither.
 
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Measured profile of one node.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeProfile {
     /// Which node.
     pub kind: NodeKind,
@@ -32,7 +31,7 @@ impl NodeProfile {
 }
 
 /// The classification outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Classification {
     /// Energy-critical nodes.
     pub ecn: NodeSet,

@@ -2,10 +2,9 @@
 
 use lgv_net::RemoteSite;
 use lgv_sim::platform::{Platform, PlatformKind};
-use serde::{Deserialize, Serialize};
 
 /// One computation-deployment scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deployment {
     /// Display label (matches the paper's figure legends).
     pub label: &'static str,

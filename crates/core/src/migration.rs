@@ -17,7 +17,6 @@ use lgv_net::signal::SignalModel;
 use lgv_net::TcpChannel;
 use lgv_trace::Tracer;
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Estimated wire size of a node's migratable state (bytes).
 ///
@@ -36,7 +35,7 @@ pub fn state_size_bytes(kind: NodeKind, slam_particles: usize) -> usize {
 }
 
 /// A migration in progress.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationTicket {
     /// Which nodes are moving.
     pub nodes: NodeSet,

@@ -14,10 +14,9 @@
 //! vehicle may safely drive — the quantitative heart of the paper.
 
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// The developer-selected optimization goal of Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Goal {
     /// Reduce total energy consumption (EC).
     Energy,
@@ -37,7 +36,7 @@ pub fn max_velocity_oa(tp_secs: f64, a_max: f64, d: f64) -> f64 {
 }
 
 /// Velocity model: Eq. 2c plus the vehicle's hard velocity cap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VelocityModel {
     /// Maximum acceleration `a_max` (m/s²).
     pub a_max: f64,
@@ -78,7 +77,7 @@ impl VelocityModel {
 }
 
 /// Decomposition of mission completion time (Eq. 2a): `T = T_s + T_m`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimeBreakdown {
     /// Standby time: the vehicle waits on computation.
     pub standby: Duration,

@@ -23,10 +23,9 @@
 //! for the ablation benches — it demonstrates the Fig. 7/11 failure.
 
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// What Algorithm 2 wants done with the currently-offloaded node set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetDecision {
     /// Migrate the offloaded nodes back onto the LGV.
     InvokeLocal,
@@ -38,7 +37,7 @@ pub enum NetDecision {
 
 /// Why a switch (or suppression) happened — the recovery paths need
 /// to distinguish "the rule said so" from "the remote host is dead".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchCause {
     /// Algorithm 2's bandwidth × direction rule.
     Rule,
@@ -98,7 +97,7 @@ pub struct NetVerdict {
 }
 
 /// Controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetControlConfig {
     /// Bandwidth threshold (packets/s). The paper uses 4 of a 5 Hz
     /// send rate (§VIII-C).

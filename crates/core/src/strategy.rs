@@ -19,10 +19,9 @@
 use crate::classify::Classification;
 use crate::model::{Goal, VelocityModel};
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Safety-pinning extension: these nodes never leave the vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PinPolicy {
     /// Nodes pinned to the LGV.
     pub pinned_local: NodeSet,
@@ -44,7 +43,7 @@ impl PinPolicy {
 }
 
 /// The outcome of one strategy evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementPlan {
     /// Nodes to run on the remote server.
     pub remote: NodeSet,

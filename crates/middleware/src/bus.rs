@@ -6,15 +6,20 @@
 //! completeness policy the paper's VDP links rely on (a queue capacity
 //! of 1 is exactly the "one-length queue" of §VI).
 
-use crate::codec::{from_bytes, to_bytes, CodecError};
+use crate::codec::{from_bytes, to_bytes, CodecError, Wire};
 use crate::topic::TopicName;
 use bytes::Bytes;
 use lgv_trace::{MsgId, TraceEvent, Tracer};
-use parking_lot::Mutex;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Lock without poisoning: a thread that panicked while holding a bus
+/// lock does not make the bus unusable for every other thread. Every
+/// update made under these locks leaves the queues and counters valid
+/// at each step, so the recovered guard sees consistent state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Debug)]
 struct SubQueue {
@@ -28,10 +33,10 @@ impl SubQueue {
     /// Enqueue; returns the lineage id of the oldest message when a
     /// full queue dropped it.
     fn push(&self, b: Bytes, msg: MsgId) -> Option<MsgId> {
-        let mut q = self.queue.lock();
+        let mut q = lock(&self.queue);
         let dropped = if q.len() == self.cap {
             let (_, old) = q.pop_front().expect("cap > 0");
-            *self.dropped.lock() += 1;
+            *lock(&self.dropped) += 1;
             Some(old)
         } else {
             None
@@ -83,8 +88,7 @@ impl Bus {
             queue: Mutex::new(VecDeque::with_capacity(cap)),
             dropped: Mutex::new(0),
         });
-        self.inner
-            .lock()
+        lock(&self.inner)
             .topics
             .entry(topic)
             .or_default()
@@ -96,7 +100,7 @@ impl Bus {
     /// Route this bus's publish/drop events to `tracer` (timestamps
     /// come from the tracer's shared virtual clock).
     pub fn set_tracer(&self, tracer: Tracer) {
-        self.inner.lock().tracer = tracer;
+        lock(&self.inner).tracer = tracer;
     }
 
     /// Publish raw bytes to a topic, returning the lineage id
@@ -110,7 +114,7 @@ impl Bus {
     /// was first published on a peer host's bus, so traces chain the
     /// re-publication back to the original publish.
     pub fn publish_bytes_from(&self, topic: TopicName, bytes: Bytes, parent: MsgId) -> MsgId {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let len = bytes.len() as u64;
         let msg = inner.tracer.alloc_msg();
         let state = inner.topics.entry(topic).or_default();
@@ -139,14 +143,14 @@ impl Bus {
         msg
     }
 
-    /// Serialize and publish a message, returning its lineage id.
-    pub fn publish<T: Serialize>(&self, topic: TopicName, msg: &T) -> Result<MsgId, CodecError> {
+    /// Encode and publish a message, returning its lineage id.
+    pub fn publish<T: Wire>(&self, topic: TopicName, msg: &T) -> Result<MsgId, CodecError> {
         let b = to_bytes(msg)?;
         Ok(self.publish_bytes(topic, b))
     }
 
-    /// Serialize and publish with an explicit lineage parent.
-    pub fn publish_from<T: Serialize>(
+    /// Encode and publish with an explicit lineage parent.
+    pub fn publish_from<T: Wire>(
         &self,
         topic: TopicName,
         msg: &T,
@@ -159,22 +163,20 @@ impl Bus {
     /// The most recently published bytes on a topic ("latched" read,
     /// like a ROS latched topic), regardless of subscriptions.
     pub fn latest_bytes(&self, topic: TopicName) -> Option<Bytes> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .topics
             .get(&topic)
             .and_then(|t| t.latest.clone())
     }
 
     /// Decode the most recent message on a topic.
-    pub fn latest<T: DeserializeOwned>(&self, topic: TopicName) -> Option<T> {
+    pub fn latest<T: Wire>(&self, topic: TopicName) -> Option<T> {
         self.latest_bytes(topic).and_then(|b| from_bytes(&b).ok())
     }
 
     /// Total messages ever published on a topic.
     pub fn publish_count(&self, topic: TopicName) -> u64 {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .topics
             .get(&topic)
             .map_or(0, |t| t.publish_count)
@@ -190,7 +192,7 @@ pub struct Publisher {
 
 impl Publisher {
     /// Publish one message, returning its lineage id.
-    pub fn send<T: Serialize>(&self, msg: &T) -> Result<MsgId, CodecError> {
+    pub fn send<T: Wire>(&self, msg: &T) -> Result<MsgId, CodecError> {
         self.bus.publish(self.topic, msg)
     }
 
@@ -215,11 +217,11 @@ impl Subscriber {
 
     /// Pop the oldest queued raw message with its lineage id.
     pub fn recv_bytes_tagged(&self) -> Option<(Bytes, MsgId)> {
-        self.queue.queue.lock().pop_front()
+        lock(&self.queue.queue).pop_front()
     }
 
     /// Pop and decode the oldest queued message.
-    pub fn recv<T: DeserializeOwned>(&self) -> Result<Option<T>, CodecError> {
+    pub fn recv<T: Wire>(&self) -> Result<Option<T>, CodecError> {
         match self.recv_bytes() {
             None => Ok(None),
             Some(b) => from_bytes(&b).map(Some),
@@ -228,15 +230,13 @@ impl Subscriber {
 
     /// Drain the queue, returning only the newest message (the common
     /// freshness pattern for one-length control queues).
-    pub fn recv_latest<T: DeserializeOwned>(&self) -> Result<Option<T>, CodecError> {
+    pub fn recv_latest<T: Wire>(&self) -> Result<Option<T>, CodecError> {
         Ok(self.recv_latest_tagged()?.map(|(msg, _)| msg))
     }
 
     /// Like [`Subscriber::recv_latest`], keeping the lineage id so the
     /// consumer can attribute downstream work to the message.
-    pub fn recv_latest_tagged<T: DeserializeOwned>(
-        &self,
-    ) -> Result<Option<(T, MsgId)>, CodecError> {
+    pub fn recv_latest_tagged<T: Wire>(&self) -> Result<Option<(T, MsgId)>, CodecError> {
         let mut last = None;
         while let Some(pair) = self.recv_bytes_tagged() {
             last = Some(pair);
@@ -249,7 +249,7 @@ impl Subscriber {
 
     /// Messages currently queued.
     pub fn len(&self) -> usize {
-        self.queue.queue.lock().len()
+        lock(&self.queue.queue).len()
     }
 
     /// True when nothing is queued.
@@ -259,7 +259,7 @@ impl Subscriber {
 
     /// Messages dropped from this queue because it was full.
     pub fn dropped(&self) -> u64 {
-        *self.queue.dropped.lock()
+        *lock(&self.queue.dropped)
     }
 
     /// The subscribed topic.

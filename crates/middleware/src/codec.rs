@@ -1,23 +1,28 @@
-//! Compact binary serde codec.
+//! Compact binary codec for the messages that cross the link.
 //!
 //! The paper serializes ROS messages with protobuf for efficient
-//! transmission (§VII); protobuf is outside our allowed dependency
-//! set, so this module implements an equivalent little-endian,
-//! non-self-describing wire format directly against the `serde` data
-//! model:
+//! transmission (§VII). Only a handful of message types ever cross the
+//! robot–cloud link, so this module encodes exactly those through one
+//! hand-written [`Wire`] trait, in a little-endian, non-self-describing
+//! format:
 //!
 //! * fixed-width little-endian integers and floats;
-//! * `u64` length prefixes for strings, byte arrays, sequences, maps;
-//! * one byte for `bool` / `Option` tags;
-//! * `u32` variant indices for enums;
-//! * struct fields in declaration order, no field names on the wire.
+//! * `u64` length prefixes for strings and sequences, checked against
+//!   the remaining input before anything is allocated;
+//! * one tag byte for `Option`;
+//! * `u32` declaration indices for enums;
+//! * struct fields in declaration order, no field names on the wire;
+//! * trailing bytes after a complete value are an error.
 //!
 //! Because the format is non-self-describing, both ends must agree on
 //! the message type — which the topic name guarantees, as in ROS.
+//! Encoded sizes feed the bandwidth, UDP-buffer and energy models, so
+//! the golden-byte tests in `tests/golden.rs` pin the format.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
+pub use bytes::BytesMut;
+
+use bytes::{Buf, BufMut, Bytes};
+use lgv_types::prelude::*;
 use std::fmt;
 
 /// Encoding/decoding failure.
@@ -32,19 +37,17 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-impl ser::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
-    }
+/// A type with a wire encoding.
+pub trait Wire: Sized {
+    /// Append the encoding of `self` to `out`.
+    fn encode(&self, out: &mut BytesMut);
+
+    /// Decode one value from the front of `input`, advancing it past
+    /// the bytes consumed.
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError>;
 }
 
-impl de::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
-    }
-}
-
-/// Serialize a value into bytes.
+/// Encode a value into bytes.
 ///
 /// ```
 /// use lgv_middleware::{to_bytes, from_bytes};
@@ -55,547 +58,261 @@ impl de::Error for CodecError {
 /// let back: Twist = from_bytes(&wire).unwrap();
 /// assert_eq!(back, cmd);
 /// ```
-pub fn to_bytes<T: Serialize>(value: &T) -> Result<Bytes, CodecError> {
-    let mut ser = BinSerializer {
-        out: BytesMut::with_capacity(128),
-    };
-    value.serialize(&mut ser)?;
-    Ok(ser.out.freeze())
+pub fn to_bytes<T: Wire>(value: &T) -> Result<Bytes, CodecError> {
+    let mut out = BytesMut::with_capacity(128);
+    value.encode(&mut out);
+    Ok(out.freeze())
 }
 
-/// Deserialize a value from bytes, requiring the buffer to be fully
+/// Decode a value from bytes, requiring the buffer to be fully
 /// consumed (trailing garbage indicates a framing bug).
-pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut de = BinDeserializer { input: bytes };
-    let v = T::deserialize(&mut de)?;
-    if !de.input.is_empty() {
-        return Err(CodecError(format!("{} trailing bytes", de.input.len())));
+pub fn from_bytes<T: Wire>(mut bytes: &[u8]) -> Result<T, CodecError> {
+    let v = T::decode(&mut bytes)?;
+    if !bytes.is_empty() {
+        return Err(CodecError(format!("{} trailing bytes", bytes.len())));
     }
     Ok(v)
 }
 
-struct BinSerializer {
-    out: BytesMut,
-}
-
-impl ser::Serializer for &mut BinSerializer {
-    type Ok = ();
-    type Error = CodecError;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
-
-    fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.put_u8(v as u8);
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), CodecError> {
-        self.out.put_i8(v);
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), CodecError> {
-        self.out.put_i16_le(v);
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), CodecError> {
-        self.out.put_i32_le(v);
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), CodecError> {
-        self.out.put_i64_le(v);
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), CodecError> {
-        self.out.put_u8(v);
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), CodecError> {
-        self.out.put_u16_le(v);
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), CodecError> {
-        self.out.put_u32_le(v);
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), CodecError> {
-        self.out.put_u64_le(v);
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), CodecError> {
-        self.out.put_f32_le(v);
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), CodecError> {
-        self.out.put_f64_le(v);
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), CodecError> {
-        self.out.put_u32_le(v as u32);
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), CodecError> {
-        self.serialize_bytes(v.as_bytes())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        self.out.put_u64_le(v.len() as u64);
-        self.out.put_slice(v);
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.put_u8(0);
-        Ok(())
-    }
-    fn serialize_some<T: ?Sized + Serialize>(self, v: &T) -> Result<(), CodecError> {
-        self.out.put_u8(1);
-        v.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _: &'static str) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        _: &'static str,
-        idx: u32,
-        _: &'static str,
-    ) -> Result<(), CodecError> {
-        self.out.put_u32_le(idx);
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: ?Sized + Serialize>(
-        self,
-        _: &'static str,
-        v: &T,
-    ) -> Result<(), CodecError> {
-        v.serialize(self)
-    }
-    fn serialize_newtype_variant<T: ?Sized + Serialize>(
-        self,
-        _: &'static str,
-        idx: u32,
-        _: &'static str,
-        v: &T,
-    ) -> Result<(), CodecError> {
-        self.out.put_u32_le(idx);
-        v.serialize(self)
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError("sequences need a known length".into()))?;
-        self.out.put_u64_le(len as u64);
-        Ok(self)
-    }
-    fn serialize_tuple(self, _: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_tuple_struct(self, _: &'static str, _: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_tuple_variant(
-        self,
-        _: &'static str,
-        idx: u32,
-        _: &'static str,
-        _: usize,
-    ) -> Result<Self, CodecError> {
-        self.out.put_u32_le(idx);
-        Ok(self)
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError("maps need a known length".into()))?;
-        self.out.put_u64_le(len as u64);
-        Ok(self)
-    }
-    fn serialize_struct(self, _: &'static str, _: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_struct_variant(
-        self,
-        _: &'static str,
-        idx: u32,
-        _: &'static str,
-        _: usize,
-    ) -> Result<Self, CodecError> {
-        self.out.put_u32_le(idx);
-        Ok(self)
-    }
-}
-
-macro_rules! impl_seq_like {
-    ($trait:path, $method:ident) => {
-        impl $trait for &mut BinSerializer {
-            type Ok = ();
-            type Error = CodecError;
-            fn $method<T: ?Sized + Serialize>(&mut self, v: &T) -> Result<(), CodecError> {
-                v.serialize(&mut **self)
+/// Implement [`Wire`] for a struct with named fields: the fields are
+/// encoded in the order listed, which must be declaration order. The
+/// struct is destructured without `..`, so a field added to the type
+/// but not to the list fails to compile.
+///
+/// ```
+/// use lgv_middleware::{from_bytes, to_bytes, wire_struct};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Probe {
+///     seq: u64,
+///     label: String,
+/// }
+/// wire_struct!(Probe { seq, label });
+///
+/// let p = Probe { seq: 7, label: "up".into() };
+/// assert_eq!(from_bytes::<Probe>(&to_bytes(&p).unwrap()).unwrap(), p);
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident $(<$param:ident>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$param: $crate::codec::Wire>)? $crate::codec::Wire for $ty$(<$param>)? {
+            fn encode(&self, out: &mut $crate::codec::BytesMut) {
+                let $ty { $($field),+ } = self;
+                $($crate::codec::Wire::encode($field, out);)+
             }
-            fn end(self) -> Result<(), CodecError> {
-                Ok(())
+
+            fn decode(input: &mut &[u8]) -> Result<Self, $crate::codec::CodecError> {
+                Ok($ty {
+                    $($field: $crate::codec::Wire::decode(input)?),+
+                })
             }
         }
     };
 }
 
-impl_seq_like!(ser::SerializeSeq, serialize_element);
-impl_seq_like!(ser::SerializeTuple, serialize_element);
-impl_seq_like!(ser::SerializeTupleStruct, serialize_field);
-impl_seq_like!(ser::SerializeTupleVariant, serialize_field);
+fn need(input: &[u8], n: usize) -> Result<(), CodecError> {
+    if input.len() < n {
+        return Err(CodecError(format!(
+            "unexpected EOF: need {n}, have {}",
+            input.len()
+        )));
+    }
+    Ok(())
+}
 
-impl ser::SerializeMap for &mut BinSerializer {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_key<T: ?Sized + Serialize>(&mut self, k: &T) -> Result<(), CodecError> {
-        k.serialize(&mut **self)
+/// A `u64` length prefix, rejected when it claims more elements than
+/// there are bytes left (every element takes at least one byte).
+fn decode_len(input: &mut &[u8]) -> Result<usize, CodecError> {
+    let n = u64::decode(input)?;
+    if n > input.len() as u64 {
+        return Err(CodecError(format!("length {n} exceeds remaining input")));
     }
-    fn serialize_value<T: ?Sized + Serialize>(&mut self, v: &T) -> Result<(), CodecError> {
-        v.serialize(&mut **self)
+    Ok(n as usize)
+}
+
+fn encode_len(len: usize, out: &mut BytesMut) {
+    out.put_u64_le(len as u64);
+}
+
+macro_rules! wire_scalar {
+    ($($ty:ty => $put:ident, $get:ident;)+) => {$(
+        impl Wire for $ty {
+            fn encode(&self, out: &mut BytesMut) {
+                out.$put(*self);
+            }
+
+            fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+                need(input, std::mem::size_of::<$ty>())?;
+                Ok(input.$get())
+            }
+        }
+    )+};
+}
+
+wire_scalar! {
+    u8 => put_u8, get_u8;
+    i8 => put_i8, get_i8;
+    u32 => put_u32_le, get_u32_le;
+    u64 => put_u64_le, get_u64_le;
+    f64 => put_f64_le, get_f64_le;
+}
+
+impl Wire for String {
+    fn encode(&self, out: &mut BytesMut) {
+        encode_len(self.len(), out);
+        out.put_slice(self.as_bytes());
     }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let n = decode_len(input)?;
+        let (s, rest) = input.split_at(n);
+        *input = rest;
+        std::str::from_utf8(s)
+            .map(str::to_owned)
+            .map_err(|e| CodecError(format!("invalid utf8: {e}")))
     }
 }
 
-impl ser::SerializeStruct for &mut BinSerializer {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        _: &'static str,
-        v: &T,
-    ) -> Result<(), CodecError> {
-        v.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStructVariant for &mut BinSerializer {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        _: &'static str,
-        v: &T,
-    ) -> Result<(), CodecError> {
-        v.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-struct BinDeserializer<'de> {
-    input: &'de [u8],
-}
-
-impl<'de> BinDeserializer<'de> {
-    fn need(&self, n: usize) -> Result<(), CodecError> {
-        if self.input.remaining() < n {
-            Err(CodecError(format!(
-                "unexpected EOF: need {n}, have {}",
-                self.input.len()
-            )))
-        } else {
-            Ok(())
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, out: &mut BytesMut) {
+        encode_len(self.len(), out);
+        for x in self {
+            x.encode(out);
         }
     }
 
-    fn take_len(&mut self) -> Result<usize, CodecError> {
-        self.need(8)?;
-        let n = self.input.get_u64_le();
-        if n > self.input.len() as u64 {
-            return Err(CodecError(format!("length {n} exceeds remaining input")));
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let n = decode_len(input)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::decode(input)?);
         }
-        Ok(n as usize)
+        Ok(v)
     }
 }
 
-macro_rules! de_prim {
-    ($fn:ident, $visit:ident, $get:ident, $n:expr) => {
-        fn $fn<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-            self.need($n)?;
-            visitor.$visit(self.input.$get())
-        }
-    };
-}
-
-impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
-    type Error = CodecError;
-
-    fn deserialize_any<V: Visitor<'de>>(self, _: V) -> Result<V::Value, CodecError> {
-        Err(CodecError("format is not self-describing".into()))
-    }
-
-    fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.need(1)?;
-        match self.input.get_u8() {
-            0 => visitor.visit_bool(false),
-            1 => visitor.visit_bool(true),
-            b => Err(CodecError(format!("invalid bool byte {b}"))),
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, out: &mut BytesMut) {
+        match self {
+            None => out.put_u8(0),
+            Some(v) => {
+                out.put_u8(1);
+                v.encode(out);
+            }
         }
     }
 
-    de_prim!(deserialize_i8, visit_i8, get_i8, 1);
-    de_prim!(deserialize_i16, visit_i16, get_i16_le, 2);
-    de_prim!(deserialize_i32, visit_i32, get_i32_le, 4);
-    de_prim!(deserialize_i64, visit_i64, get_i64_le, 8);
-    de_prim!(deserialize_u8, visit_u8, get_u8, 1);
-    de_prim!(deserialize_u16, visit_u16, get_u16_le, 2);
-    de_prim!(deserialize_u32, visit_u32, get_u32_le, 4);
-    de_prim!(deserialize_u64, visit_u64, get_u64_le, 8);
-    de_prim!(deserialize_f32, visit_f32, get_f32_le, 4);
-    de_prim!(deserialize_f64, visit_f64, get_f64_le, 8);
-
-    fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.need(4)?;
-        let c = self.input.get_u32_le();
-        visitor.visit_char(char::from_u32(c).ok_or_else(|| CodecError(format!("bad char {c}")))?)
-    }
-
-    fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let n = self.take_len()?;
-        let (s, rest) = self.input.split_at(n);
-        self.input = rest;
-        visitor.visit_str(
-            std::str::from_utf8(s).map_err(|e| CodecError(format!("invalid utf8: {e}")))?,
-        )
-    }
-
-    fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_str(visitor)
-    }
-
-    fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let n = self.take_len()?;
-        let (b, rest) = self.input.split_at(n);
-        self.input = rest;
-        visitor.visit_bytes(b)
-    }
-
-    fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_bytes(visitor)
-    }
-
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.need(1)?;
-        match self.input.get_u8() {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::decode(input)? {
+            0 => Ok(None),
+            1 => T::decode(input).map(Some),
             b => Err(CodecError(format!("invalid option tag {b}"))),
         }
     }
+}
 
-    fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, out: &mut BytesMut) {
+        self.0.encode(out);
+        self.1.encode(out);
     }
 
-    fn deserialize_unit_struct<V: Visitor<'de>>(
-        self,
-        _: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        _: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_newtype_struct(self)
-    }
-
-    fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let n = self.take_len()?;
-        visitor.visit_seq(CountedSeq {
-            de: self,
-            remaining: n,
-        })
-    }
-
-    fn deserialize_tuple<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_seq(CountedSeq {
-            de: self,
-            remaining: len,
-        })
-    }
-
-    fn deserialize_tuple_struct<V: Visitor<'de>>(
-        self,
-        _: &'static str,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(len, visitor)
-    }
-
-    fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let n = self.take_len()?;
-        visitor.visit_map(CountedMap {
-            de: self,
-            remaining: n,
-        })
-    }
-
-    fn deserialize_struct<V: Visitor<'de>>(
-        self,
-        _: &'static str,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(fields.len(), visitor)
-    }
-
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _: &'static str,
-        _: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_enum(EnumAccess { de: self })
-    }
-
-    fn deserialize_identifier<V: Visitor<'de>>(self, _: V) -> Result<V::Value, CodecError> {
-        Err(CodecError("identifiers are not encoded".into()))
-    }
-
-    fn deserialize_ignored_any<V: Visitor<'de>>(self, _: V) -> Result<V::Value, CodecError> {
-        Err(CodecError(
-            "cannot skip values in a non-self-describing format".into(),
-        ))
-    }
-
-    fn is_human_readable(&self) -> bool {
-        false
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok((A::decode(input)?, B::decode(input)?))
     }
 }
 
-struct CountedSeq<'a, 'de> {
-    de: &'a mut BinDeserializer<'de>,
-    remaining: usize,
-}
+macro_rules! wire_nanos {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            fn encode(&self, out: &mut BytesMut) {
+                self.as_nanos().encode(out);
+            }
 
-impl<'a, 'de> de::SeqAccess<'de> for CountedSeq<'a, 'de> {
-    type Error = CodecError;
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
+            fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+                u64::decode(input).map($ty::from_nanos)
+            }
         }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
+    )+};
+}
+
+wire_nanos!(SimTime, Duration);
+
+/// An enum variant from its `u32` declaration index; `variants` lists
+/// every variant in declaration order.
+fn decode_variant<T: Copy>(input: &mut &[u8], variants: &[T], name: &str) -> Result<T, CodecError> {
+    let i = u32::decode(input)?;
+    variants
+        .get(i as usize)
+        .copied()
+        .ok_or_else(|| CodecError(format!("invalid {name} variant index {i}")))
+}
+
+impl Wire for VelocitySource {
+    fn encode(&self, out: &mut BytesMut) {
+        (*self as u32).encode(out);
     }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        use VelocitySource::*;
+        decode_variant(
+            input,
+            &[Navigation, Joystick, SafetyController],
+            "VelocitySource",
+        )
     }
 }
 
-struct CountedMap<'a, 'de> {
-    de: &'a mut BinDeserializer<'de>,
-    remaining: usize,
-}
+impl Wire for NodeKind {
+    fn encode(&self, out: &mut BytesMut) {
+        (*self as u32).encode(out);
+    }
 
-impl<'a, 'de> de::MapAccess<'de> for CountedMap<'a, 'de> {
-    type Error = CodecError;
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: K,
-    ) -> Result<Option<K::Value>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: V,
-    ) -> Result<V::Value, CodecError> {
-        seed.deserialize(&mut *self.de)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        decode_variant(input, &NodeKind::ALL, "NodeKind")
     }
 }
 
-struct EnumAccess<'a, 'de> {
-    de: &'a mut BinDeserializer<'de>,
-}
-
-impl<'a, 'de> de::EnumAccess<'de> for EnumAccess<'a, 'de> {
-    type Error = CodecError;
-    type Variant = Self;
-    fn variant_seed<V: de::DeserializeSeed<'de>>(
-        self,
-        seed: V,
-    ) -> Result<(V::Value, Self), CodecError> {
-        self.de.need(4)?;
-        let idx = self.de.input.get_u32_le();
-        let v = seed.deserialize(idx.into_deserializer())?;
-        Ok((v, self))
-    }
-}
-
-impl<'a, 'de> de::VariantAccess<'de> for EnumAccess<'a, 'de> {
-    type Error = CodecError;
-    fn unit_variant(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(
-        self,
-        seed: T,
-    ) -> Result<T::Value, CodecError> {
-        seed.deserialize(self.de)
-    }
-    fn tuple_variant<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self.de, len, visitor)
-    }
-    fn struct_variant<V: Visitor<'de>>(
-        self,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self.de, fields.len(), visitor)
-    }
-}
+wire_struct!(Point2 { x, y });
+wire_struct!(Twist { linear, angular });
+wire_struct!(GridDims {
+    width,
+    height,
+    resolution,
+    origin
+});
+wire_struct!(LaserScan {
+    stamp,
+    angle_min,
+    angle_increment,
+    range_max,
+    ranges
+});
+wire_struct!(VelocityCmd {
+    stamp,
+    twist,
+    source
+});
+wire_struct!(MapMsg { stamp, dims, cells });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lgv_types::prelude::*;
-    use serde::Deserialize;
-    use std::collections::BTreeMap;
 
-    fn roundtrip<T: Serialize + DeserializeOwned + PartialEq + fmt::Debug>(v: &T) {
-        let b = to_bytes(v).expect("serialize");
-        let back: T = from_bytes(&b).expect("deserialize");
+    fn roundtrip<T: Wire + PartialEq + fmt::Debug>(v: &T) {
+        let b = to_bytes(v).expect("encode");
+        let back: T = from_bytes(&b).expect("decode");
         assert_eq!(&back, v);
     }
 
     #[test]
     fn primitives_roundtrip() {
-        roundtrip(&true);
+        roundtrip(&7u8);
         roundtrip(&-7i8);
-        roundtrip(&123456789i64);
+        roundtrip(&0xDEAD_BEEFu32);
+        roundtrip(&123456789u64);
         roundtrip(&1.2345678f64);
-        roundtrip(&'λ');
-        roundtrip(&"hello world".to_string());
+        roundtrip(&"hello wörld".to_string());
         roundtrip(&Some(42u32));
         roundtrip(&Option::<u32>::None);
     }
@@ -604,35 +321,37 @@ mod tests {
     fn collections_roundtrip() {
         roundtrip(&vec![1u32, 2, 3]);
         roundtrip(&Vec::<f64>::new());
-        let mut m = BTreeMap::new();
-        m.insert("a".to_string(), 1u8);
-        m.insert("b".to_string(), 2u8);
-        roundtrip(&m);
-        roundtrip(&(1u8, "two".to_string(), 3.0f32));
-    }
-
-    #[derive(Debug, PartialEq, serde::Serialize, Deserialize)]
-    enum TestEnum {
-        Unit,
-        Newtype(u32),
-        Tuple(u8, u8),
-        Struct { a: f64, b: String },
+        roundtrip(&(1u8, "two".to_string()));
+        roundtrip(&vec![
+            (NodeKind::Slam, Duration::from_millis(3)),
+            (NodeKind::VelocityMux, Duration::ZERO),
+        ]);
     }
 
     #[test]
-    fn enums_roundtrip() {
-        roundtrip(&TestEnum::Unit);
-        roundtrip(&TestEnum::Newtype(9));
-        roundtrip(&TestEnum::Tuple(1, 2));
-        roundtrip(&TestEnum::Struct {
-            a: 1.5,
-            b: "x".into(),
-        });
+    fn enums_roundtrip_by_declaration_index() {
+        use VelocitySource::*;
+        for (i, s) in [Navigation, Joystick, SafetyController]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(to_bytes(&s).unwrap()[..], (i as u32).to_le_bytes());
+            roundtrip(&s);
+        }
+        for (i, k) in NodeKind::ALL.into_iter().enumerate() {
+            assert_eq!(to_bytes(&k).unwrap()[..], (i as u32).to_le_bytes());
+            roundtrip(&k);
+        }
+    }
+
+    #[test]
+    fn out_of_range_variant_index_errors() {
+        assert!(from_bytes::<VelocitySource>(&3u32.to_le_bytes()).is_err());
+        assert!(from_bytes::<NodeKind>(&7u32.to_le_bytes()).is_err());
     }
 
     #[test]
     fn message_types_roundtrip() {
-        roundtrip(&Pose2D::new(1.0, -2.0, 0.7));
         roundtrip(&Twist::new(0.22, -1.1));
         let scan = LaserScan {
             stamp: SimTime::from_nanos(123456),
@@ -688,8 +407,8 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_bool_errors() {
-        let r: Result<bool, _> = from_bytes(&[7]);
+    fn corrupt_option_tag_errors() {
+        let r: Result<Option<u8>, _> = from_bytes(&[7, 0]);
         assert!(r.is_err());
     }
 

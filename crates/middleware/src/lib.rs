@@ -3,8 +3,9 @@
 //! A ROS-like publish/subscribe middleware, the programming abstraction
 //! the paper's stack runs on (§VII):
 //!
-//! * [`codec`] — a compact non-self-describing binary serde format
-//!   (the stand-in for protobuf over evpp).
+//! * [`codec`] — the hand-written [`codec::Wire`] binary format for the
+//!   handful of message types that cross the robot–cloud link (the
+//!   stand-in for protobuf over evpp).
 //! * [`bus`] — an in-process topic bus with bounded per-subscriber
 //!   queues; VDP topics use one-length queues for data freshness.
 //! * [`service`] — the client/server paradigm of Fig. 2's dashed
@@ -26,7 +27,7 @@ pub mod switcher;
 pub mod topic;
 
 pub use bus::{Bus, Publisher, Subscriber};
-pub use codec::{from_bytes, to_bytes, CodecError};
+pub use codec::{from_bytes, to_bytes, CodecError, Wire};
 pub use service::{ServiceClient, ServiceServer};
 pub use switcher::{Envelope, Switcher, SwitcherConfig};
 pub use topic::TopicName;

@@ -14,28 +14,38 @@
 //! no blocking).
 
 use crate::bus::{Bus, Subscriber};
-use crate::codec::CodecError;
+use crate::codec::{CodecError, Wire};
 use crate::topic::TopicName;
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
 /// Wire wrapper for a service request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct RequestEnvelope<R> {
     call_id: u64,
     client_id: u64,
     request: R,
 }
 
+crate::wire_struct!(RequestEnvelope<R> {
+    call_id,
+    client_id,
+    request
+});
+
 /// Wire wrapper for a service response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ResponseEnvelope<R> {
     call_id: u64,
     client_id: u64,
     response: R,
 }
+
+crate::wire_struct!(ResponseEnvelope<R> {
+    call_id,
+    client_id,
+    response
+});
 
 /// Server half of a service.
 pub struct ServiceServer<Req, Resp> {
@@ -45,7 +55,7 @@ pub struct ServiceServer<Req, Resp> {
     _marker: PhantomData<(Req, Resp)>,
 }
 
-impl<Req: DeserializeOwned, Resp: Serialize> ServiceServer<Req, Resp> {
+impl<Req: Wire, Resp: Wire> ServiceServer<Req, Resp> {
     /// Serve `request_topic`, answering on `response_topic`.
     pub fn new(bus: &Bus, request_topic: TopicName, response_topic: TopicName) -> Self {
         ServiceServer {
@@ -87,7 +97,7 @@ pub struct ServiceClient<Req, Resp> {
     _marker: PhantomData<Req>,
 }
 
-impl<Req: Serialize, Resp: DeserializeOwned> ServiceClient<Req, Resp> {
+impl<Req: Wire, Resp: Wire> ServiceClient<Req, Resp> {
     /// Connect a client. `client_id` distinguishes multiple clients of
     /// the same service (responses are broadcast on the reply topic).
     pub fn new(

@@ -24,11 +24,10 @@ use lgv_net::measure::{BandwidthMeter, RttTracker};
 use lgv_net::DuplexLink;
 use lgv_trace::{MsgId, TraceEvent, Tracer};
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The wire envelope around every relayed message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Topic the payload belongs to.
     pub topic: String,
@@ -48,9 +47,20 @@ pub struct Envelope {
     /// single-vehicle sentinel, [`VehicleId::NONE`]). A shared cloud
     /// demultiplexes fleet traffic by this field.
     pub vehicle: u64,
-    /// The serialized inner message.
+    /// The encoded inner message.
     pub payload: Vec<u8>,
 }
+
+crate::wire_struct!(Envelope {
+    topic,
+    seq,
+    sent_at,
+    echo_stamp,
+    proc_times,
+    msg,
+    vehicle,
+    payload
+});
 
 /// Which topics flow in each direction.
 #[derive(Debug, Clone, Default)]

@@ -1,10 +1,9 @@
 //! Topic names of the standard LGV pipeline (paper Fig. 2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An interned topic name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TopicName(pub &'static str);
 
 impl TopicName {

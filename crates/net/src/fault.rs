@@ -30,10 +30,9 @@
 //!   `lgv-core` does.
 
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One kind of injected failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Total radio blackout: the signal reads weak and every
     /// transmission is lost, in both directions.
@@ -85,7 +84,7 @@ impl FaultKind {
 
 /// A half-open window `[from, until)` on the virtual clock during
 /// which one [`FaultKind`] is active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
     /// Window start (inclusive).
     pub from: SimTime,
@@ -106,7 +105,7 @@ impl FaultWindow {
 ///
 /// Windows may overlap; each active window contributes its effect
 /// independently (latency spikes sum, any active blackout blacks out).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     windows: Vec<FaultWindow>,
 }
@@ -227,7 +226,7 @@ impl FaultSchedule {
 /// One kind of injected **cloud-tier** failure — the shared box's own
 /// failure modes, distinct from the radio faults in [`FaultKind`]: the
 /// link stays perfectly healthy while the replica pool misbehaves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CloudFaultKind {
     /// `replicas` provisioned replicas are dead for the window: they
     /// keep accruing cost (the bill does not know they crashed) but
@@ -263,7 +262,7 @@ impl CloudFaultKind {
 
 /// A half-open window `[from, until)` during which one
 /// [`CloudFaultKind`] afflicts the shared cloud box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CloudFaultWindow {
     /// Window start (inclusive).
     pub from: SimTime,
@@ -283,7 +282,7 @@ impl CloudFaultWindow {
 /// An ordered list of scripted [`CloudFaultWindow`]s, the cloud-tier
 /// sibling of [`FaultSchedule`]. Consumed by `lgv-sim`'s
 /// `CloudScheduler`; an empty schedule is a structural no-op there.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CloudFaultSchedule {
     windows: Vec<CloudFaultWindow>,
 }

@@ -10,10 +10,9 @@ use crate::fault::FaultSchedule;
 use crate::signal::{SignalModel, WirelessConfig};
 use bytes::Bytes;
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Which remote site the link terminates at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RemoteSite {
     /// Edge gateway on the local network: wireless hop only.
     EdgeGateway,

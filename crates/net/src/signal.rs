@@ -8,10 +8,9 @@
 
 use crate::fault::FaultSchedule;
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Radio configuration for a 5 GHz WiFi link (paper §VIII-A).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WirelessConfig {
     /// Transmit power (dBm).
     pub tx_power_dbm: f64,
@@ -64,7 +63,7 @@ impl WirelessConfig {
 }
 
 /// The signal model anchored at a WAP position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignalModel {
     cfg: WirelessConfig,
     /// WAP position in the world frame.

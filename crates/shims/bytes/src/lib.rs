@@ -177,32 +177,12 @@ pub trait BufMut {
     fn put_i8(&mut self, v: i8) {
         self.put_slice(&[v as u8]);
     }
-    /// Append a little-endian `u16`.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian `i16`.
-    fn put_i16_le(&mut self, v: i16) {
-        self.put_slice(&v.to_le_bytes());
-    }
     /// Append a little-endian `u32`.
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
-    /// Append a little-endian `i32`.
-    fn put_i32_le(&mut self, v: i32) {
-        self.put_slice(&v.to_le_bytes());
-    }
     /// Append a little-endian `u64`.
     fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian `i64`.
-    fn put_i64_le(&mut self, v: i64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian `f32`.
-    fn put_f32_le(&mut self, v: f32) {
         self.put_slice(&v.to_le_bytes());
     }
     /// Append a little-endian `f64`.
@@ -238,8 +218,7 @@ macro_rules! get_le {
 }
 
 /// Read access to a byte buffer. Reads panic on underflow, matching the
-/// real crate; callers (the codec) bounds-check with [`Buf::remaining`]
-/// first.
+/// real crate; callers (the codec) bounds-check first.
 pub trait Buf {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
@@ -260,20 +239,10 @@ pub trait Buf {
     }
 
     get_le! {
-        /// Read a little-endian `u16`.
-        get_u16_le -> u16, 2;
-        /// Read a little-endian `i16`.
-        get_i16_le -> i16, 2;
         /// Read a little-endian `u32`.
         get_u32_le -> u32, 4;
-        /// Read a little-endian `i32`.
-        get_i32_le -> i32, 4;
         /// Read a little-endian `u64`.
         get_u64_le -> u64, 8;
-        /// Read a little-endian `i64`.
-        get_i64_le -> i64, 8;
-        /// Read a little-endian `f32`.
-        get_f32_le -> f32, 4;
         /// Read a little-endian `f64`.
         get_f64_le -> f64, 8;
     }
@@ -312,14 +281,14 @@ mod tests {
     fn roundtrip_le() {
         let mut m = BytesMut::with_capacity(64);
         m.put_u8(7);
-        m.put_i16_le(-2);
+        m.put_i8(-2);
         m.put_u32_le(0xDEAD_BEEF);
         m.put_f64_le(1.5);
         m.put_slice(b"xyz");
         let b = m.freeze();
         let mut r: &[u8] = &b;
         assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_i16_le(), -2);
+        assert_eq!(r.get_i8(), -2);
         assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
         assert_eq!(r.get_f64_le(), 1.5);
         assert_eq!(r, b"xyz");

@@ -50,15 +50,3 @@ impl Arbitrary for f64 {
         f64::from_bits(rng.next_u64())
     }
 }
-
-impl Arbitrary for f32 {
-    fn arbitrary(rng: &mut TestRng) -> Self {
-        f32::from_bits(rng.next_u32())
-    }
-}
-
-impl Arbitrary for char {
-    fn arbitrary(rng: &mut TestRng) -> Self {
-        char::from_u32((rng.next_u32() % 0xD800).max(1)).unwrap_or('a')
-    }
-}

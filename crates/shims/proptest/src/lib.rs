@@ -6,7 +6,7 @@
 //! from a hash of the test name), and failures report the failing
 //! values without shrinking. Strategy combinators cover exactly what
 //! this workspace's tests use: numeric ranges, `any::<T>()`,
-//! `collection::vec`/`btree_map`, `option::of`, tuples, `prop_map`,
+//! `collection::vec`, `option::of`, tuples, `prop_map`,
 //! `Just`, and `.{min,max}` string patterns.
 //!
 //! Known deviations from the real crate: no shrinking, no persisted
@@ -22,7 +22,7 @@ pub mod test_runner;
 
 pub mod arbitrary;
 
-/// `vec` / `btree_map` strategies over other strategies.
+/// `vec` strategy over other strategies.
 pub mod collection {
     use crate::strategy::{SizeRange, Strategy};
     use crate::test_runner::TestRng;
@@ -47,43 +47,6 @@ pub mod collection {
         fn sample(&self, rng: &mut TestRng) -> Self::Value {
             let n = self.size.sample(rng);
             (0..n).map(|_| self.element.sample(rng)).collect()
-        }
-    }
-
-    /// Strategy for `BTreeMap<K, V>` with entry count drawn from
-    /// `size` (duplicate keys collapse, as in the real crate).
-    pub fn btree_map<K: Strategy, V: Strategy>(
-        key: K,
-        value: V,
-        size: impl Into<SizeRange>,
-    ) -> BTreeMapStrategy<K, V>
-    where
-        K::Value: Ord,
-    {
-        BTreeMapStrategy {
-            key,
-            value,
-            size: size.into(),
-        }
-    }
-
-    /// Strategy produced by [`btree_map`].
-    pub struct BTreeMapStrategy<K, V> {
-        key: K,
-        value: V,
-        size: SizeRange,
-    }
-
-    impl<K: Strategy, V: Strategy> Strategy for BTreeMapStrategy<K, V>
-    where
-        K::Value: Ord,
-    {
-        type Value = std::collections::BTreeMap<K::Value, V::Value>;
-        fn sample(&self, rng: &mut TestRng) -> Self::Value {
-            let n = self.size.sample(rng);
-            (0..n)
-                .map(|_| (self.key.sample(rng), self.value.sample(rng)))
-                .collect()
         }
     }
 

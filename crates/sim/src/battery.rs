@@ -5,10 +5,8 @@
 //! leaves the embedded computer only ≈ 3.35 Wh per hour, so mission
 //! feasibility is an energy question.
 
-use serde::{Deserialize, Serialize};
-
 /// A coulomb-counting battery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity_j: f64,
     consumed_j: f64,

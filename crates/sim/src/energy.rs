@@ -6,11 +6,10 @@
 
 use lgv_trace::{TraceEvent, Tracer};
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The energy-consuming components of an LGV (Fig. 13's bar stack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// Laser / camera subsystem.
     Sensor,
@@ -124,7 +123,7 @@ impl EnergyLedger {
 
 /// Per-component energy breakdown plus mission completion time —
 /// exactly the quantities Fig. 13 reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     joules: [f64; 5],
     /// Mission completion time.

@@ -24,10 +24,9 @@
 //!   4 threads, while SLAM's heavy per-particle work keeps scaling.
 
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// The three platform tiers of the paper's testbed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformKind {
     /// The LGV's embedded computer (Raspberry Pi 3 B+).
     Turtlebot3,
@@ -47,7 +46,7 @@ impl PlatformKind {
 }
 
 /// A concrete compute platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Which tier this is.
     pub kind: PlatformKind,

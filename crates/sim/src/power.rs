@@ -9,13 +9,12 @@
 //!   runs.
 
 use crate::platform::Platform;
-use serde::{Deserialize, Serialize};
 
 /// Standard gravity (m/s²).
 pub const GRAVITY: f64 = 9.81;
 
 /// Maximum power draw of each LGV component in watts (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerDraw {
     /// Sensor subsystem (laser / camera).
     pub sensor: f64,
@@ -47,7 +46,7 @@ impl PowerDraw {
 
 /// A commodity LGV profile: Table I power numbers plus the mechanical
 /// constants the motor model needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LgvProfile {
     /// Vehicle name.
     pub name: &'static str,
@@ -144,7 +143,7 @@ impl LgvProfile {
 }
 
 /// Eq. 1d: `P_m = P_l + m(a + gμ)v`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MotorModel {
     /// Transforming loss `P_l` (W).
     pub loss_w: f64,
@@ -167,7 +166,7 @@ impl MotorModel {
 
 /// Eq. 1c: `E = k · L · f²`, with `k` calibrated so that running the
 /// platform flat-out draws the Table I maximum above idle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeEnergyModel {
     /// Effective switched capacitance `k` (J / (cycle · Hz²)).
     pub k: f64,
@@ -204,7 +203,7 @@ impl ComputeEnergyModel {
 }
 
 /// Eq. 1b: transmission energy `P_trans · D / R`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransmitModel {
     /// Transmit power of the wireless controller (W).
     pub power_w: f64,

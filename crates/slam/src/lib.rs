@@ -10,7 +10,7 @@
 //! * [`scan_match`] — hill-climbing scan-to-map matching, the
 //!   `scanMatch` function that consumes 98 % of SLAM compute in the
 //!   paper's measurements (§V).
-//! * [`pool`] — a crossbeam-based fork-join executor used to
+//! * [`pool`] — a scoped-thread fork-join executor used to
 //!   parallelize `scanMatch` across particles (paper Fig. 6).
 //! * [`rbpf`] — the filter itself: propagate → scanMatch → weight →
 //!   `updateTreeWeights` → resample, with full cycle-level work

@@ -7,10 +7,9 @@
 //! a particle's pose.
 
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Noise coefficients (α₁..α₄ in Thrun's notation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MotionNoise {
     /// Rotation noise from rotation.
     pub alpha1: f64,

@@ -2,8 +2,8 @@
 //!
 //! The paper's cloud acceleration spins up a thread pool of `N`
 //! threads and hands each a slice of `M/N` particles. We implement the
-//! same structure with `crossbeam`'s scoped threads: safe borrowing of
-//! the particle array, disjoint `&mut` chunks, no `'static` bounds.
+//! same structure with `std::thread::scope`: safe borrowing of the
+//! particle array, disjoint `&mut` chunks, no `'static` bounds.
 //! Thread count 1 short-circuits to inline execution so the
 //! single-thread baseline pays no dispatch cost (mirroring the
 //! platform timing model in `lgv-sim`).
@@ -56,18 +56,18 @@ impl ParallelExecutor {
         let mut results: Vec<Option<(R, prof::ProfileTree)>> = Vec::new();
         results.resize_with(items.len().div_ceil(chunk), || None);
 
-        crossbeam::thread::scope(|scope| {
+        // A panicking worker re-panics here once every worker joined.
+        std::thread::scope(|scope| {
             for (slot, part) in results.iter_mut().zip(items.chunks_mut(chunk)) {
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let r = f(part);
                     // Harvest this worker's profile alongside its
                     // result (an empty tree when not collecting).
                     *slot = Some((r, prof::take_thread()));
                 });
             }
-        })
-        .expect("worker thread panicked");
+        });
 
         results
             .into_iter()
@@ -141,6 +141,14 @@ mod tests {
         let mut v = vec![5u8, 6];
         let r = map(&ex, &mut v, |x| *x + 1);
         assert_eq!(r, vec![6, 7]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn worker_panic_propagates() {
+        let ex = ParallelExecutor::new(2);
+        let mut v = vec![0u8, 1];
+        ex.run_chunks(&mut v, |c| assert_eq!(c[0], 0, "worker fails"));
     }
 
     #[test]

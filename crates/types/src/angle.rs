@@ -5,7 +5,6 @@
 //! normalized, so subtraction always yields the shortest signed
 //! rotation — the property every controller and scan matcher relies on.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::ops::{Add, Neg, Sub};
 
@@ -40,7 +39,7 @@ pub fn normalize_angle(a: f64) -> f64 {
 }
 
 /// A normalized planar angle in radians, always in `(-π, π]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Angle(f64);
 
 impl Angle {

@@ -1,11 +1,10 @@
 //! Planar geometry: points, vectors, poses, and velocity twists.
 
 use crate::angle::{normalize_angle, Angle};
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A point in the world frame, metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     /// X coordinate (m).
     pub x: f64,
@@ -14,7 +13,7 @@ pub struct Point2 {
 }
 
 /// A free 2-D vector, metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// X component (m).
     pub x: f64,
@@ -165,7 +164,7 @@ impl Neg for Vec2 {
 }
 
 /// A planar pose: position plus heading, `SE(2)`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pose2D {
     /// X position in the world frame (m).
     pub x: f64,
@@ -256,7 +255,7 @@ impl Pose2D {
 }
 
 /// A planar velocity command: linear (m/s) + angular (rad/s).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Twist {
     /// Forward linear velocity (m/s).
     pub linear: f64,

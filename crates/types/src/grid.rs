@@ -5,10 +5,9 @@
 //! world-frame origin so world↔grid conversion lives in one place.
 
 use crate::geometry::Point2;
-use serde::{Deserialize, Serialize};
 
 /// Integer cell coordinate in a grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridIndex {
     /// Column (x direction).
     pub col: i32,
@@ -60,7 +59,7 @@ impl GridIndex {
 }
 
 /// Grid geometry: size, resolution, and world-frame origin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridDims {
     /// Number of columns.
     pub width: u32,

@@ -2,17 +2,17 @@
 //!
 //! These mirror the ROS message types used by the paper's stack
 //! (`sensor_msgs/LaserScan`, `nav_msgs/Odometry`, `geometry_msgs/Twist`,
-//! `nav_msgs/OccupancyGrid`, `nav_msgs/Path`). All are `serde`-
-//! serializable so the switcher can ship them across the simulated
-//! network, and all carry the producing timestamp for the profiler.
+//! `nav_msgs/OccupancyGrid`, `nav_msgs/Path`). All carry the producing
+//! timestamp for the profiler; the ones that cross the simulated
+//! network are encoded by `lgv_middleware::codec`, the single owner of
+//! the wire format.
 
 use crate::geometry::{Point2, Pose2D, Twist};
 use crate::grid::GridDims;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A full 360° laser sweep (LDS-01-style).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaserScan {
     /// Production time.
     pub stamp: SimTime,
@@ -54,16 +54,10 @@ impl LaserScan {
         let r = self.ranges[i].min(self.range_max);
         Point2::new(pose.x + r * a.cos(), pose.y + r * a.sin())
     }
-
-    /// Approximate wire size in bytes (used for transmission-energy
-    /// accounting; a real LDS-01 scan is ≈ 2.94 KB, paper §VIII-D).
-    pub fn wire_size(&self) -> usize {
-        8 * 4 + 8 * self.ranges.len()
-    }
 }
 
 /// Odometry estimate from wheel encoders.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OdometryMsg {
     /// Production time.
     pub stamp: SimTime,
@@ -74,7 +68,7 @@ pub struct OdometryMsg {
 }
 
 /// Pose estimate from a localization node (AMCL or SLAM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoseEstimate {
     /// Production time.
     pub stamp: SimTime,
@@ -86,7 +80,7 @@ pub struct PoseEstimate {
 
 /// Origin of a velocity command, ordered by priority for the
 /// multiplexer (higher = more urgent, paper Fig. 2 node 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum VelocitySource {
     /// Autonomous navigation (lowest priority).
     Navigation,
@@ -97,7 +91,7 @@ pub enum VelocitySource {
 }
 
 /// A velocity command with provenance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VelocityCmd {
     /// Production time.
     pub stamp: SimTime,
@@ -107,14 +101,8 @@ pub struct VelocityCmd {
     pub source: VelocitySource,
 }
 
-impl VelocityCmd {
-    /// Wire size of a velocity command. The paper quotes 48 B
-    /// (§III-A), the size of a ROS `geometry_msgs/Twist`.
-    pub const WIRE_SIZE: usize = 48;
-}
-
 /// Occupancy-grid map snapshot (SLAM output / static map).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MapMsg {
     /// Production time.
     pub stamp: SimTime,
@@ -133,11 +121,6 @@ impl MapMsg {
     /// Occupied cell value.
     pub const OCCUPIED: i8 = 100;
 
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 * 5 + self.cells.len()
-    }
-
     /// Fraction of cells that are known (free or occupied).
     pub fn known_fraction(&self) -> f64 {
         if self.cells.is_empty() {
@@ -149,7 +132,7 @@ impl MapMsg {
 }
 
 /// A planned path through the world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathMsg {
     /// Production time.
     pub stamp: SimTime,
@@ -162,15 +145,10 @@ impl PathMsg {
     pub fn length(&self) -> f64 {
         self.waypoints.windows(2).map(|w| w[0].distance(w[1])).sum()
     }
-
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + 16 * self.waypoints.len()
-    }
 }
 
 /// A navigation goal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoalMsg {
     /// Production time.
     pub stamp: SimTime,
@@ -216,13 +194,6 @@ mod tests {
         s.ranges[5] = 3.5;
         assert!(!s.is_hit(5));
         assert!(s.is_hit(6));
-    }
-
-    #[test]
-    fn scan_wire_size_close_to_lds01() {
-        // 360 beams × 8 B ≈ 2.9 KB — matches the paper's 2.94 KB claim.
-        let s = scan();
-        assert!(s.wire_size() > 2_800 && s.wire_size() < 3_100);
     }
 
     #[test]

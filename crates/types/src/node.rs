@@ -1,11 +1,10 @@
 //! The functional-node vocabulary of the standard LGV pipeline
 //! (paper Fig. 2) and where each node runs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The processing stage a node belongs to (paper §II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Sensor data → estimated state (localization, costmap).
     Perception,
@@ -16,7 +15,7 @@ pub enum Stage {
 }
 
 /// The functional computation nodes of the standard pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeKind {
     /// Laser-based localization on a known map (AMCL).
     Localization,
@@ -87,7 +86,7 @@ impl fmt::Display for NodeKind {
 }
 
 /// Where a node currently executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Placement {
     /// On the LGV's embedded computer.
     #[default]
@@ -104,7 +103,7 @@ impl Placement {
 }
 
 /// A small set of node kinds (bitset over the 7 pipeline nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeSet(u8);
 
 impl NodeSet {

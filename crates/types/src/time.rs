@@ -5,14 +5,11 @@
 //! a signed-free span, both with nanosecond resolution stored in `u64`
 //! (≈ 584 years of range — plenty for a vacuum-cleaner mission).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A span of simulated time, nanosecond resolution.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {
@@ -125,9 +122,7 @@ impl fmt::Display for Duration {
 }
 
 /// An absolute instant on the simulated clock.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -196,7 +191,7 @@ impl fmt::Display for SimTime {
 }
 
 /// A fixed repetition rate (Hz) with its period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rate {
     hz: f64,
 }

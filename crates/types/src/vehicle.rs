@@ -12,12 +12,8 @@
 //! runs — which never assign an id — stay byte-identical to the
 //! pre-fleet encoder output. Fleet members are numbered from 1.
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of one vehicle (tenant) in a fleet.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VehicleId(pub u64);
 
 impl VehicleId {

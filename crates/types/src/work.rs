@@ -9,11 +9,10 @@
 //! cycles into a serial and a parallelizable part so the platform model
 //! can apply Amdahl-style scaling (paper §V, Figures 9–10).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// The cycle demand of one node activation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Work {
     /// Cycles that must execute sequentially (pipeline setup,
     /// resampling, reductions…).

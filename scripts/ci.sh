@@ -5,7 +5,8 @@
 # script means a green CI run.
 #
 # Stages (see docs/CI.md for the full description):
-#   build   — cargo build --release, whole workspace
+#   build   — cargo build --release, whole workspace, plus the
+#             perfbench benchmark package (its own manifest)
 #   tests   — cargo test -q (unit + integration, all crates)
 #   clippy  — warnings denied, all targets
 #   fmt     — rustfmt --check
@@ -67,6 +68,10 @@ run_stage() { # run_stage <name> <description>
 
 stage_build() {
     cargo build --release --workspace
+    # The benchmark package is outside the workspace but calls the
+    # public codec and bus API, so it must keep compiling.
+    CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+        --manifest-path perfbench/Cargo.toml
 }
 
 stage_tests() {
