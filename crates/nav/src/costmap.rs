@@ -13,7 +13,20 @@
 //! the row already swept, a per-cell loop that vectorises, then runs
 //! the serial chain along the row. Both steps take `min`s of finite
 //! `f32`s, so the distances match the classic cell-by-cell sweep bit
-//! for bit.
+//! for bit. The `min`s are plain compare-selects rather than
+//! `f32::min`: the two differ only on NaN and on the sign of zero, and
+//! every distance is finite and either `+0.0` or a sum of positive
+//! steps, so neither case arises. The select also lets the row chain
+//! carry its running value in a register instead of waiting on a
+//! `minnum` after every add.
+//!
+//! The master pass turns each distance inside the inflation radius
+//! into a cost with an `exp`. Those distances are sums of a few cell
+//! steps, so one grid holds only a few dozen distinct values among
+//! thousands of inflated cells; a small stack table keyed on the
+//! distance's bits computes each cost once per refresh, with the same
+//! expression, so the costs are unchanged. The table lives only for
+//! the pass: `Costmap` itself keeps no distance state.
 //!
 //! Trajectory checks ask [`Costmap::footprint_collides`] whether a disc
 //! overlaps a blocked cell. A `ClearanceWindow` answers most of those
@@ -222,6 +235,8 @@ impl Costmap {
         // Master grid from distance + known/unknown state.
         let inscribed = self.cfg.inscribed_radius as f32;
         let inflate = self.cfg.inflation_radius as f32;
+        let scaling = self.cfg.cost_scaling as f32;
+        let mut memo = InflationMemo::new();
         #[allow(clippy::needless_range_loop)] // reads dist, writes master
         for i in 0..n {
             let d = dist[i];
@@ -230,10 +245,10 @@ impl Costmap {
             } else if d <= inscribed {
                 COST_INSCRIBED
             } else if d <= inflate {
-                let factor = (-(self.cfg.cost_scaling as f32) * (d - inscribed))
-                    .exp()
-                    .clamp(0.0, 1.0);
-                (factor * COST_FREE_MAX as f32) as u8
+                memo.cost(d, || {
+                    let factor = (-scaling * (d - inscribed)).exp().clamp(0.0, 1.0);
+                    (factor * COST_FREE_MAX as f32) as u8
+                })
             } else if map.cells[i] == MapMsg::UNKNOWN && self.marked_at[i] == 0 {
                 COST_UNKNOWN
             } else {
@@ -376,11 +391,12 @@ pub(crate) struct ClearanceWindow<'a> {
 
 impl ClearanceWindow<'_> {
     /// Same answer as [`Costmap::footprint_collides`] with the window's
-    /// radius, without the scan when the clearance of `p`'s cell rules
-    /// a collision out.
-    pub(crate) fn footprint_collides(&self, p: Point2) -> bool {
-        !self.rules_out_collision(self.cm.dims.world_to_grid(p))
-            && self.cm.footprint_collides(p, self.radius)
+    /// radius, without the scan when the clearance of `cell` rules a
+    /// collision out. `cell` must be `world_to_grid(p)`, which the
+    /// caller has already computed.
+    pub(crate) fn footprint_collides(&self, p: Point2, cell: GridIndex) -> bool {
+        debug_assert_eq!(cell, self.cm.dims.world_to_grid(p));
+        !self.rules_out_collision(cell) && self.cm.footprint_collides(p, self.radius)
     }
 
     /// Chebyshev clearance of `idx` in cells; 0 outside the window.
@@ -426,8 +442,14 @@ fn chamfer(dist: &mut [f32], w: usize, res: f32) {
         if row > 0 {
             fold_adjacent_row(cur, &done[(row - 1) * w..], orth, diag);
         }
-        for col in 1..w {
-            cur[col] = cur[col].min(cur[col - 1] + orth);
+        let mut run = cur[0];
+        for d in &mut cur[1..] {
+            run += orth;
+            if *d < run {
+                run = *d;
+            } else {
+                *d = run;
+            }
         }
     }
     // Backward: rows bottom to top, each chained right to left.
@@ -437,8 +459,14 @@ fn chamfer(dist: &mut [f32], w: usize, res: f32) {
         if row + 1 < h {
             fold_adjacent_row(cur, &done[..w], orth, diag);
         }
-        for col in (0..w - 1).rev() {
-            cur[col] = cur[col].min(cur[col + 1] + orth);
+        let mut run = cur[w - 1];
+        for d in cur[..w - 1].iter_mut().rev() {
+            run += orth;
+            if *d < run {
+                run = *d;
+            } else {
+                *d = run;
+            }
         }
     }
 }
@@ -448,13 +476,59 @@ fn chamfer(dist: &mut [f32], w: usize, res: f32) {
 fn fold_adjacent_row(cur: &mut [f32], adj: &[f32], orth: f32, diag: f32) {
     let w = cur.len();
     for (d, &a) in cur.iter_mut().zip(adj) {
-        *d = d.min(a + orth);
+        *d = select_min(*d, a + orth);
     }
     for (d, &a) in cur[1..].iter_mut().zip(&adj[..w - 1]) {
-        *d = d.min(a + diag);
+        *d = select_min(*d, a + diag);
     }
     for (d, &a) in cur[..w - 1].iter_mut().zip(&adj[1..]) {
-        *d = d.min(a + diag);
+        *d = select_min(*d, a + diag);
+    }
+}
+
+/// `min(a, b)` for chamfer distances. They are never NaN or −0.0, so a
+/// plain compare-select agrees with `f32::min` bit for bit.
+#[inline(always)]
+fn select_min(a: f32, b: f32) -> f32 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// Inflation cost per distinct distance, for one master pass. Chamfer
+/// distances are sums of a few cell steps, so a grid holds only a few
+/// dozen distinct values inside the inflation radius; this
+/// direct-mapped table turns thousands of `exp`s per refresh into one
+/// per value. A slot holds the `f32` bits of a distance and its cost;
+/// a miss just recomputes, so the cost is exact whatever collides.
+struct InflationMemo {
+    slots: [(u32, u8); InflationMemo::SLOTS],
+}
+
+impl InflationMemo {
+    const SLOTS: usize = 128;
+    /// A NaN pattern, which no chamfer distance has.
+    const EMPTY: u32 = u32::MAX;
+
+    fn new() -> Self {
+        InflationMemo {
+            slots: [(Self::EMPTY, 0); Self::SLOTS],
+        }
+    }
+
+    /// The cost for distance `d`, from `compute` on the first call.
+    #[inline]
+    fn cost(&mut self, d: f32, compute: impl FnOnce() -> u8) -> u8 {
+        let bits = d.to_bits();
+        // Fibonacci hashing onto the top bits: the low mantissa bits of
+        // nearby distances differ most.
+        let slot = &mut self.slots[(bits.wrapping_mul(0x9e37_79b9) >> 25) as usize];
+        if slot.0 != bits {
+            *slot = (bits, compute());
+        }
+        slot.1
     }
 }
 
@@ -722,7 +796,7 @@ mod tests {
             for _ in 0..300 {
                 let p = random_point(&mut rng, &dims, centre, reach + 0.5);
                 proptest::prop_assert_eq!(
-                    window.footprint_collides(p),
+                    window.footprint_collides(p, dims.world_to_grid(p)),
                     cm.footprint_collides(p, r),
                     "at {:?} r={}", p, r
                 );

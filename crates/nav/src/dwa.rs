@@ -17,6 +17,23 @@
 //! [`Costmap::footprint_collides`] scan. The pre-check only skips
 //! scans whose answer is already known, so scores, feasibility and
 //! the modelled `Work` are unchanged.
+//!
+//! A rollout's heading sequence depends only on its angular velocity
+//! ω, not on v, and the candidates form an `nv × nw` grid, so every ω
+//! is rolled out `nv` times from the same start heading. Each
+//! activation therefore builds one [`HeadingTable`] holding, per
+//! sampled ω and step, the `sin`/`cos` values [`Pose2D::integrate`]
+//! would compute, and the rollouts read them instead of calling the
+//! trig themselves. The positions use `integrate`'s exact expressions
+//! and operand order, so every pose, score and checksum is
+//! bit-identical. The table keeps two trig pairs per arc step: the
+//! *end* heading `θₖ + ω·dt` feeds that step's position, while the
+//! next step starts from the stored heading
+//! `θₖ₊₁ = normalize_angle(θₖ + ω·dt)`. The two differ by 2π after a
+//! wrap past ±π, and even without a wrap `normalize_angle` computes
+//! `(a + π) − π`, which rounds, so `sin θₖ₊₁` is not in general
+//! `sin(θₖ + ω·dt)`. A straight step (|ω| < 1e-9) stores
+//! `normalize_angle(θₖ)` as its next heading for the same reason.
 
 use crate::costmap::{ClearanceWindow, Costmap};
 use lgv_slam::pool::ParallelExecutor;
@@ -111,7 +128,8 @@ pub struct DwaResult {
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     v: f64,
-    w: f64,
+    /// Index of the candidate's ω in the activation's [`HeadingTable`].
+    wi: usize,
     score: f64,
     feasible: bool,
     steps: u32,
@@ -201,14 +219,17 @@ impl DwaPlanner {
         // Sample grid: keep samples ≈ nv × nw with nw ≈ 3 nv.
         let nv = ((cfg.samples as f64 / 3.0).sqrt().round() as u32).max(2);
         let nw = (cfg.samples / nv).max(2);
+        let omegas: Vec<f64> = (0..nw)
+            .map(|j| w_lo + (w_hi - w_lo) * j as f64 / (nw - 1) as f64)
+            .collect();
+        // v-major, as `max_by` below keeps the last of equal maxima.
         let mut candidates: Vec<Candidate> = Vec::with_capacity((nv * nw) as usize);
         for i in 0..nv {
             let v = v_lo + (v_hi - v_lo) * i as f64 / (nv - 1) as f64;
-            for j in 0..nw {
-                let w = w_lo + (w_hi - w_lo) * j as f64 / (nw - 1) as f64;
+            for wi in 0..nw as usize {
                 candidates.push(Candidate {
                     v,
-                    w,
+                    wi,
                     score: f64::NEG_INFINITY,
                     feasible: false,
                     steps: 0,
@@ -225,12 +246,13 @@ impl DwaPlanner {
         let steps = (cfg.sim_horizon / cfg.sim_dt).round() as u32;
         let reach = v_lo.abs().max(v_hi.abs()) * steps as f64 * cfg.sim_dt + cfg.footprint_radius;
         let window = cm.clearance_window(pose.position(), reach, cfg.footprint_radius);
+        let headings = HeadingTable::new(pose.theta, &omegas, cfg.sim_dt, steps as usize);
 
         // Parallel scoring (paper Fig. 5): each thread takes a chunk.
         let cfg_ref = &self.cfg;
         self.executor.run_chunks(&mut candidates, |chunk| {
             for c in chunk.iter_mut() {
-                *c = score_trajectory(cfg_ref, cm, &window, pose, path, target, c.v, c.w, steps);
+                *c = score_trajectory(cfg_ref, cm, &window, &headings, pose, path, target, *c);
             }
         });
 
@@ -244,7 +266,7 @@ impl DwaPlanner {
             .max_by(|a, b| a.score.total_cmp(&b.score));
 
         let twist = match best {
-            Some(c) => Twist::new(c.v, c.w),
+            Some(c) => Twist::new(c.v, omegas[c.wi]),
             None => {
                 // Nothing feasible: rotate in place towards the path.
                 Twist::new(0.0, cfg.max_angular * 0.3)
@@ -267,40 +289,41 @@ impl DwaPlanner {
     }
 }
 
-/// Forward-simulate one `(v, w)` candidate and score it. `window`
-/// answers the footprint check on `cm` for `cfg.footprint_radius`.
+/// Forward-simulate one candidate along its row of `headings` and
+/// score it. `window` answers the footprint check on `cm` for
+/// `cfg.footprint_radius`.
 #[allow(clippy::too_many_arguments)]
 fn score_trajectory(
     cfg: &DwaConfig,
     cm: &Costmap,
     window: &ClearanceWindow,
+    headings: &HeadingTable,
     pose: Pose2D,
     path: &PathMsg,
     goal: Point2,
-    v: f64,
-    w: f64,
-    steps: u32,
+    candidate: Candidate,
 ) -> Candidate {
-    let mut p = pose;
+    let v = candidate.v;
+    let dims = cm.dims();
+    let mut end = pose.position();
     let mut min_clearance = f64::INFINITY;
     let mut executed = 0u32;
-    for _ in 0..steps {
-        p = p.integrate(Twist::new(v, w), cfg.sim_dt);
+    for p in headings.rollout(pose.position(), v, candidate.wi) {
         executed += 1;
-        if window.footprint_collides(p.position()) {
+        end = p.position();
+        let cell = dims.world_to_grid(end);
+        if window.footprint_collides(end, cell) {
             return Candidate {
-                v,
-                w,
                 score: f64::NEG_INFINITY,
                 feasible: false,
                 steps: executed,
+                ..candidate
             };
         }
-        let c = cm.cost(cm.dims().world_to_grid(p.position()));
+        let c = cm.cost(cell);
         min_clearance = min_clearance.min(1.0 - c.min(253) as f64 / 253.0);
     }
 
-    let end = p.position();
     let path_dist = nearest_path_distance(path, end);
     let goal_dist = end.distance(goal);
     let start_goal_dist = pose.position().distance(goal);
@@ -311,11 +334,109 @@ fn score_trajectory(
         + cfg.w_clear * min_clearance.clamp(0.0, 1.0)
         + cfg.w_speed * (v / cfg.max_linear.max(1e-9));
     Candidate {
-        v,
-        w,
         score,
         feasible: true,
         steps: executed,
+        ..candidate
+    }
+}
+
+/// Heading trig of one rollout step: what [`Pose2D::integrate`]
+/// evaluates from the step's start heading.
+#[derive(Debug, Clone, Copy)]
+struct HeadingStep {
+    /// `sin`/`cos` of the stored heading θₖ the step starts from.
+    sin_from: f64,
+    cos_from: f64,
+    /// `sin`/`cos` of the end heading `θₖ + ω·dt` before wrapping
+    /// (arc steps only).
+    sin_to: f64,
+    cos_to: f64,
+    /// The stored heading θₖ₊₁ after the step.
+    theta: f64,
+}
+
+/// The heading sequences of the rollouts of one DWA activation: for
+/// each sampled angular velocity ω and each step, the trig values that
+/// [`Pose2D::integrate`] computes, so that the `nv` rollouts sharing an
+/// ω share them too. See the [module docs](self) for why this is
+/// exact.
+#[derive(Debug, Clone)]
+pub struct HeadingTable {
+    omegas: Vec<f64>,
+    dt: f64,
+    steps: usize,
+    /// `omegas.len()` rows of `steps` entries.
+    rows: Vec<HeadingStep>,
+}
+
+impl HeadingTable {
+    /// Headings of `steps` steps of `dt` seconds from heading `theta0`,
+    /// for each angular velocity in `omegas`.
+    pub fn new(theta0: f64, omegas: &[f64], dt: f64, steps: usize) -> Self {
+        let mut rows = Vec::with_capacity(omegas.len() * steps);
+        for &w in omegas {
+            let mut theta = theta0;
+            for _ in 0..steps {
+                let (sin_from, cos_from) = theta.sin_cos();
+                let step = if w.abs() < 1e-9 {
+                    HeadingStep {
+                        sin_from,
+                        cos_from,
+                        sin_to: sin_from,
+                        cos_to: cos_from,
+                        theta: normalize_angle(theta),
+                    }
+                } else {
+                    let th1 = theta + w * dt;
+                    let (sin_to, cos_to) = th1.sin_cos();
+                    HeadingStep {
+                        sin_from,
+                        cos_from,
+                        sin_to,
+                        cos_to,
+                        theta: normalize_angle(th1),
+                    }
+                };
+                theta = step.theta;
+                rows.push(step);
+            }
+        }
+        HeadingTable {
+            omegas: omegas.to_vec(),
+            dt,
+            steps,
+            rows,
+        }
+    }
+
+    /// The poses a rollout at linear velocity `v` and angular velocity
+    /// `omegas[wi]` reaches after each step, starting at `start` with
+    /// the table's start heading: bit for bit the poses of repeated
+    /// [`Pose2D::integrate`] calls.
+    pub fn rollout(&self, start: Point2, v: f64, wi: usize) -> impl Iterator<Item = Pose2D> + '_ {
+        let w = self.omegas[wi];
+        let straight = w.abs() < 1e-9;
+        // `integrate` computes `v * dt * cos` as `(v * dt) * cos`, and
+        // `r` once per step from the same operands.
+        let (vdt, r) = (v * self.dt, v / w);
+        let (mut x, mut y) = (start.x, start.y);
+        self.rows[wi * self.steps..][..self.steps]
+            .iter()
+            .map(move |h| {
+                if straight {
+                    x += vdt * h.cos_from;
+                    y += vdt * h.sin_from;
+                } else {
+                    x += r * (h.sin_to - h.sin_from);
+                    y -= r * (h.cos_to - h.cos_from);
+                }
+                Pose2D {
+                    x,
+                    y,
+                    theta: h.theta,
+                }
+            })
     }
 }
 

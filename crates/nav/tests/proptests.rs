@@ -2,12 +2,13 @@
 //! and safety, costmap invariants, DWA feasibility guarantees.
 
 use lgv_nav::costmap::{Costmap, CostmapConfig, COST_INSCRIBED, COST_LETHAL};
-use lgv_nav::dwa::{DwaConfig, DwaPlanner};
+use lgv_nav::dwa::{DwaConfig, DwaPlanner, HeadingTable};
 use lgv_nav::frontier::FrontierExplorer;
 use lgv_nav::global_planner::{GlobalPlanner, PlannerAlgorithm, PlannerConfig};
 use lgv_nav::velocity_mux::{MuxConfig, VelocityMux};
 use lgv_types::prelude::*;
 use proptest::prelude::*;
+use std::f64::consts::PI;
 
 /// An open map with a few random rectangular obstacles.
 fn obstacle_map(seed: u64, blocks: usize) -> MapMsg {
@@ -123,6 +124,45 @@ proptest! {
                     "commanded trajectory collides at {p:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn heading_table_rollouts_match_integrate_bit_for_bit(
+        x in -5.0f64..5.0,
+        y in -5.0f64..5.0,
+        heading in (0u8..3, -PI..PI, 0.0f64..1e-3).prop_map(|(kind, th, off)| match kind {
+            // At random, or within 1e-3 of ±π so the rollouts wrap.
+            0 => th,
+            1 => PI - off,
+            _ => -PI + off,
+        }),
+        omegas in proptest::collection::vec(
+            (0u8..4, -2.84f64..2.84).prop_map(|(kind, w)| match kind {
+                0 => 0.0,
+                1 => 5e-10,
+                2 => -5e-10,
+                _ => w,
+            }),
+            1..6,
+        ),
+        v in 0.0f64..0.22,
+    ) {
+        let start = Pose2D { x, y, theta: heading };
+        let table = HeadingTable::new(heading, &omegas, 0.1, 16);
+        for (wi, &w) in omegas.iter().enumerate() {
+            let mut p = start;
+            let mut steps = 0;
+            for q in table.rollout(start.position(), v, wi) {
+                p = p.integrate(Twist::new(v, w), 0.1);
+                steps += 1;
+                prop_assert_eq!(
+                    [q.x.to_bits(), q.y.to_bits(), q.theta.to_bits()],
+                    [p.x.to_bits(), p.y.to_bits(), p.theta.to_bits()],
+                    "ω {} step {}", w, steps
+                );
+            }
+            prop_assert_eq!(steps, 16);
         }
     }
 

@@ -6,7 +6,7 @@ use rand::Rng;
 use std::marker::PhantomData;
 
 /// Types with a canonical "anything" strategy.
-pub trait Arbitrary: Sized {
+pub trait Arbitrary: Sized + std::fmt::Debug {
     /// Draw one arbitrary value.
     fn arbitrary(rng: &mut TestRng) -> Self;
 }

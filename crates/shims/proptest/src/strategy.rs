@@ -2,6 +2,7 @@
 
 use crate::test_runner::TestRng;
 use rand::RngExt;
+use std::fmt::Debug;
 use std::ops::Range;
 
 /// A recipe for generating values of one type.
@@ -9,8 +10,9 @@ use std::ops::Range;
 /// Unlike the real crate there is no value tree / shrinking: a
 /// strategy is just a deterministic function of the test RNG.
 pub trait Strategy {
-    /// Type of the generated values.
-    type Value;
+    /// Type of the generated values; `Debug` so that a failing case
+    /// can report its inputs.
+    type Value: Debug;
 
     /// Draw one value.
     fn sample(&self, rng: &mut TestRng) -> Self::Value;
@@ -30,7 +32,7 @@ pub struct Map<S, F> {
     f: F,
 }
 
-impl<S: Strategy, O, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
+impl<S: Strategy, O: Debug, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
     type Value = O;
     fn sample(&self, rng: &mut TestRng) -> O {
         (self.f)(self.inner.sample(rng))
@@ -40,7 +42,7 @@ impl<S: Strategy, O, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
 /// Strategy that always yields a clone of one value.
 pub struct Just<T: Clone>(pub T);
 
-impl<T: Clone> Strategy for Just<T> {
+impl<T: Clone + Debug> Strategy for Just<T> {
     type Value = T;
     fn sample(&self, _rng: &mut TestRng) -> T {
         self.0.clone()

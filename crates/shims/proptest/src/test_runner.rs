@@ -26,6 +26,7 @@ impl Default for ProptestConfig {
 
 /// Deterministic per-test generator: seeded from a hash of the test
 /// name so every run of a given test sees the same case sequence.
+#[derive(Clone)]
 pub struct TestRng(rand::rngs::SmallRng);
 
 impl TestRng {

@@ -6,7 +6,9 @@
 #
 # Stages (see docs/CI.md for the full description):
 #   build   — cargo build --release, whole workspace, plus the
-#             perfbench benchmark package (its own manifest)
+#             perfbench benchmark package (its own manifest), whose
+#             --print-golden fingerprints must diff clean against
+#             perfbench/golden.txt
 #   tests   — cargo test -q (unit + integration, all crates)
 #   clippy  — warnings denied, all targets
 #   fmt     — rustfmt --check
@@ -72,6 +74,9 @@ stage_build() {
     # public codec and bus API, so it must keep compiling.
     CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
         --manifest-path perfbench/Cargo.toml
+    # Mission fingerprints of every perfbench workload at its canonical
+    # seed must match the committed golden file (~40 s on 2 vCPUs).
+    .bench_build/release/perfbench --print-golden | diff - perfbench/golden.txt
 }
 
 stage_tests() {
