@@ -25,6 +25,7 @@
 //! (profiled vs unattributed time). `--top N` resizes the table
 //! (default 20).
 
+use lgv_bench::suite::PROFILE_SCHEMA;
 use lgv_bench::TablePrinter;
 use lgv_trace::json::Value;
 use lgv_trace::{TraceEvent, TraceReader, TraceRecord};
@@ -67,9 +68,9 @@ struct ProfScenario {
 
 fn parse_profile(v: &Value) -> Result<Vec<ProfScenario>, String> {
     let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
-    if schema != "lgv-bench-profile/v1" {
+    if schema != PROFILE_SCHEMA {
         return Err(format!(
-            "unexpected schema {schema:?} (want \"lgv-bench-profile/v1\")"
+            "unexpected schema {schema:?} (want \"{PROFILE_SCHEMA}\")"
         ));
     }
     let mut out = Vec::new();

@@ -67,6 +67,12 @@ use std::sync::Mutex;
 /// Schema tag of the `BENCH_suite.json` artifact.
 pub const SCHEMA: &str = "lgv-bench-suite/v3";
 
+/// Schema tag of the `BENCH_profile.json` artifact.
+pub const PROFILE_SCHEMA: &str = "lgv-bench-profile/v1";
+
+/// Schema tag of each `BENCH_history.jsonl` line.
+pub const HISTORY_SCHEMA: &str = "lgv-bench-history/v1";
+
 /// Everything a scenario needs to run: an output writer (captured and
 /// checksummed by the suite), the quick flag, the scenario's base RNG
 /// seed, and a tracer whose events are tallied into the JSON artifact.
@@ -501,7 +507,7 @@ impl SuiteReport {
     pub fn profile_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
-        s.push_str("  \"schema\": \"lgv-bench-profile/v1\",\n");
+        s.push_str(&format!("  \"schema\": \"{PROFILE_SCHEMA}\",\n"));
         s.push_str(&format!("  \"threads\": {},\n", self.threads));
         s.push_str(&format!("  \"quick\": {},\n", self.quick));
         s.push_str(&format!("  \"profiled\": {},\n", self.profiled));
@@ -601,7 +607,7 @@ impl SuiteReport {
     /// queryable across commits without re-running anything.
     pub fn history_line(&self) -> String {
         let mut s = String::with_capacity(512);
-        s.push_str("{\"schema\": \"lgv-bench-history/v1\", ");
+        s.push_str(&format!("{{\"schema\": \"{HISTORY_SCHEMA}\", "));
         s.push_str(&format!("\"threads\": {}, ", self.threads));
         s.push_str(&format!("\"quick\": {}, ", self.quick));
         s.push_str(&format!("\"profiled\": {}, ", self.profiled));

@@ -11,7 +11,9 @@
 //! missions are slow; `scripts/ci.sh` runs it in release mode
 //! (`cargo test --release -p lgv-bench --test suite -- --ignored`).
 
-use lgv_bench::suite::{registry, run_suite, Artifact, Scenario};
+use lgv_bench::suite::{
+    registry, run_suite, Artifact, Scenario, HISTORY_SCHEMA, PROFILE_SCHEMA, SCHEMA,
+};
 use lgv_trace::json::Value;
 use std::collections::BTreeSet;
 
@@ -238,6 +240,67 @@ fn committed_bench_artifact_matches_registry() {
     assert_eq!(
         committed, registered,
         "BENCH_suite.json scenario set differs from the registry — regenerate with `suite`"
+    );
+}
+
+/// A file at the repo root, by its repo-relative path.
+fn repo_file(rel: &str) -> String {
+    let path = format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {rel}: {e}"))
+}
+
+/// Every `lgv-bench-<name>/v<N>` tag mentioned in `text`.
+fn schema_tags(text: &str) -> BTreeSet<String> {
+    text.split("lgv-bench-")
+        .skip(1)
+        .filter_map(|rest| {
+            let name = rest.find(|c: char| !c.is_ascii_lowercase())?;
+            let version = rest[name..].strip_prefix("/v")?;
+            let digits = version
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(version.len());
+            (name > 0 && digits > 0)
+                .then(|| format!("lgv-bench-{}/v{}", &rest[..name], &version[..digits]))
+        })
+        .collect()
+}
+
+/// The artifact schema tags the suite emits are exactly the ones
+/// `docs/CI.md` documents, and `suite.rs` mentions no other (a stale
+/// tag in a doc comment counts as drift too).
+#[test]
+fn artifact_schema_tags_match_docs_ci() {
+    let emitted: BTreeSet<String> = [SCHEMA, PROFILE_SCHEMA, HISTORY_SCHEMA]
+        .map(String::from)
+        .into();
+    assert_eq!(
+        schema_tags(&repo_file("crates/bench/src/suite.rs")),
+        emitted,
+        "crates/bench/src/suite.rs mentions a tag it does not emit"
+    );
+    assert_eq!(
+        schema_tags(&repo_file("docs/CI.md")),
+        emitted,
+        "docs/CI.md documents different artifact schema tags than suite.rs emits"
+    );
+}
+
+/// The cross-linked doc set exists and the README links into it.
+#[test]
+fn cross_linked_docs_exist() {
+    for doc in [
+        "docs/ARCHITECTURE.md",
+        "docs/FLEET.md",
+        "docs/OBSERVABILITY.md",
+        "docs/RESILIENCE.md",
+        "docs/POLICY.md",
+        "docs/CI.md",
+    ] {
+        repo_file(doc);
+    }
+    assert!(
+        repo_file("README.md").contains("docs/ARCHITECTURE.md"),
+        "README.md does not link docs/ARCHITECTURE.md"
     );
 }
 

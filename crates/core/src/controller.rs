@@ -146,12 +146,6 @@ impl Controller {
         }
     }
 
-    /// The active policy's stable name (`algorithm1` / `global` /
-    /// `bandit` / a user-defined one).
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Route per-cycle control decisions to `tracer`.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;

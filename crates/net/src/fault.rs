@@ -410,11 +410,6 @@ impl FaultInjector {
         FaultInjector::new(FaultSchedule::none(), SimRng::seed_from_u64(0), false)
     }
 
-    /// Nothing scheduled — the fast path can skip fault bookkeeping.
-    pub fn is_disabled(&self) -> bool {
-        self.schedule.is_empty()
-    }
-
     /// Should a transmission launched at `now` be dropped outright?
     ///
     /// Blackouts and crashes drop everything; burst-loss windows

@@ -118,12 +118,6 @@ impl TcpChannel {
         self.trace_dir = dir;
     }
 
-    /// Override the retransmission timeout.
-    pub fn set_rto(&mut self, rto: Duration) {
-        assert!(rto > Duration::ZERO);
-        self.rto = rto;
-    }
-
     /// Queue a payload for reliable delivery. Never drops; large
     /// backlogs simply take longer (head-of-line blocking).
     pub fn send(&mut self, now: SimTime, payload: Bytes) -> u64 {

@@ -211,11 +211,6 @@ impl GMapping {
         self.particles[self.best].map.to_map_msg(stamp)
     }
 
-    /// Direct access to the best particle's grid (for costmap seeding).
-    pub fn best_grid(&self) -> &OccupancyGrid {
-        &self.particles[self.best].map
-    }
-
     /// Process one odometry + scan pair.
     pub fn process(&mut self, odom: &OdometryMsg, scan: &LaserScan) -> SlamOutput {
         let delta = match self.last_odom {

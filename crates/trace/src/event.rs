@@ -5,12 +5,21 @@
 //! [`EventCategory`] buckets (one per instrumented subsystem) so tests
 //! and dashboards can assert coverage without enumerating every kind.
 //!
+//! The `trace_events!` table below is the schema: one row per variant
+//! gives its docs, name, wire `kind`, category and typed fields, and
+//! the enum, [`TraceEvent::kind`], [`TraceEvent::category`],
+//! [`TraceEvent::KINDS`], the encoder and the [`crate::TraceReader`]
+//! decoder are all generated from it. Adding a kind means one row here
+//! plus one row in `docs/OBSERVABILITY.md`; the golden-line test in
+//! `reader.rs` and `tests/schema_doc.rs` fail until both exist.
+//!
 //! The JSON encoding is hand-rolled (this crate has no dependencies)
-//! and **byte-for-byte deterministic**: field order is fixed by the
-//! code below, integers print in decimal, and floats print via Rust's
-//! shortest-roundtrip `{:?}` formatting. See `docs/OBSERVABILITY.md`
-//! for the full schema reference.
+//! and **byte-for-byte deterministic**: field order is the row's
+//! declaration order, integers print in decimal, and floats print via
+//! Rust's shortest-roundtrip `{:?}` formatting. See
+//! `docs/OBSERVABILITY.md` for the full schema reference.
 
+use crate::json::Value;
 use crate::span::{MsgId, SpanId};
 use std::fmt::Write as _;
 
@@ -27,6 +36,9 @@ pub enum SendKind {
 }
 
 impl SendKind {
+    /// Every outcome, in declaration order.
+    pub const ALL: [SendKind; 3] = [SendKind::Transmitted, SendKind::Held, SendKind::Discarded];
+
     /// Stable wire name.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -108,676 +120,425 @@ impl EventCategory {
     }
 }
 
-/// One structured observation from the instrumented stack.
-///
-/// All timestamps and durations are virtual-time nanoseconds (`u64`),
-/// never wall-clock — traces replay identically for a given seed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A mission began.
-    MissionStart {
-        /// Workload name (`Navigation` / `Exploration`).
-        workload: String,
-        /// Deployment label (Fig. 12/13 scenario).
-        deployment: String,
-        /// Master seed (replays of the same seed produce identical
-        /// traces).
-        seed: u64,
-    },
-    /// One control cycle's position/goal/battery snapshot.
-    MissionProgress {
-        /// Ground-truth x (m).
-        x: f64,
-        /// Ground-truth y (m).
-        y: f64,
-        /// Current goal x (m).
-        goal_x: f64,
-        /// Current goal y (m).
-        goal_y: f64,
-        /// Straight-line distance to the goal (m).
-        goal_dist: f64,
-        /// Battery state of charge in [0, 1].
-        battery_soc: f64,
-    },
-    /// The mission ended.
-    MissionEnd {
-        /// Whether the goal was achieved within the caps.
-        completed: bool,
-        /// Human-readable reason.
-        reason: String,
-    },
-    /// A causal span opened (one per 200 ms control cycle).
-    SpanBegin {
-        /// The span's id; every record emitted until the matching
-        /// [`TraceEvent::SpanEnd`] carries it in its envelope.
-        span: SpanId,
-        /// Span name (`cycle` for control cycles).
-        name: String,
-        /// Ordinal of this span among same-named spans (cycle number).
-        index: u64,
-    },
-    /// A causal span closed.
-    SpanEnd {
-        /// The span that closed.
-        span: SpanId,
-    },
-    /// A message was published on a bus topic.
-    BusPublish {
-        /// Topic name.
-        topic: String,
-        /// Serialized payload size.
-        bytes: u64,
-        /// Number of subscriber queues the bytes fanned out to.
-        fanout: u32,
-        /// Lineage id allocated to this message.
-        msg: MsgId,
-        /// Origin message when this publish relays another message
-        /// across hosts ([`MsgId::NONE`] for fresh publishes).
-        parent: MsgId,
-    },
-    /// A full bounded subscriber queue dropped its oldest message
-    /// (the freshness-over-completeness policy in action).
-    BusDrop {
-        /// Topic name.
-        topic: String,
-        /// Lineage id of the dropped (oldest) message.
-        msg: MsgId,
-    },
-    /// A datagram was offered to a simulated UDP channel.
-    ChannelSend {
-        /// Channel direction label (`up` / `down` / `tcp`).
-        dir: String,
-        /// Channel sequence number.
-        seq: u64,
-        /// Payload size.
-        bytes: u64,
-        /// What the driver did with it.
-        outcome: SendKind,
-        /// Lineage id of the bus message inside the datagram
-        /// ([`MsgId::NONE`] for control chatter such as acks).
-        msg: MsgId,
-    },
-    /// A transmitted datagram was lost in the air.
-    ChannelLoss {
-        /// Channel direction label.
-        dir: String,
-        /// Channel sequence number.
-        seq: u64,
-        /// Lineage id of the lost datagram's message.
-        msg: MsgId,
-    },
-    /// A datagram reached the receive queue (emitted at the tick that
-    /// observed the arrival; `latency_ns` is the true channel latency
-    /// including any time parked in the kernel buffer).
-    ChannelDeliver {
-        /// Channel direction label.
-        dir: String,
-        /// Channel sequence number.
-        seq: u64,
-        /// Lineage id of the delivered message.
-        msg: MsgId,
-        /// `arrived_at - sent_at` for the datagram.
-        latency_ns: u64,
-    },
-    /// A round-trip-time sample from an echoed stamp.
-    RttSample {
-        /// The measured RTT.
-        rtt_ns: u64,
-    },
-    /// The Profiler recorded a node's processing time.
-    ProfileSample {
-        /// Node name.
-        node: String,
-        /// Whether the node ran on the remote platform.
-        remote: bool,
-        /// Processing time.
-        nanos: u64,
-        /// Lineage id of the message the activation consumed
-        /// ([`MsgId::NONE`] when the input did not ride the bus).
-        msg: MsgId,
-    },
-    /// One runtime-Controller evaluation: the Algorithm 1 makespan
-    /// inputs, the Algorithm 2 network inputs, and the outputs.
-    ControlDecision {
-        /// `T_l^v`: all-local VDP makespan estimate.
-        local_vdp_ns: u64,
-        /// `T_c`: offloaded VDP makespan estimate (network included).
-        cloud_vdp_ns: u64,
-        /// Packet bandwidth `r_t` (packets/s).
-        bandwidth: f64,
-        /// Signal direction `d_t` (positive = approaching the WAP).
-        direction: f64,
-        /// Whether the VDP runs remotely this cycle.
-        vdp_remote: bool,
-        /// Eq. 2c maximum linear velocity in force.
-        max_linear: f64,
-        /// Algorithm 2 verdict (`keep` / `invoke_local` /
-        /// `invoke_remote`).
-        net_decision: String,
-    },
-    /// One offload-policy decision tick: which `OffloadPolicy`
-    /// implementation produced this cycle's placement plan and what it
-    /// chose (the decision-layer counterpart of
-    /// [`TraceEvent::ControlDecision`], which records the applied
-    /// actuation outputs).
-    PolicyDecide {
-        /// Policy name (`algorithm1` / `global` / `bandit`).
-        policy: String,
-        /// Chosen remote node set (`+`-joined short names, `-` when
-        /// everything stays on the vehicle).
-        remote: String,
-        /// The plan's expected VDP makespan.
-        expected_vdp_ns: u64,
-        /// The plan's advisory Eq. 2c velocity.
-        max_velocity: f64,
-    },
-    /// A thread-governor recommendation (§VIII-E).
-    GovernorDecision {
-        /// Mean velocity-gap ratio over the window.
-        mean_gap: f64,
-        /// Recommended remote thread count.
-        threads: u32,
-    },
-    /// Energy accumulated by one component since the previous delta.
-    EnergyDelta {
-        /// Component name (Fig. 13 bar).
-        component: String,
-        /// Joules added.
-        joules: f64,
-    },
-    /// Algorithm 2 switched the placement.
-    NetSwitch {
-        /// `true` = nodes now invoked remotely, `false` = locally.
-        to_remote: bool,
-    },
-    /// A node-state migration transfer started.
-    MigrationStart {
-        /// Total state bytes being shipped.
-        bytes: u64,
-    },
-    /// The in-flight migration delivered its last segment.
-    MigrationCommit {
-        /// Transfer duration.
-        elapsed_ns: u64,
-        /// Cumulative reliable-channel transmission attempts.
-        attempts: u64,
-    },
-    /// The in-flight migration was abandoned (state rebuilt from
-    /// fresh sensor data instead).
-    MigrationAbort,
-    /// A scripted fault window opened.
-    FaultBegin {
-        /// Fault kind label (`blackout` / `burst_loss` /
-        /// `latency_spike` / `corruption` / `remote_crash`).
-        fault: String,
-        /// Index of the window in the mission's fault schedule (pairs
-        /// this event with its [`TraceEvent::FaultEnd`]).
-        window: u64,
-        /// Scripted length of the window.
-        window_ns: u64,
-    },
-    /// A scripted fault window closed.
-    FaultEnd {
-        /// Fault kind label (as in [`TraceEvent::FaultBegin`]).
-        fault: String,
-        /// Index of the window in the mission's fault schedule.
-        window: u64,
-    },
-    /// The cloud-liveness heartbeat expired: downlink silence under a
-    /// healthy radio, so the remote host is presumed dead and the
-    /// Controller invokes nodes locally at once (no outage-watchdog
-    /// wait).
-    HeartbeatMiss {
-        /// How long the downlink had been silent when the heartbeat
-        /// fired.
-        silence_ns: u64,
-    },
-    /// A node-state migration overran its deadline and was aborted
-    /// (the destination rebuilds state from fresh sensor data).
-    MigrationTimeout {
-        /// How long the transfer had been running.
-        elapsed_ns: u64,
-        /// Total state bytes the transfer was shipping.
-        bytes: u64,
-    },
-    /// Algorithm 2 wanted to re-offload but the exponential backoff
-    /// after a recent offload failure suppressed the switch.
-    ReoffloadBackoff {
-        /// Time remaining until re-offload is allowed again.
-        wait_ns: u64,
-        /// Consecutive offload failures behind the current backoff.
-        failures: u64,
-    },
-    /// This vehicle's same-stage cloud request coalesced into a
-    /// batched execution with other tenants' requests from the same
-    /// contention window (the elastic scheduler's batched admission).
-    CloudBatch {
-        /// Coalesced stage label (`NodeKind` short name, e.g. `slam`).
-        stage: String,
-        /// Distinct tenants sharing the batch after this join (≥ 2).
-        occupancy: u64,
-        /// Contention-window index the batch formed in.
-        window: u64,
-        /// Marginal compute this join added instead of a full
-        /// independent execution.
-        marginal_ns: u64,
-    },
-    /// The elastic cloud's replica pool scaled at a contention-window
-    /// boundary (attributed to the vehicle whose admission crossed the
-    /// boundary and observed the decision).
-    CloudScale {
-        /// Provisioned replicas before the decision.
-        from_replicas: u32,
-        /// Provisioned replicas after (spin-up lag still applies
-        /// before an added replica serves).
-        to_replicas: u32,
-        /// The previous-window utilization that triggered it.
-        utilization: f64,
-        /// Window index the new pool size takes effect in.
-        window: u64,
-    },
-    /// A checkpoint transfer of offloaded node state completed: crash
-    /// recovery can now resume from this snapshot instead of a cold
-    /// rebuild.
-    Checkpoint {
-        /// Snapshot size shipped over the migration TCP path.
-        bytes: u64,
-        /// Transfer duration.
-        elapsed_ns: u64,
-    },
-    /// Sustained stress (blackout or exhausted re-offload backoff)
-    /// dropped the local pipeline to reduced fidelity so the control
-    /// deadline keeps being met on vehicle silicon.
-    DegradeEnter {
-        /// What tripped the trigger (`blackout` / `backoff`).
-        cause: String,
-        /// SLAM particle count in force while degraded.
-        slam_particles: u64,
-        /// DWA trajectory-sample budget in force while degraded.
-        dwa_samples: u64,
-    },
-    /// Sustained health restored full pipeline fidelity.
-    DegradeExit {
-        /// How long the degraded mode was held.
-        held_ns: u64,
-        /// Control cycles that missed their deadline while degraded.
-        missed_cycles: u64,
-    },
-    /// A scripted cloud-replica crash window opened: the affected
-    /// replicas stop serving (capacity shrinks) but keep billing.
-    ReplicaCrash {
-        /// Replicas taken down by this window.
-        replicas: u64,
-        /// Index of the window in the cloud fault schedule.
-        window: u64,
-        /// Scripted length of the window.
-        window_ns: u64,
-    },
-    /// A scripted straggler window opened: admissions land on a slow
-    /// replica and their queueing + execution stretch by `factor`.
-    ReplicaStraggle {
-        /// Service-time multiplier while the window is open (> 1).
-        factor: f64,
-        /// Index of the window in the cloud fault schedule.
-        window: u64,
-        /// Scripted length of the window.
-        window_ns: u64,
-    },
-    /// A sharded fleet placed this vehicle: its floorplan stall falls
-    /// in `region` (which owns the WAP it uplinks through) and its
-    /// offloaded stages are served by scheduler pool `cloud_pool`.
-    RegionAssign {
-        /// Radio region (floorplan stripe) the vehicle parks in.
-        region: u32,
-        /// Cloud scheduler pool serving the region (`region %
-        /// cloud_pools`).
-        cloud_pool: u32,
-        /// Whether the pool is homed in another region, so every
-        /// admission pays the deterministic WAN hop.
-        wan: bool,
-    },
-    /// A remote admission from a vehicle whose serving cloud pool is
-    /// homed in another region paid the deterministic WAN hop.
-    WanHop {
-        /// Region the vehicle (and its WAP) lives in.
-        from_region: u32,
-        /// Region the serving scheduler pool is homed in.
-        to_region: u32,
-        /// The hop surcharge added to the remote processing time.
-        delay_ns: u64,
-    },
+/// The wire name of a field: its Rust name unless the row overrides it.
+macro_rules! wire_name {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $wire:literal) => {
+        $wire
+    };
 }
 
-impl TraceEvent {
-    /// Stable snake-case kind name (the JSON `kind` field).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::MissionStart { .. } => "mission_start",
-            TraceEvent::MissionProgress { .. } => "mission_progress",
-            TraceEvent::MissionEnd { .. } => "mission_end",
-            TraceEvent::SpanBegin { .. } => "span_begin",
-            TraceEvent::SpanEnd { .. } => "span_end",
-            TraceEvent::BusPublish { .. } => "bus_publish",
-            TraceEvent::BusDrop { .. } => "bus_drop",
-            TraceEvent::ChannelSend { .. } => "channel_send",
-            TraceEvent::ChannelLoss { .. } => "channel_loss",
-            TraceEvent::ChannelDeliver { .. } => "channel_deliver",
-            TraceEvent::RttSample { .. } => "rtt_sample",
-            TraceEvent::ProfileSample { .. } => "profile_sample",
-            TraceEvent::ControlDecision { .. } => "control_decision",
-            TraceEvent::PolicyDecide { .. } => "policy_decide",
-            TraceEvent::GovernorDecision { .. } => "governor_decision",
-            TraceEvent::EnergyDelta { .. } => "energy_delta",
-            TraceEvent::NetSwitch { .. } => "net_switch",
-            TraceEvent::MigrationStart { .. } => "migration_start",
-            TraceEvent::MigrationCommit { .. } => "migration_commit",
-            TraceEvent::MigrationAbort => "migration_abort",
-            TraceEvent::FaultBegin { .. } => "fault_begin",
-            TraceEvent::FaultEnd { .. } => "fault_end",
-            TraceEvent::HeartbeatMiss { .. } => "heartbeat_miss",
-            TraceEvent::MigrationTimeout { .. } => "migration_timeout",
-            TraceEvent::ReoffloadBackoff { .. } => "reoffload_backoff",
-            TraceEvent::CloudBatch { .. } => "cloud_batch",
-            TraceEvent::CloudScale { .. } => "cloud_scale",
-            TraceEvent::Checkpoint { .. } => "checkpoint",
-            TraceEvent::DegradeEnter { .. } => "degrade_enter",
-            TraceEvent::DegradeExit { .. } => "degrade_exit",
-            TraceEvent::ReplicaCrash { .. } => "replica_crash",
-            TraceEvent::ReplicaStraggle { .. } => "replica_straggle",
-            TraceEvent::RegionAssign { .. } => "region_assign",
-            TraceEvent::WanHop { .. } => "wan_hop",
-        }
-    }
+/// Generates [`TraceEvent`] and its whole wire schema from one table.
+///
+/// Each row is `Variant = "kind" in Category { fields }`, with the
+/// variant's and each field's doc comments. A fieldless row has no
+/// braces and becomes a unit variant. `field as "name": Type` encodes
+/// the field under another key. Every field type implements [`Field`].
+macro_rules! trace_events {
+    (
+        $(#[$enum_doc:meta])*
+        pub enum TraceEvent {$(
+            $(#[$doc:meta])*
+            $name:ident = $kind:literal in $cat:ident $({$(
+                $(#[$field_doc:meta])*
+                $field:ident $(as $wire:literal)?: $ty:ty
+            ),* $(,)?})?
+        ),+ $(,)?}
+    ) => {
+        $(#[$enum_doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TraceEvent {$(
+            $(#[$doc])*
+            $name $({$(
+                $(#[$field_doc])*
+                $field: $ty,
+            )*})?,
+        )+}
 
-    /// The coarse subsystem bucket this event belongs to.
-    pub fn category(&self) -> EventCategory {
-        match self {
-            TraceEvent::MissionStart { .. }
-            | TraceEvent::MissionProgress { .. }
-            | TraceEvent::MissionEnd { .. } => EventCategory::Mission,
-            TraceEvent::SpanBegin { .. } | TraceEvent::SpanEnd { .. } => EventCategory::Span,
-            TraceEvent::BusPublish { .. } | TraceEvent::BusDrop { .. } => EventCategory::Bus,
-            TraceEvent::ChannelSend { .. }
-            | TraceEvent::ChannelLoss { .. }
-            | TraceEvent::ChannelDeliver { .. } => EventCategory::Channel,
-            TraceEvent::RttSample { .. } => EventCategory::Rtt,
-            TraceEvent::ProfileSample { .. } => EventCategory::Profile,
-            TraceEvent::ControlDecision { .. } | TraceEvent::PolicyDecide { .. } => {
-                EventCategory::Control
-            }
-            TraceEvent::GovernorDecision { .. } => EventCategory::Governor,
-            TraceEvent::EnergyDelta { .. } => EventCategory::Energy,
-            TraceEvent::NetSwitch { .. }
-            | TraceEvent::MigrationStart { .. }
-            | TraceEvent::MigrationCommit { .. }
-            | TraceEvent::MigrationAbort
-            | TraceEvent::MigrationTimeout { .. }
-            | TraceEvent::Checkpoint { .. } => EventCategory::Migration,
-            TraceEvent::HeartbeatMiss { .. }
-            | TraceEvent::ReoffloadBackoff { .. }
-            | TraceEvent::DegradeEnter { .. }
-            | TraceEvent::DegradeExit { .. } => EventCategory::Control,
-            TraceEvent::FaultBegin { .. } | TraceEvent::FaultEnd { .. } => EventCategory::Fault,
-            TraceEvent::CloudBatch { .. }
-            | TraceEvent::CloudScale { .. }
-            | TraceEvent::ReplicaCrash { .. }
-            | TraceEvent::ReplicaStraggle { .. } => EventCategory::Cloud,
-            TraceEvent::RegionAssign { .. } | TraceEvent::WanHop { .. } => EventCategory::Region,
-        }
-    }
+        impl TraceEvent {
+            /// Every kind in declaration order: its wire `kind` string,
+            /// its category, and its field names in encoding order.
+            pub const KINDS: &[(&str, EventCategory, &[&str])] = &[$(
+                ($kind, EventCategory::$cat, &[$($(wire_name!($field $($wire)?)),*)?]),
+            )+];
 
-    /// Append this event's fields (past `kind`) to a JSON object body.
-    fn write_fields(&self, out: &mut String) {
-        match self {
-            TraceEvent::MissionStart {
-                workload,
-                deployment,
-                seed,
-            } => {
-                field_str(out, "workload", workload);
-                field_str(out, "deployment", deployment);
-                field_u64(out, "seed", *seed);
+            /// Stable snake-case kind name (the JSON `kind` field).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$name { .. } => $kind,)+
+                }
             }
-            TraceEvent::MissionProgress {
-                x,
-                y,
-                goal_x,
-                goal_y,
-                goal_dist,
-                battery_soc,
-            } => {
-                field_f64(out, "x", *x);
-                field_f64(out, "y", *y);
-                field_f64(out, "goal_x", *goal_x);
-                field_f64(out, "goal_y", *goal_y);
-                field_f64(out, "goal_dist", *goal_dist);
-                field_f64(out, "battery_soc", *battery_soc);
+
+            /// The coarse subsystem bucket this event belongs to.
+            pub fn category(&self) -> EventCategory {
+                match self {
+                    $(TraceEvent::$name { .. } => EventCategory::$cat,)+
+                }
             }
-            TraceEvent::MissionEnd { completed, reason } => {
-                field_bool(out, "completed", *completed);
-                field_str(out, "reason", reason);
+
+            /// Append this event's fields (past `kind`) to a JSON object body.
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(TraceEvent::$name { $($($field),*)? } => {
+                        $($(Field::encode($field, out, wire_name!($field $($wire)?));)*)?
+                    })+
+                }
             }
-            TraceEvent::SpanBegin { span, name, index } => {
-                field_u64(out, "span_id", span.0);
-                field_str(out, "name", name);
-                field_u64(out, "index", *index);
-            }
-            TraceEvent::SpanEnd { span } => {
-                field_u64(out, "span_id", span.0);
-            }
-            TraceEvent::BusPublish {
-                topic,
-                bytes,
-                fanout,
-                msg,
-                parent,
-            } => {
-                field_str(out, "topic", topic);
-                field_u64(out, "bytes", *bytes);
-                field_u64(out, "fanout", u64::from(*fanout));
-                field_u64(out, "msg", msg.0);
-                field_u64(out, "parent", parent.0);
-            }
-            TraceEvent::BusDrop { topic, msg } => {
-                field_str(out, "topic", topic);
-                field_u64(out, "msg", msg.0);
-            }
-            TraceEvent::ChannelSend {
-                dir,
-                seq,
-                bytes,
-                outcome,
-                msg,
-            } => {
-                field_str(out, "dir", dir);
-                field_u64(out, "seq", *seq);
-                field_u64(out, "bytes", *bytes);
-                field_str(out, "outcome", outcome.as_str());
-                field_u64(out, "msg", msg.0);
-            }
-            TraceEvent::ChannelLoss { dir, seq, msg } => {
-                field_str(out, "dir", dir);
-                field_u64(out, "seq", *seq);
-                field_u64(out, "msg", msg.0);
-            }
-            TraceEvent::ChannelDeliver {
-                dir,
-                seq,
-                msg,
-                latency_ns,
-            } => {
-                field_str(out, "dir", dir);
-                field_u64(out, "seq", *seq);
-                field_u64(out, "msg", msg.0);
-                field_u64(out, "latency_ns", *latency_ns);
-            }
-            TraceEvent::RttSample { rtt_ns } => {
-                field_u64(out, "rtt_ns", *rtt_ns);
-            }
-            TraceEvent::ProfileSample {
-                node,
-                remote,
-                nanos,
-                msg,
-            } => {
-                field_str(out, "node", node);
-                field_bool(out, "remote", *remote);
-                field_u64(out, "nanos", *nanos);
-                field_u64(out, "msg", msg.0);
-            }
-            TraceEvent::ControlDecision {
-                local_vdp_ns,
-                cloud_vdp_ns,
-                bandwidth,
-                direction,
-                vdp_remote,
-                max_linear,
-                net_decision,
-            } => {
-                field_u64(out, "local_vdp_ns", *local_vdp_ns);
-                field_u64(out, "cloud_vdp_ns", *cloud_vdp_ns);
-                field_f64(out, "bandwidth", *bandwidth);
-                field_f64(out, "direction", *direction);
-                field_bool(out, "vdp_remote", *vdp_remote);
-                field_f64(out, "max_linear", *max_linear);
-                field_str(out, "net_decision", net_decision);
-            }
-            TraceEvent::PolicyDecide {
-                policy,
-                remote,
-                expected_vdp_ns,
-                max_velocity,
-            } => {
-                field_str(out, "policy", policy);
-                field_str(out, "remote", remote);
-                field_u64(out, "expected_vdp_ns", *expected_vdp_ns);
-                field_f64(out, "max_velocity", *max_velocity);
-            }
-            TraceEvent::GovernorDecision { mean_gap, threads } => {
-                field_f64(out, "mean_gap", *mean_gap);
-                field_u64(out, "threads", u64::from(*threads));
-            }
-            TraceEvent::EnergyDelta { component, joules } => {
-                field_str(out, "component", component);
-                field_f64(out, "joules", *joules);
-            }
-            TraceEvent::NetSwitch { to_remote } => {
-                field_bool(out, "to_remote", *to_remote);
-            }
-            TraceEvent::MigrationStart { bytes } => {
-                field_u64(out, "bytes", *bytes);
-            }
-            TraceEvent::MigrationCommit {
-                elapsed_ns,
-                attempts,
-            } => {
-                field_u64(out, "elapsed_ns", *elapsed_ns);
-                field_u64(out, "attempts", *attempts);
-            }
-            TraceEvent::MigrationAbort => {}
-            TraceEvent::FaultBegin {
-                fault,
-                window,
-                window_ns,
-            } => {
-                field_str(out, "fault", fault);
-                field_u64(out, "window", *window);
-                field_u64(out, "window_ns", *window_ns);
-            }
-            TraceEvent::FaultEnd { fault, window } => {
-                field_str(out, "fault", fault);
-                field_u64(out, "window", *window);
-            }
-            TraceEvent::HeartbeatMiss { silence_ns } => {
-                field_u64(out, "silence_ns", *silence_ns);
-            }
-            TraceEvent::MigrationTimeout { elapsed_ns, bytes } => {
-                field_u64(out, "elapsed_ns", *elapsed_ns);
-                field_u64(out, "bytes", *bytes);
-            }
-            TraceEvent::ReoffloadBackoff { wait_ns, failures } => {
-                field_u64(out, "wait_ns", *wait_ns);
-                field_u64(out, "failures", *failures);
-            }
-            TraceEvent::CloudBatch {
-                stage,
-                occupancy,
-                window,
-                marginal_ns,
-            } => {
-                field_str(out, "stage", stage);
-                field_u64(out, "occupancy", *occupancy);
-                field_u64(out, "window", *window);
-                field_u64(out, "marginal_ns", *marginal_ns);
-            }
-            TraceEvent::CloudScale {
-                from_replicas,
-                to_replicas,
-                utilization,
-                window,
-            } => {
-                field_u64(out, "from_replicas", u64::from(*from_replicas));
-                field_u64(out, "to_replicas", u64::from(*to_replicas));
-                field_f64(out, "utilization", *utilization);
-                field_u64(out, "window", *window);
-            }
-            TraceEvent::Checkpoint { bytes, elapsed_ns } => {
-                field_u64(out, "bytes", *bytes);
-                field_u64(out, "elapsed_ns", *elapsed_ns);
-            }
-            TraceEvent::DegradeEnter {
-                cause,
-                slam_particles,
-                dwa_samples,
-            } => {
-                field_str(out, "cause", cause);
-                field_u64(out, "slam_particles", *slam_particles);
-                field_u64(out, "dwa_samples", *dwa_samples);
-            }
-            TraceEvent::DegradeExit {
-                held_ns,
-                missed_cycles,
-            } => {
-                field_u64(out, "held_ns", *held_ns);
-                field_u64(out, "missed_cycles", *missed_cycles);
-            }
-            TraceEvent::ReplicaCrash {
-                replicas,
-                window,
-                window_ns,
-            } => {
-                field_u64(out, "replicas", *replicas);
-                field_u64(out, "window", *window);
-                field_u64(out, "window_ns", *window_ns);
-            }
-            TraceEvent::ReplicaStraggle {
-                factor,
-                window,
-                window_ns,
-            } => {
-                field_f64(out, "factor", *factor);
-                field_u64(out, "window", *window);
-                field_u64(out, "window_ns", *window_ns);
-            }
-            TraceEvent::RegionAssign {
-                region,
-                cloud_pool,
-                wan,
-            } => {
-                field_u64(out, "region", u64::from(*region));
-                field_u64(out, "cloud_pool", u64::from(*cloud_pool));
-                field_bool(out, "wan", *wan);
-            }
-            TraceEvent::WanHop {
-                from_region,
-                to_region,
-                delay_ns,
-            } => {
-                field_u64(out, "from_region", u64::from(*from_region));
-                field_u64(out, "to_region", u64::from(*to_region));
-                field_u64(out, "delay_ns", *delay_ns);
+
+            /// Rebuild the event of `kind` from the fields that follow
+            /// `kind` on its line.
+            pub(crate) fn decode(kind: &str, fields: &[(String, Value)]) -> Result<TraceEvent, String> {
+                Ok(match kind {
+                    $($kind => TraceEvent::$name {
+                        $($($field: field(fields, wire_name!($field $($wire)?))?,)*)?
+                    },)+
+                    other => return Err(format!("unknown event kind `{other}`")),
+                })
             }
         }
+    };
+}
+
+trace_events! {
+    /// One structured observation from the instrumented stack.
+    ///
+    /// All timestamps and durations are virtual-time nanoseconds (`u64`),
+    /// never wall-clock — traces replay identically for a given seed.
+    pub enum TraceEvent {
+        /// A mission began.
+        MissionStart = "mission_start" in Mission {
+            /// Workload name (`Navigation` / `Exploration`).
+            workload: String,
+            /// Deployment label (Fig. 12/13 scenario).
+            deployment: String,
+            /// Master seed (replays of the same seed produce identical
+            /// traces).
+            seed: u64,
+        },
+        /// One control cycle's position/goal/battery snapshot.
+        MissionProgress = "mission_progress" in Mission {
+            /// Ground-truth x (m).
+            x: f64,
+            /// Ground-truth y (m).
+            y: f64,
+            /// Current goal x (m).
+            goal_x: f64,
+            /// Current goal y (m).
+            goal_y: f64,
+            /// Straight-line distance to the goal (m).
+            goal_dist: f64,
+            /// Battery state of charge in [0, 1].
+            battery_soc: f64,
+        },
+        /// The mission ended.
+        MissionEnd = "mission_end" in Mission {
+            /// Whether the goal was achieved within the caps.
+            completed: bool,
+            /// Human-readable reason.
+            reason: String,
+        },
+        /// A causal span opened (one per 200 ms control cycle).
+        SpanBegin = "span_begin" in Span {
+            /// The span's id; every record emitted until the matching
+            /// [`TraceEvent::SpanEnd`] carries it in its envelope.
+            span as "span_id": SpanId,
+            /// Span name (`cycle` for control cycles).
+            name: String,
+            /// Ordinal of this span among same-named spans (cycle number).
+            index: u64,
+        },
+        /// A causal span closed.
+        SpanEnd = "span_end" in Span {
+            /// The span that closed.
+            span as "span_id": SpanId,
+        },
+        /// A message was published on a bus topic.
+        BusPublish = "bus_publish" in Bus {
+            /// Topic name.
+            topic: String,
+            /// Serialized payload size.
+            bytes: u64,
+            /// Number of subscriber queues the bytes fanned out to.
+            fanout: u32,
+            /// Lineage id allocated to this message.
+            msg: MsgId,
+            /// Origin message when this publish relays another message
+            /// across hosts ([`MsgId::NONE`] for fresh publishes).
+            parent: MsgId,
+        },
+        /// A full bounded subscriber queue dropped its oldest message
+        /// (the freshness-over-completeness policy in action).
+        BusDrop = "bus_drop" in Bus {
+            /// Topic name.
+            topic: String,
+            /// Lineage id of the dropped (oldest) message.
+            msg: MsgId,
+        },
+        /// A datagram was offered to a simulated UDP channel.
+        ChannelSend = "channel_send" in Channel {
+            /// Channel direction label (`up` / `down` / `tcp`).
+            dir: String,
+            /// Channel sequence number.
+            seq: u64,
+            /// Payload size.
+            bytes: u64,
+            /// What the simulated UDP send did with it.
+            outcome: SendKind,
+            /// Lineage id of the bus message inside the datagram
+            /// ([`MsgId::NONE`] for control chatter such as acks).
+            msg: MsgId,
+        },
+        /// A transmitted datagram was lost in the air.
+        ChannelLoss = "channel_loss" in Channel {
+            /// Channel direction label.
+            dir: String,
+            /// Channel sequence number.
+            seq: u64,
+            /// Lineage id of the lost datagram's message.
+            msg: MsgId,
+        },
+        /// A datagram reached the receive queue (emitted at the tick that
+        /// observed the arrival; `latency_ns` is the true channel latency
+        /// including any time parked in the kernel buffer).
+        ChannelDeliver = "channel_deliver" in Channel {
+            /// Channel direction label.
+            dir: String,
+            /// Channel sequence number.
+            seq: u64,
+            /// Lineage id of the delivered message.
+            msg: MsgId,
+            /// `arrived_at - sent_at` for the datagram.
+            latency_ns: u64,
+        },
+        /// A round-trip-time sample from an echoed stamp.
+        RttSample = "rtt_sample" in Rtt {
+            /// The measured RTT.
+            rtt_ns: u64,
+        },
+        /// The Profiler recorded a node's processing time.
+        ProfileSample = "profile_sample" in Profile {
+            /// Node name.
+            node: String,
+            /// Whether the node ran on the remote platform.
+            remote: bool,
+            /// Processing time.
+            nanos: u64,
+            /// Lineage id of the message the activation consumed
+            /// ([`MsgId::NONE`] when the input did not ride the bus).
+            msg: MsgId,
+        },
+        /// One runtime-Controller evaluation: the Algorithm 1 makespan
+        /// inputs, the Algorithm 2 network inputs, and the outputs.
+        ControlDecision = "control_decision" in Control {
+            /// `T_l^v`: all-local VDP makespan estimate.
+            local_vdp_ns: u64,
+            /// `T_c`: offloaded VDP makespan estimate (network included).
+            cloud_vdp_ns: u64,
+            /// Packet bandwidth `r_t` (packets/s).
+            bandwidth: f64,
+            /// Signal direction `d_t` (positive = approaching the WAP).
+            direction: f64,
+            /// Whether the VDP runs remotely this cycle.
+            vdp_remote: bool,
+            /// Eq. 2c maximum linear velocity in force.
+            max_linear: f64,
+            /// Algorithm 2 verdict (`keep` / `invoke_local` /
+            /// `invoke_remote`).
+            net_decision: String,
+        },
+        /// One offload-policy decision tick: which `OffloadPolicy`
+        /// implementation produced this cycle's placement plan and what it
+        /// chose (the decision-layer counterpart of
+        /// [`TraceEvent::ControlDecision`], which records the applied
+        /// actuation outputs).
+        PolicyDecide = "policy_decide" in Control {
+            /// Policy name (`algorithm1` / `global` / `bandit`).
+            policy: String,
+            /// Chosen remote node set (`+`-joined short names, `-` when
+            /// everything stays on the vehicle).
+            remote: String,
+            /// The plan's expected VDP makespan.
+            expected_vdp_ns: u64,
+            /// The plan's advisory Eq. 2c velocity.
+            max_velocity: f64,
+        },
+        /// A thread-governor recommendation (§VIII-E).
+        GovernorDecision = "governor_decision" in Governor {
+            /// Mean velocity-gap ratio over the window.
+            mean_gap: f64,
+            /// Recommended remote thread count.
+            threads: u32,
+        },
+        /// Energy accumulated by one component since the previous delta.
+        EnergyDelta = "energy_delta" in Energy {
+            /// Component name (Fig. 13 bar).
+            component: String,
+            /// Joules added.
+            joules: f64,
+        },
+        /// Algorithm 2 switched the placement.
+        NetSwitch = "net_switch" in Migration {
+            /// `true` = nodes now invoked remotely, `false` = locally.
+            to_remote: bool,
+        },
+        /// A node-state migration transfer started.
+        MigrationStart = "migration_start" in Migration {
+            /// Total state bytes being shipped.
+            bytes: u64,
+        },
+        /// The in-flight migration delivered its last segment.
+        MigrationCommit = "migration_commit" in Migration {
+            /// Transfer duration.
+            elapsed_ns: u64,
+            /// Cumulative reliable-channel transmission attempts.
+            attempts: u64,
+        },
+        /// The in-flight migration was abandoned (state rebuilt from
+        /// fresh sensor data instead).
+        MigrationAbort = "migration_abort" in Migration,
+        /// A scripted fault window opened.
+        FaultBegin = "fault_begin" in Fault {
+            /// Fault kind label (`blackout` / `burst_loss` /
+            /// `latency_spike` / `corruption` / `remote_crash`).
+            fault: String,
+            /// Index of the window in the mission's fault schedule (pairs
+            /// this event with its [`TraceEvent::FaultEnd`]).
+            window: u64,
+            /// Scripted length of the window.
+            window_ns: u64,
+        },
+        /// A scripted fault window closed.
+        FaultEnd = "fault_end" in Fault {
+            /// Fault kind label (as in [`TraceEvent::FaultBegin`]).
+            fault: String,
+            /// Index of the window in the mission's fault schedule.
+            window: u64,
+        },
+        /// The cloud-liveness heartbeat expired: downlink silence under a
+        /// healthy radio, so the remote host is presumed dead and the
+        /// Controller invokes nodes locally at once (no outage-watchdog
+        /// wait).
+        HeartbeatMiss = "heartbeat_miss" in Control {
+            /// How long the downlink had been silent when the heartbeat
+            /// fired.
+            silence_ns: u64,
+        },
+        /// A node-state migration overran its deadline and was aborted
+        /// (the destination rebuilds state from fresh sensor data).
+        MigrationTimeout = "migration_timeout" in Migration {
+            /// How long the transfer had been running.
+            elapsed_ns: u64,
+            /// Total state bytes the transfer was shipping.
+            bytes: u64,
+        },
+        /// Algorithm 2 wanted to re-offload but the exponential backoff
+        /// after a recent offload failure suppressed the switch.
+        ReoffloadBackoff = "reoffload_backoff" in Control {
+            /// Time remaining until re-offload is allowed again.
+            wait_ns: u64,
+            /// Consecutive offload failures behind the current backoff.
+            failures: u64,
+        },
+        /// This vehicle's same-stage cloud request coalesced into a
+        /// batched execution with other tenants' requests from the same
+        /// contention window (the elastic scheduler's batched admission).
+        CloudBatch = "cloud_batch" in Cloud {
+            /// Coalesced stage label (`NodeKind` short name, e.g. `slam`).
+            stage: String,
+            /// Distinct tenants sharing the batch after this join (≥ 2).
+            occupancy: u64,
+            /// Contention-window index the batch formed in.
+            window: u64,
+            /// Marginal compute this join added instead of a full
+            /// independent execution.
+            marginal_ns: u64,
+        },
+        /// The elastic cloud's replica pool scaled at a contention-window
+        /// boundary (attributed to the vehicle whose admission crossed the
+        /// boundary and observed the decision).
+        CloudScale = "cloud_scale" in Cloud {
+            /// Provisioned replicas before the decision.
+            from_replicas: u32,
+            /// Provisioned replicas after (spin-up lag still applies
+            /// before an added replica serves).
+            to_replicas: u32,
+            /// The previous-window utilization that triggered it.
+            utilization: f64,
+            /// Window index the new pool size takes effect in.
+            window: u64,
+        },
+        /// A checkpoint transfer of offloaded node state completed: crash
+        /// recovery can now resume from this snapshot instead of a cold
+        /// rebuild.
+        Checkpoint = "checkpoint" in Migration {
+            /// Snapshot size shipped over the migration TCP path.
+            bytes: u64,
+            /// Transfer duration.
+            elapsed_ns: u64,
+        },
+        /// Sustained stress (blackout or exhausted re-offload backoff)
+        /// dropped the local pipeline to reduced fidelity so the control
+        /// deadline keeps being met on vehicle silicon.
+        DegradeEnter = "degrade_enter" in Control {
+            /// What tripped the trigger (`blackout` / `backoff`).
+            cause: String,
+            /// SLAM particle count in force while degraded.
+            slam_particles: u64,
+            /// DWA trajectory-sample budget in force while degraded.
+            dwa_samples: u64,
+        },
+        /// Sustained health restored full pipeline fidelity.
+        DegradeExit = "degrade_exit" in Control {
+            /// How long the degraded mode was held.
+            held_ns: u64,
+            /// Control cycles that missed their deadline while degraded.
+            missed_cycles: u64,
+        },
+        /// A scripted cloud-replica crash window opened: the affected
+        /// replicas stop serving (capacity shrinks) but keep billing.
+        ReplicaCrash = "replica_crash" in Cloud {
+            /// Replicas taken down by this window.
+            replicas: u64,
+            /// Index of the window in the cloud fault schedule.
+            window: u64,
+            /// Scripted length of the window.
+            window_ns: u64,
+        },
+        /// A scripted straggler window opened: admissions land on a slow
+        /// replica and their queueing + execution stretch by `factor`.
+        ReplicaStraggle = "replica_straggle" in Cloud {
+            /// Service-time multiplier while the window is open (> 1).
+            factor: f64,
+            /// Index of the window in the cloud fault schedule.
+            window: u64,
+            /// Scripted length of the window.
+            window_ns: u64,
+        },
+        /// A sharded fleet placed this vehicle: its floorplan stall falls
+        /// in `region` (which owns the WAP it uplinks through) and its
+        /// offloaded stages are served by scheduler pool `cloud_pool`.
+        RegionAssign = "region_assign" in Region {
+            /// Radio region (floorplan stripe) the vehicle parks in.
+            region: u32,
+            /// Cloud scheduler pool serving the region (`region %
+            /// cloud_pools`).
+            cloud_pool: u32,
+            /// Whether the pool is homed in another region, so every
+            /// admission pays the deterministic WAN hop.
+            wan: bool,
+        },
+        /// A remote admission from a vehicle whose serving cloud pool is
+        /// homed in another region paid the deterministic WAN hop.
+        WanHop = "wan_hop" in Region {
+            /// Region the vehicle (and its WAP) lives in.
+            from_region: u32,
+            /// Region the serving scheduler pool is homed in.
+            to_region: u32,
+            /// The hop surcharge added to the remote processing time.
+            delay_ns: u64,
+        },
     }
 }
 
@@ -835,35 +596,146 @@ impl TraceRecord {
             self.t_ns, self.seq, self.span.0
         );
         if self.vehicle != 0 {
-            field_u64(&mut out, "vehicle", self.vehicle);
+            self.vehicle.encode(&mut out, "vehicle");
         }
-        field_str(&mut out, "kind", self.event.kind());
+        write_str(&mut out, "kind", self.event.kind());
         self.event.write_fields(&mut out);
         out.push('}');
         out
     }
 }
 
-fn field_u64(out: &mut String, name: &str, v: u64) {
-    let _ = write!(out, ",\"{name}\":{v}");
+/// How one typed event field is written after its key and read back.
+pub(crate) trait Field: Sized {
+    /// Append `,"name":value`.
+    fn encode(&self, out: &mut String, name: &str);
+    /// Decode the parsed value of the field called `name`.
+    fn decode(v: &Value, name: &str) -> Result<Self, String>;
 }
 
-fn field_bool(out: &mut String, name: &str, v: bool) {
-    let _ = write!(out, ",\"{name}\":{v}");
+/// Decode the first field called `name`.
+pub(crate) fn field<T: Field>(fields: &[(String, Value)], name: &str) -> Result<T, String> {
+    let (_, v) = fields
+        .iter()
+        .find(|(k, _)| k == name)
+        .ok_or_else(|| format!("missing field `{name}`"))?;
+    T::decode(v, name)
 }
 
-/// Floats print via `{:?}` (shortest round-trip form, deterministic);
-/// non-finite values — impossible in healthy traces — encode as
-/// `null`, keeping every line valid JSON.
-fn field_f64(out: &mut String, name: &str, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, ",\"{name}\":{v:?}");
-    } else {
-        let _ = write!(out, ",\"{name}\":null");
+impl Field for u64 {
+    fn encode(&self, out: &mut String, name: &str) {
+        let _ = write!(out, ",\"{name}\":{self}");
+    }
+
+    fn decode(v: &Value, name: &str) -> Result<Self, String> {
+        match v {
+            Value::U64(v) => Ok(*v),
+            other => Err(format!(
+                "field `{name}`: expected unsigned integer, got {other:?}"
+            )),
+        }
     }
 }
 
-fn field_str(out: &mut String, name: &str, v: &str) {
+impl Field for u32 {
+    fn encode(&self, out: &mut String, name: &str) {
+        let _ = write!(out, ",\"{name}\":{self}");
+    }
+
+    fn decode(v: &Value, name: &str) -> Result<Self, String> {
+        u32::try_from(u64::decode(v, name)?).map_err(|_| format!("field `{name}`: exceeds u32"))
+    }
+}
+
+impl Field for bool {
+    fn encode(&self, out: &mut String, name: &str) {
+        let _ = write!(out, ",\"{name}\":{self}");
+    }
+
+    fn decode(v: &Value, name: &str) -> Result<Self, String> {
+        match v {
+            Value::Bool(v) => Ok(*v),
+            other => Err(format!("field `{name}`: expected bool, got {other:?}")),
+        }
+    }
+}
+
+impl Field for f64 {
+    /// Floats print via `{:?}` (shortest round-trip form,
+    /// deterministic); non-finite values — impossible in healthy
+    /// traces — encode as `null`, keeping every line valid JSON.
+    fn encode(&self, out: &mut String, name: &str) {
+        if self.is_finite() {
+            let _ = write!(out, ",\"{name}\":{self:?}");
+        } else {
+            let _ = write!(out, ",\"{name}\":null");
+        }
+    }
+
+    /// `null` decodes to NaN, and a bare integer is accepted leniently.
+    fn decode(v: &Value, name: &str) -> Result<Self, String> {
+        match v {
+            Value::F64(v) => Ok(*v),
+            Value::U64(v) => Ok(*v as f64),
+            Value::Null => Ok(f64::NAN),
+            other => Err(format!("field `{name}`: expected number, got {other:?}")),
+        }
+    }
+}
+
+impl Field for String {
+    fn encode(&self, out: &mut String, name: &str) {
+        write_str(out, name, self);
+    }
+
+    fn decode(v: &Value, name: &str) -> Result<Self, String> {
+        str_value(v, name).map(str::to_string)
+    }
+}
+
+impl Field for MsgId {
+    fn encode(&self, out: &mut String, name: &str) {
+        self.0.encode(out, name);
+    }
+
+    fn decode(v: &Value, name: &str) -> Result<Self, String> {
+        u64::decode(v, name).map(MsgId)
+    }
+}
+
+impl Field for SpanId {
+    fn encode(&self, out: &mut String, name: &str) {
+        self.0.encode(out, name);
+    }
+
+    fn decode(v: &Value, name: &str) -> Result<Self, String> {
+        u64::decode(v, name).map(SpanId)
+    }
+}
+
+impl Field for SendKind {
+    fn encode(&self, out: &mut String, name: &str) {
+        write_str(out, name, self.as_str());
+    }
+
+    fn decode(v: &Value, name: &str) -> Result<Self, String> {
+        let s = str_value(v, name)?;
+        SendKind::ALL
+            .into_iter()
+            .find(|k| k.as_str() == s)
+            .ok_or_else(|| format!("unknown send outcome `{s}`"))
+    }
+}
+
+/// The text of a string-valued field.
+pub(crate) fn str_value<'a>(v: &'a Value, name: &str) -> Result<&'a str, String> {
+    match v {
+        Value::Str(s) => Ok(s),
+        other => Err(format!("field `{name}`: expected string, got {other:?}")),
+    }
+}
+
+fn write_str(out: &mut String, name: &str, v: &str) {
     let _ = write!(out, ",\"{name}\":\"");
     for c in v.chars() {
         match c {
@@ -887,118 +759,25 @@ mod tests {
 
     #[test]
     fn kinds_and_categories_are_consistent() {
-        let events = [
-            TraceEvent::MissionStart {
-                workload: "Navigation".into(),
-                deployment: "edge-8t".into(),
-                seed: 42,
-            },
-            TraceEvent::SpanBegin {
-                span: SpanId(1),
-                name: "cycle".into(),
-                index: 0,
-            },
-            TraceEvent::SpanEnd { span: SpanId(1) },
-            TraceEvent::BusPublish {
-                topic: "scan".into(),
-                bytes: 10,
-                fanout: 2,
-                msg: MsgId(1),
-                parent: MsgId::NONE,
-            },
-            TraceEvent::ChannelSend {
-                dir: "up".into(),
-                seq: 0,
-                bytes: 4,
-                outcome: SendKind::Transmitted,
-                msg: MsgId(1),
-            },
-            TraceEvent::ChannelDeliver {
-                dir: "up".into(),
-                seq: 0,
-                msg: MsgId(1),
-                latency_ns: 5,
-            },
-            TraceEvent::RttSample { rtt_ns: 1 },
-            TraceEvent::ProfileSample {
-                node: "Slam".into(),
-                remote: true,
-                nanos: 7,
-                msg: MsgId(1),
-            },
-            TraceEvent::ControlDecision {
-                local_vdp_ns: 1,
-                cloud_vdp_ns: 2,
-                bandwidth: 5.0,
-                direction: 0.1,
-                vdp_remote: true,
-                max_linear: 0.6,
-                net_decision: "keep".into(),
-            },
-            TraceEvent::PolicyDecide {
-                policy: "algorithm1".into(),
-                remote: "costmap_gen+path_tracking".into(),
-                expected_vdp_ns: 60_000_000,
-                max_velocity: 0.6,
-            },
-            TraceEvent::GovernorDecision {
-                mean_gap: 0.2,
-                threads: 8,
-            },
-            TraceEvent::EnergyDelta {
-                component: "motor".into(),
-                joules: 0.5,
-            },
-            TraceEvent::MigrationAbort,
-            TraceEvent::CloudBatch {
-                stage: "slam".into(),
-                occupancy: 3,
-                window: 12,
-                marginal_ns: 600_000,
-            },
-            TraceEvent::CloudScale {
-                from_replicas: 1,
-                to_replicas: 2,
-                utilization: 0.9,
-                window: 13,
-            },
-            TraceEvent::Checkpoint {
-                bytes: 5184,
-                elapsed_ns: 40_000_000,
-            },
-            TraceEvent::DegradeEnter {
-                cause: "blackout".into(),
-                slam_particles: 4,
-                dwa_samples: 100,
-            },
-            TraceEvent::DegradeExit {
-                held_ns: 6_000_000_000,
-                missed_cycles: 0,
-            },
-            TraceEvent::ReplicaCrash {
-                replicas: 1,
-                window: 0,
-                window_ns: 4_000_000_000,
-            },
-            TraceEvent::ReplicaStraggle {
-                factor: 2.5,
-                window: 1,
-                window_ns: 3_000_000_000,
-            },
-            TraceEvent::RegionAssign {
-                region: 3,
-                cloud_pool: 1,
-                wan: true,
-            },
-            TraceEvent::WanHop {
-                from_region: 3,
-                to_region: 1,
-                delay_ns: 10_000_000,
-            },
-        ];
-        for e in &events {
-            assert!(!e.kind().is_empty());
-            assert!(EventCategory::ALL.contains(&e.category()));
+        let mut kinds: Vec<&str> = TraceEvent::KINDS.iter().map(|(kind, ..)| *kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), TraceEvent::KINDS.len(), "duplicate kind");
+        for (kind, category, fields) in TraceEvent::KINDS {
+            assert!(!kind.is_empty());
+            assert!(EventCategory::ALL.contains(category));
+            let mut names = fields.to_vec();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), fields.len(), "`{kind}` repeats a field");
+            // The reader looks these envelope keys up before `kind`.
+            assert!(!fields.contains(&"vehicle") && !fields.contains(&"kind"));
+        }
+        for category in EventCategory::ALL {
+            assert!(
+                TraceEvent::KINDS.iter().any(|(_, c, _)| *c == category),
+                "no kind in {category:?}"
+            );
         }
     }
 

@@ -22,9 +22,8 @@
 //! assert_eq!(rec.to_json(), line);
 //! ```
 
-use crate::event::{SendKind, TraceEvent, TraceRecord};
+use crate::event::{field, str_value, Field, TraceEvent, TraceRecord};
 use crate::json::Value;
-use crate::span::{MsgId, SpanId};
 use std::fmt;
 use std::path::Path;
 
@@ -54,281 +53,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// The key/value pairs of one parsed line, in file order.
-///
-/// Lookups skip the first `skip` fields: envelope keys (`t_ns`, `seq`,
-/// `span`, `kind`) come first on the wire and `seq` also names a
-/// channel-event field, so event lookups must start past `kind`.
-struct Obj {
-    fields: Vec<(String, Value)>,
-    skip: usize,
-}
-
-impl Obj {
-    /// Parse one line as a flat object: every value a string, number,
-    /// bool or `null`.
-    fn parse(line: &str) -> Result<Obj, String> {
-        let Value::Obj(fields) = Value::parse(line)? else {
-            return Err("expected a JSON object".into());
-        };
-        if let Some((key, _)) = fields
-            .iter()
-            .find(|(_, v)| matches!(v, Value::Arr(_) | Value::Obj(_)))
-        {
-            return Err(format!("field `{key}`: nested value in a flat record"));
-        }
-        Ok(Obj { fields, skip: 0 })
+/// Parse one line as a flat object: every value a string, number,
+/// bool or `null`.
+fn parse_flat(line: &str) -> Result<Vec<(String, Value)>, String> {
+    let Value::Obj(fields) = Value::parse(line)? else {
+        return Err("expected a JSON object".into());
+    };
+    if let Some((key, _)) = fields
+        .iter()
+        .find(|(_, v)| matches!(v, Value::Arr(_) | Value::Obj(_)))
+    {
+        return Err(format!("field `{key}`: nested value in a flat record"));
     }
-
-    /// The same pairs with lookups scoped past the `kind` field, for
-    /// event-field access.
-    fn past_kind(self) -> Result<Obj, String> {
-        let at = self
-            .fields
-            .iter()
-            .position(|(k, _)| k == "kind")
-            .ok_or_else(|| "missing field `kind`".to_string())?;
-        Ok(Obj {
-            skip: at + 1,
-            ..self
-        })
-    }
-
-    fn get(&self, name: &str) -> Result<&Value, String> {
-        self.fields[self.skip..]
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field `{name}`"))
-    }
-
-    fn u64(&self, name: &str) -> Result<u64, String> {
-        match self.get(name)? {
-            Value::U64(v) => Ok(*v),
-            other => Err(format!(
-                "field `{name}`: expected unsigned integer, got {other:?}"
-            )),
-        }
-    }
-
-    /// Optional unsigned field: absent → `None`, present with the
-    /// wrong type → error. Used for the `vehicle` envelope field,
-    /// which the encoder omits for unattributed records.
-    fn opt_u64(&self, name: &str) -> Result<Option<u64>, String> {
-        if self.fields[self.skip..].iter().any(|(k, _)| k == name) {
-            Ok(Some(self.u64(name)?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn u32(&self, name: &str) -> Result<u32, String> {
-        u32::try_from(self.u64(name)?).map_err(|_| format!("field `{name}`: exceeds u32"))
-    }
-
-    /// Float fields: `null` decodes to NaN (the encoder writes
-    /// non-finite values as `null`), and a bare integer is accepted
-    /// leniently.
-    fn f64(&self, name: &str) -> Result<f64, String> {
-        match self.get(name)? {
-            Value::F64(v) => Ok(*v),
-            Value::U64(v) => Ok(*v as f64),
-            Value::Null => Ok(f64::NAN),
-            other => Err(format!("field `{name}`: expected number, got {other:?}")),
-        }
-    }
-
-    fn str(&self, name: &str) -> Result<String, String> {
-        match self.get(name)? {
-            Value::Str(v) => Ok(v.clone()),
-            other => Err(format!("field `{name}`: expected string, got {other:?}")),
-        }
-    }
-
-    fn bool(&self, name: &str) -> Result<bool, String> {
-        match self.get(name)? {
-            Value::Bool(v) => Ok(*v),
-            other => Err(format!("field `{name}`: expected bool, got {other:?}")),
-        }
-    }
-
-    fn msg(&self, name: &str) -> Result<MsgId, String> {
-        Ok(MsgId(self.u64(name)?))
-    }
-}
-
-/// Reconstruct the typed event from its `kind` and the fields past it.
-fn event_from(kind: &str, obj: &Obj) -> Result<TraceEvent, String> {
-    Ok(match kind {
-        "mission_start" => TraceEvent::MissionStart {
-            workload: obj.str("workload")?,
-            deployment: obj.str("deployment")?,
-            seed: obj.u64("seed")?,
-        },
-        "mission_progress" => TraceEvent::MissionProgress {
-            x: obj.f64("x")?,
-            y: obj.f64("y")?,
-            goal_x: obj.f64("goal_x")?,
-            goal_y: obj.f64("goal_y")?,
-            goal_dist: obj.f64("goal_dist")?,
-            battery_soc: obj.f64("battery_soc")?,
-        },
-        "mission_end" => TraceEvent::MissionEnd {
-            completed: obj.bool("completed")?,
-            reason: obj.str("reason")?,
-        },
-        "span_begin" => TraceEvent::SpanBegin {
-            span: SpanId(obj.u64("span_id")?),
-            name: obj.str("name")?,
-            index: obj.u64("index")?,
-        },
-        "span_end" => TraceEvent::SpanEnd {
-            span: SpanId(obj.u64("span_id")?),
-        },
-        "bus_publish" => TraceEvent::BusPublish {
-            topic: obj.str("topic")?,
-            bytes: obj.u64("bytes")?,
-            fanout: obj.u32("fanout")?,
-            msg: obj.msg("msg")?,
-            parent: obj.msg("parent")?,
-        },
-        "bus_drop" => TraceEvent::BusDrop {
-            topic: obj.str("topic")?,
-            msg: obj.msg("msg")?,
-        },
-        "channel_send" => TraceEvent::ChannelSend {
-            dir: obj.str("dir")?,
-            seq: obj.u64("seq")?,
-            bytes: obj.u64("bytes")?,
-            outcome: match obj.str("outcome")?.as_str() {
-                "transmitted" => SendKind::Transmitted,
-                "held" => SendKind::Held,
-                "discarded" => SendKind::Discarded,
-                other => return Err(format!("unknown send outcome `{other}`")),
-            },
-            msg: obj.msg("msg")?,
-        },
-        "channel_loss" => TraceEvent::ChannelLoss {
-            dir: obj.str("dir")?,
-            seq: obj.u64("seq")?,
-            msg: obj.msg("msg")?,
-        },
-        "channel_deliver" => TraceEvent::ChannelDeliver {
-            dir: obj.str("dir")?,
-            seq: obj.u64("seq")?,
-            msg: obj.msg("msg")?,
-            latency_ns: obj.u64("latency_ns")?,
-        },
-        "rtt_sample" => TraceEvent::RttSample {
-            rtt_ns: obj.u64("rtt_ns")?,
-        },
-        "profile_sample" => TraceEvent::ProfileSample {
-            node: obj.str("node")?,
-            remote: obj.bool("remote")?,
-            nanos: obj.u64("nanos")?,
-            msg: obj.msg("msg")?,
-        },
-        "control_decision" => TraceEvent::ControlDecision {
-            local_vdp_ns: obj.u64("local_vdp_ns")?,
-            cloud_vdp_ns: obj.u64("cloud_vdp_ns")?,
-            bandwidth: obj.f64("bandwidth")?,
-            direction: obj.f64("direction")?,
-            vdp_remote: obj.bool("vdp_remote")?,
-            max_linear: obj.f64("max_linear")?,
-            net_decision: obj.str("net_decision")?,
-        },
-        "policy_decide" => TraceEvent::PolicyDecide {
-            policy: obj.str("policy")?,
-            remote: obj.str("remote")?,
-            expected_vdp_ns: obj.u64("expected_vdp_ns")?,
-            max_velocity: obj.f64("max_velocity")?,
-        },
-        "governor_decision" => TraceEvent::GovernorDecision {
-            mean_gap: obj.f64("mean_gap")?,
-            threads: obj.u32("threads")?,
-        },
-        "energy_delta" => TraceEvent::EnergyDelta {
-            component: obj.str("component")?,
-            joules: obj.f64("joules")?,
-        },
-        "net_switch" => TraceEvent::NetSwitch {
-            to_remote: obj.bool("to_remote")?,
-        },
-        "migration_start" => TraceEvent::MigrationStart {
-            bytes: obj.u64("bytes")?,
-        },
-        "migration_commit" => TraceEvent::MigrationCommit {
-            elapsed_ns: obj.u64("elapsed_ns")?,
-            attempts: obj.u64("attempts")?,
-        },
-        "migration_abort" => TraceEvent::MigrationAbort,
-        "fault_begin" => TraceEvent::FaultBegin {
-            fault: obj.str("fault")?,
-            window: obj.u64("window")?,
-            window_ns: obj.u64("window_ns")?,
-        },
-        "fault_end" => TraceEvent::FaultEnd {
-            fault: obj.str("fault")?,
-            window: obj.u64("window")?,
-        },
-        "heartbeat_miss" => TraceEvent::HeartbeatMiss {
-            silence_ns: obj.u64("silence_ns")?,
-        },
-        "migration_timeout" => TraceEvent::MigrationTimeout {
-            elapsed_ns: obj.u64("elapsed_ns")?,
-            bytes: obj.u64("bytes")?,
-        },
-        "reoffload_backoff" => TraceEvent::ReoffloadBackoff {
-            wait_ns: obj.u64("wait_ns")?,
-            failures: obj.u64("failures")?,
-        },
-        "cloud_batch" => TraceEvent::CloudBatch {
-            stage: obj.str("stage")?,
-            occupancy: obj.u64("occupancy")?,
-            window: obj.u64("window")?,
-            marginal_ns: obj.u64("marginal_ns")?,
-        },
-        "cloud_scale" => TraceEvent::CloudScale {
-            from_replicas: obj.u32("from_replicas")?,
-            to_replicas: obj.u32("to_replicas")?,
-            utilization: obj.f64("utilization")?,
-            window: obj.u64("window")?,
-        },
-        "checkpoint" => TraceEvent::Checkpoint {
-            bytes: obj.u64("bytes")?,
-            elapsed_ns: obj.u64("elapsed_ns")?,
-        },
-        "degrade_enter" => TraceEvent::DegradeEnter {
-            cause: obj.str("cause")?,
-            slam_particles: obj.u64("slam_particles")?,
-            dwa_samples: obj.u64("dwa_samples")?,
-        },
-        "degrade_exit" => TraceEvent::DegradeExit {
-            held_ns: obj.u64("held_ns")?,
-            missed_cycles: obj.u64("missed_cycles")?,
-        },
-        "replica_crash" => TraceEvent::ReplicaCrash {
-            replicas: obj.u64("replicas")?,
-            window: obj.u64("window")?,
-            window_ns: obj.u64("window_ns")?,
-        },
-        "replica_straggle" => TraceEvent::ReplicaStraggle {
-            factor: obj.f64("factor")?,
-            window: obj.u64("window")?,
-            window_ns: obj.u64("window_ns")?,
-        },
-        "region_assign" => TraceEvent::RegionAssign {
-            region: obj.u32("region")?,
-            cloud_pool: obj.u32("cloud_pool")?,
-            wan: obj.bool("wan")?,
-        },
-        "wan_hop" => TraceEvent::WanHop {
-            from_region: obj.u32("from_region")?,
-            to_region: obj.u32("to_region")?,
-            delay_ns: obj.u64("delay_ns")?,
-        },
-        other => return Err(format!("unknown event kind `{other}`")),
-    })
+    Ok(fields)
 }
 
 /// Parser for the JSONL trace format written by [`crate::JsonlSink`].
@@ -340,21 +77,31 @@ pub struct TraceReader;
 impl TraceReader {
     /// Parse one JSONL line into a typed record.
     pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
-        let obj = Obj::parse(line)?;
-        let t_ns = obj.u64("t_ns")?;
-        let seq = obj.u64("seq")?;
-        let span = SpanId(obj.u64("span")?);
+        let fields = parse_flat(line)?;
+        let t_ns = field(&fields, "t_ns")?;
+        let seq = field(&fields, "seq")?;
+        let span = field(&fields, "span")?;
         // Optional tenant tag; no event kind has a field named
         // `vehicle`, so the unscoped lookup cannot mis-resolve.
-        let vehicle = obj.opt_u64("vehicle")?.unwrap_or(0);
-        let kind = obj.str("kind")?;
-        let obj = obj.past_kind()?;
+        let vehicle = fields
+            .iter()
+            .find(|(k, _)| k == "vehicle")
+            .map(|(_, v)| u64::decode(v, "vehicle"))
+            .transpose()?
+            .unwrap_or(0);
+        // Envelope keys come first on the wire and `seq` also names a
+        // channel-event field, so event lookups start past `kind`.
+        let at = fields
+            .iter()
+            .position(|(k, _)| k == "kind")
+            .ok_or_else(|| "missing field `kind`".to_string())?;
+        let kind = str_value(&fields[at].1, "kind")?;
         Ok(TraceRecord {
             t_ns,
             seq,
             span,
             vehicle,
-            event: event_from(&kind, &obj)?,
+            event: TraceEvent::decode(kind, &fields[at + 1..])?,
         })
     }
 
@@ -388,6 +135,8 @@ impl TraceReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::SendKind;
+    use crate::span::{MsgId, SpanId};
     use proptest::prelude::*;
 
     #[test]
@@ -557,8 +306,23 @@ mod tests {
                 window: 1,
                 window_ns: 2_500_000_000,
             },
+            TraceEvent::RegionAssign {
+                region: 3,
+                cloud_pool: 1,
+                wan: true,
+            },
+            TraceEvent::WanHop {
+                from_region: 3,
+                to_region: 1,
+                delay_ns: 10_000_000,
+            },
         ];
-        for (i, event) in events.into_iter().enumerate() {
+        // One event per kind, in table order: every row is pinned.
+        let kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
+        let table: Vec<&str> = TraceEvent::KINDS.iter().map(|(kind, ..)| *kind).collect();
+        assert_eq!(kinds, table);
+        assert_eq!(events.len(), GOLDEN.len());
+        for (i, (event, golden)) in events.into_iter().zip(GOLDEN).enumerate() {
             let rec = TraceRecord {
                 t_ns: i as u64 * 10,
                 seq: i as u64,
@@ -567,11 +331,53 @@ mod tests {
                 event,
             };
             let json = rec.to_json();
+            assert_eq!(json, golden, "encoding of `{}` moved", rec.event.kind());
             let parsed = TraceReader::parse_line(&json)
                 .unwrap_or_else(|e| panic!("parse failed for `{json}`: {e}"));
             assert_eq!(parsed.to_json(), json);
         }
     }
+
+    /// The exact wire bytes of each event in
+    /// `every_kind_round_trips_byte_identically`, in the same order. A
+    /// round trip alone cannot catch an encoder and a decoder that
+    /// reorder fields together; these lines can.
+    const GOLDEN: [&str; 34] = [
+        r#"{"t_ns":0,"seq":0,"span":1,"kind":"mission_start","workload":"Navigation","deployment":"edge-8t","seed":42}"#,
+        r#"{"t_ns":10,"seq":1,"span":1,"vehicle":1,"kind":"mission_progress","x":0.1,"y":-2.5,"goal_x":4.0,"goal_y":4.5,"goal_dist":5.830951894845301,"battery_soc":0.93}"#,
+        r#"{"t_ns":20,"seq":2,"span":1,"vehicle":2,"kind":"mission_end","completed":true,"reason":"goal \"reached\"\n"}"#,
+        r#"{"t_ns":30,"seq":3,"span":1,"kind":"span_begin","span_id":9,"name":"cycle","index":8}"#,
+        r#"{"t_ns":40,"seq":4,"span":1,"vehicle":1,"kind":"span_end","span_id":9}"#,
+        r#"{"t_ns":50,"seq":5,"span":1,"vehicle":2,"kind":"bus_publish","topic":"scan","bytes":1081,"fanout":2,"msg":3,"parent":1}"#,
+        r#"{"t_ns":60,"seq":6,"span":1,"kind":"bus_drop","topic":"cmd_vel","msg":4}"#,
+        r#"{"t_ns":70,"seq":7,"span":1,"vehicle":1,"kind":"channel_send","dir":"up","seq":17,"bytes":1100,"outcome":"held","msg":3}"#,
+        r#"{"t_ns":80,"seq":8,"span":1,"vehicle":2,"kind":"channel_loss","dir":"down","seq":18,"msg":2}"#,
+        r#"{"t_ns":90,"seq":9,"span":1,"kind":"channel_deliver","dir":"up","seq":17,"msg":3,"latency_ns":24000000}"#,
+        r#"{"t_ns":100,"seq":10,"span":1,"vehicle":1,"kind":"rtt_sample","rtt_ns":24000000}"#,
+        r#"{"t_ns":110,"seq":11,"span":1,"vehicle":2,"kind":"profile_sample","node":"Slam","remote":true,"nanos":7000000,"msg":3}"#,
+        r#"{"t_ns":120,"seq":12,"span":1,"kind":"control_decision","local_vdp_ns":120000000,"cloud_vdp_ns":80000000,"bandwidth":5.5,"direction":-0.25,"vdp_remote":true,"max_linear":0.6,"net_decision":"keep"}"#,
+        r#"{"t_ns":130,"seq":13,"span":1,"vehicle":1,"kind":"policy_decide","policy":"bandit","remote":"-","expected_vdp_ns":120000000,"max_velocity":0.31}"#,
+        r#"{"t_ns":140,"seq":14,"span":1,"vehicle":2,"kind":"governor_decision","mean_gap":null,"threads":8}"#,
+        r#"{"t_ns":150,"seq":15,"span":1,"kind":"energy_delta","component":"motor","joules":0.5}"#,
+        r#"{"t_ns":160,"seq":16,"span":1,"vehicle":1,"kind":"net_switch","to_remote":false}"#,
+        r#"{"t_ns":170,"seq":17,"span":1,"vehicle":2,"kind":"migration_start","bytes":65536}"#,
+        r#"{"t_ns":180,"seq":18,"span":1,"kind":"migration_commit","elapsed_ns":1000000,"attempts":3}"#,
+        r#"{"t_ns":190,"seq":19,"span":1,"vehicle":1,"kind":"migration_abort"}"#,
+        r#"{"t_ns":200,"seq":20,"span":1,"vehicle":2,"kind":"fault_begin","fault":"remote_crash","window":0,"window_ns":20000000000}"#,
+        r#"{"t_ns":210,"seq":21,"span":1,"kind":"fault_end","fault":"remote_crash","window":0}"#,
+        r#"{"t_ns":220,"seq":22,"span":1,"vehicle":1,"kind":"heartbeat_miss","silence_ns":1600000000}"#,
+        r#"{"t_ns":230,"seq":23,"span":1,"vehicle":2,"kind":"migration_timeout","elapsed_ns":8000000000,"bytes":81920}"#,
+        r#"{"t_ns":240,"seq":24,"span":1,"kind":"reoffload_backoff","wait_ns":4000000000,"failures":2}"#,
+        r#"{"t_ns":250,"seq":25,"span":1,"vehicle":1,"kind":"cloud_batch","stage":"slam","occupancy":3,"window":41,"marginal_ns":600000}"#,
+        r#"{"t_ns":260,"seq":26,"span":1,"vehicle":2,"kind":"cloud_scale","from_replicas":1,"to_replicas":2,"utilization":1.25,"window":42}"#,
+        r#"{"t_ns":270,"seq":27,"span":1,"kind":"checkpoint","bytes":5184,"elapsed_ns":37000000}"#,
+        r#"{"t_ns":280,"seq":28,"span":1,"vehicle":1,"kind":"degrade_enter","cause":"backoff","slam_particles":4,"dwa_samples":100}"#,
+        r#"{"t_ns":290,"seq":29,"span":1,"vehicle":2,"kind":"degrade_exit","held_ns":6200000000,"missed_cycles":1}"#,
+        r#"{"t_ns":300,"seq":30,"span":1,"kind":"replica_crash","replicas":2,"window":0,"window_ns":4000000000}"#,
+        r#"{"t_ns":310,"seq":31,"span":1,"vehicle":1,"kind":"replica_straggle","factor":3.25,"window":1,"window_ns":2500000000}"#,
+        r#"{"t_ns":320,"seq":32,"span":1,"vehicle":2,"kind":"region_assign","region":3,"cloud_pool":1,"wan":true}"#,
+        r#"{"t_ns":330,"seq":33,"span":1,"kind":"wan_hop","from_region":3,"to_region":1,"delay_ns":10000000}"#,
+    ];
 
     #[test]
     fn vehicle_envelope_field_round_trips_and_defaults() {
@@ -610,6 +416,39 @@ mod tests {
         assert!(TraceReader::parse_line(missing)
             .unwrap_err()
             .contains("rtt_ns"));
+        // The exact texts, one per way a field can be wrong.
+        let cases = [
+            (r#""kind":"mystery""#, "unknown event kind `mystery`"),
+            (r#""kind":"rtt_sample""#, "missing field `rtt_ns`"),
+            (
+                r#""kind":"rtt_sample","rtt_ns":"x""#,
+                r#"field `rtt_ns`: expected unsigned integer, got Str("x")"#,
+            ),
+            (
+                r#""kind":"governor_decision","mean_gap":0.5,"threads":4294967296"#,
+                "field `threads`: exceeds u32",
+            ),
+            (
+                r#""kind":"net_switch","to_remote":1"#,
+                "field `to_remote`: expected bool, got U64(1)",
+            ),
+            (
+                r#""kind":"energy_delta","component":"motor","joules":"x""#,
+                r#"field `joules`: expected number, got Str("x")"#,
+            ),
+            (
+                r#""kind":"bus_drop","topic":7,"msg":1"#,
+                "field `topic`: expected string, got U64(7)",
+            ),
+            (
+                r#""kind":"channel_send","dir":"up","seq":1,"bytes":2,"outcome":"lost","msg":3"#,
+                "unknown send outcome `lost`",
+            ),
+        ];
+        for (tail, want) in cases {
+            let line = format!(r#"{{"t_ns":0,"seq":0,"span":0,{tail}}}"#);
+            assert_eq!(TraceReader::parse_line(&line).unwrap_err(), want);
+        }
     }
 
     #[test]

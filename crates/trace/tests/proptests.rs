@@ -171,6 +171,19 @@ fn all_kinds(s: &str, a: u64, b: u32, f: f64, flag: bool) -> Vec<TraceEvent> {
     ]
 }
 
+#[test]
+fn all_kinds_covers_every_kind_once() {
+    let kinds: Vec<&str> = all_kinds("x", 1, 2, 0.5, true)
+        .iter()
+        .map(TraceEvent::kind)
+        .collect();
+    let table: Vec<&str> = TraceEvent::KINDS.iter().map(|(kind, ..)| *kind).collect();
+    assert_eq!(
+        kinds, table,
+        "all_kinds must list each kind once, in table order"
+    );
+}
+
 proptest! {
     #[test]
     fn every_kind_roundtrips_byte_identically(

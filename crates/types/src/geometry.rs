@@ -60,11 +60,6 @@ impl Vec2 {
         Vec2 { x, y }
     }
 
-    /// Unit vector at a given heading.
-    pub fn from_angle(a: Angle) -> Self {
-        Vec2::new(a.cos(), a.sin())
-    }
-
     /// Euclidean norm.
     pub fn norm(self) -> f64 {
         self.x.hypot(self.y)

@@ -95,13 +95,6 @@ pub enum Placement {
     Remote,
 }
 
-impl Placement {
-    /// True when the node runs on the vehicle.
-    pub fn is_local(self) -> bool {
-        matches!(self, Placement::Local)
-    }
-}
-
 /// A small set of node kinds (bitset over the 7 pipeline nodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeSet(u8);

@@ -203,11 +203,6 @@ impl Rate {
         Rate { hz }
     }
 
-    /// Frequency in Hz.
-    pub fn as_hz(self) -> f64 {
-        self.hz
-    }
-
     /// Period between two ticks.
     pub fn period(self) -> Duration {
         Duration::from_secs_f64(1.0 / self.hz)
