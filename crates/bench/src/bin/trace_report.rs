@@ -19,10 +19,12 @@
 //! `--prof <BENCH_profile.json>` switches to wall-clock profile mode:
 //! it reads the `lgv-bench-profile/v1` artifact that `suite --profile`
 //! writes and renders (a) a top-N self-time table across every
-//! scenario — where the wall-clock actually went — and (b) one
+//! scenario — where the wall-clock actually went, with host µs per
+//! call — and (b) one
 //! waterfall per scenario: the scope tree indented by call depth with
-//! total/self milliseconds, call counts, and the coverage summary
-//! (profiled vs unattributed time). `--top N` resizes the table
+//! total/self milliseconds, call counts, µs per call
+//! (`total_ns / count`), and the coverage summary (profiled vs
+//! unattributed time). `--top N` resizes the table
 //! (default 20).
 
 use lgv_bench::suite::PROFILE_SCHEMA;
@@ -30,6 +32,7 @@ use lgv_bench::TablePrinter;
 use lgv_trace::json::Value;
 use lgv_trace::{TraceEvent, TraceReader, TraceRecord};
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 /// Split a record stream into missions at `mission_start` boundaries.
@@ -103,7 +106,17 @@ fn parse_profile(v: &Value) -> Result<Vec<ProfScenario>, String> {
     Ok(out)
 }
 
-fn prof_report(scenarios: &[ProfScenario], top: usize) {
+/// Host time per call in microseconds, `total_ns / count` ("-" for a
+/// scope that was never entered).
+fn us_per_call(row: &ScopeRow) -> String {
+    if row.count == 0 {
+        "-".into()
+    } else {
+        format!("{:.2}", row.total_ns as f64 / row.count as f64 / 1e3)
+    }
+}
+
+fn prof_report(out: &mut dyn Write, scenarios: &[ProfScenario], top: usize) -> io::Result<()> {
     // ---- Top-N self-time table across every scenario: where the
     // wall-clock actually went, hottest kernels first. ----
     let mut hot: Vec<(usize, usize)> = Vec::new(); // (scenario idx, scope idx)
@@ -122,10 +135,14 @@ fn prof_report(scenarios: &[ProfScenario], top: usize) {
             .then_with(|| scenarios[sa].name.cmp(&scenarios[sb].name))
             .then_with(|| a.path.cmp(&b.path))
     });
-    println!("==== top {} scopes by self time ====", top.min(hot.len()));
-    println!();
+    writeln!(
+        out,
+        "==== top {} scopes by self time ====",
+        top.min(hot.len())
+    )?;
+    writeln!(out)?;
     let mut t = TablePrinter::new(vec![
-        "#", "scenario", "scope", "calls", "self ms", "total ms", "% wall",
+        "#", "scenario", "scope", "calls", "self ms", "total ms", "µs/call", "% wall",
     ]);
     for (rank, &(si, ri)) in hot.iter().take(top).enumerate() {
         let sc = &scenarios[si];
@@ -142,32 +159,34 @@ fn prof_report(scenarios: &[ProfScenario], top: usize) {
             row.count.to_string(),
             format!("{:.3}", row.self_ns as f64 / 1e6),
             format!("{:.3}", row.total_ns as f64 / 1e6),
+            us_per_call(row),
             format!("{pct:.1}"),
         ]);
     }
-    t.print();
+    t.write_to(out)?;
 
     // ---- Per-scenario waterfalls: scope tree indented by depth. ----
     for sc in scenarios {
-        println!();
-        println!("==== {} ====", sc.name);
-        println!(
+        writeln!(out)?;
+        writeln!(out, "==== {} ====", sc.name)?;
+        writeln!(
+            out,
             "wall {:.1} ms | profiled {:.1} ms ({:.1}% coverage) | unattributed {:.1} ms",
             sc.wall_ms,
             sc.profiled_ms,
             100.0 * sc.coverage,
             sc.unattributed_ms
-        );
+        )?;
         if sc.scopes.is_empty() {
-            println!("(no scopes recorded)");
+            writeln!(out, "(no scopes recorded)")?;
             continue;
         }
-        println!();
+        writeln!(out)?;
         // Rows arrive in depth-first canonical order; indenting the
         // leaf segment by depth draws the call tree. Hand-format with
         // a left-aligned scope column (TablePrinter right-aligns,
         // which would erase the indentation).
-        let cells: Vec<(String, String, String, String)> = sc
+        let cells: Vec<(String, String, String, String, String)> = sc
             .scopes
             .iter()
             .map(|row| {
@@ -178,6 +197,7 @@ fn prof_report(scenarios: &[ProfScenario], top: usize) {
                     row.count.to_string(),
                     format!("{:.3}", row.total_ns as f64 / 1e6),
                     format!("{:.3}", row.self_ns as f64 / 1e6),
+                    us_per_call(row),
                 )
             })
             .collect();
@@ -185,15 +205,21 @@ fn prof_report(scenarios: &[ProfScenario], top: usize) {
         let w1 = cells.iter().map(|c| c.1.len()).max().unwrap_or(5).max(5);
         let w2 = cells.iter().map(|c| c.2.len()).max().unwrap_or(8).max(8);
         let w3 = cells.iter().map(|c| c.3.len()).max().unwrap_or(7).max(7);
-        println!(
-            "{:<w0$}  {:>w1$}  {:>w2$}  {:>w3$}",
-            "scope", "calls", "total ms", "self ms"
-        );
-        println!("{}", "-".repeat(w0 + w1 + w2 + w3 + 6));
-        for (scope, calls, total, selfms) in &cells {
-            println!("{scope:<w0$}  {calls:>w1$}  {total:>w2$}  {selfms:>w3$}");
+        let w4 = cells.iter().map(|c| c.4.len()).max().unwrap_or(7).max(7);
+        writeln!(
+            out,
+            "{:<w0$}  {:>w1$}  {:>w2$}  {:>w3$}  {:>w4$}",
+            "scope", "calls", "total ms", "self ms", "µs/call"
+        )?;
+        writeln!(out, "{}", "-".repeat(w0 + w1 + w2 + w3 + w4 + 8))?;
+        for (scope, calls, total, selfms, per_call) in &cells {
+            writeln!(
+                out,
+                "{scope:<w0$}  {calls:>w1$}  {total:>w2$}  {selfms:>w3$}  {per_call:>w4$}"
+            )?;
         }
     }
+    Ok(())
 }
 
 fn usage() -> ExitCode {
@@ -240,7 +266,10 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        prof_report(&scenarios, top);
+        if let Err(e) = prof_report(&mut io::stdout().lock(), &scenarios, top) {
+            eprintln!("trace_report: {e}");
+            return ExitCode::from(2);
+        }
         return ExitCode::SUCCESS;
     }
 
@@ -299,4 +328,94 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(path: &str, depth: u64, count: u64, total_ns: u64, self_ns: u64) -> ScopeRow {
+        ScopeRow {
+            path: path.into(),
+            depth,
+            count,
+            total_ns,
+            self_ns,
+        }
+    }
+
+    #[test]
+    fn prof_report_shows_microseconds_per_call() {
+        let scenarios = [ProfScenario {
+            name: "fig13".into(),
+            wall_ms: 10.0,
+            profiled_ms: 9.0,
+            unattributed_ms: 1.0,
+            coverage: 0.9,
+            scopes: vec![
+                row("mission/cycle", 1, 3, 9_000_000, 1_000_000),
+                row(
+                    "mission/cycle;slam/map_integrate",
+                    2,
+                    40,
+                    5_468_000,
+                    5_468_000,
+                ),
+                row("mission/cycle;sim/idle", 2, 0, 0, 0),
+            ],
+        }];
+        let mut out = Vec::new();
+        prof_report(&mut out, &scenarios, 2).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<Vec<&str>> = text
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        let find = |first: &str, then: &str| {
+            lines
+                .iter()
+                .find(|w| w.len() > 1 && w[0] == first && w[1] == then)
+                .unwrap_or_else(|| panic!("no `{first} {then}` line in\n{text}"))
+        };
+
+        // Top-N table: 5.468 ms over 40 calls is 136.70 µs per call.
+        assert_eq!(
+            find("#", "scenario")[..],
+            [
+                "#", "scenario", "scope", "calls", "self", "ms", "total", "ms", "µs/call", "%",
+                "wall"
+            ]
+        );
+        assert_eq!(
+            find("1", "fig13")[..],
+            [
+                "1",
+                "fig13",
+                "mission/cycle;slam/map_integrate",
+                "40",
+                "5.468",
+                "5.468",
+                "136.70",
+                "54.7"
+            ]
+        );
+
+        // Waterfall: µs/call last; a never-entered scope shows "-".
+        assert_eq!(
+            find("scope", "calls")[..],
+            ["scope", "calls", "total", "ms", "self", "ms", "µs/call"]
+        );
+        assert_eq!(
+            find("mission/cycle", "3")[..],
+            ["mission/cycle", "3", "9.000", "1.000", "3000.00"]
+        );
+        assert_eq!(
+            find("slam/map_integrate", "40")[..],
+            ["slam/map_integrate", "40", "5.468", "5.468", "136.70"]
+        );
+        assert_eq!(
+            find("sim/idle", "0")[..],
+            ["sim/idle", "0", "0.000", "0.000", "-"]
+        );
+    }
 }

@@ -36,6 +36,7 @@
 //! blocked in both places.
 
 use lgv_types::prelude::*;
+use std::ops::ControlFlow;
 
 /// Cost of a lethal (obstacle) cell.
 pub const COST_LETHAL: u8 = 254;
@@ -186,16 +187,17 @@ impl Costmap {
         for i in 0..scan.len() {
             let endpoint = scan.beam_endpoint(pose, i);
             let end_cell = self.dims.world_to_grid(endpoint);
-            // Clear along the beam.
-            for cell in GridRay::new(&self.dims, origin, endpoint) {
+            // Clear along the beam; the end cell counts as traced when
+            // the walk reaches it.
+            let walked = RayWalk::new(&self.dims, origin, endpoint).walk(|cell| {
                 ray_cells += 1;
-                if cell == end_cell {
-                    break;
-                }
-                if self.dims.contains(cell) {
-                    let flat = self.dims.flat(cell);
+                if let Some(flat) = cell.flat {
                     self.marked_at[flat] = 0;
                 }
+                ControlFlow::<()>::Continue(())
+            });
+            if let ControlFlow::Continue(Some(_)) = walked {
+                ray_cells += 1;
             }
             // Mark the hit.
             if scan.is_hit(i) && self.dims.contains(end_cell) {

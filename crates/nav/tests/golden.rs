@@ -4,7 +4,8 @@
 //! scenario, so any speed-up of them must leave their results exactly
 //! as they are. These tests pin the chosen twist, score, counts and
 //! modelled cycles of DWA activations on the lab map, and an FNV-1a
-//! fingerprint of the master grid after a run of costmap updates.
+//! fingerprint of the master grid and the modelled cycles after a run
+//! of costmap updates.
 
 use lgv_nav::costmap::{Costmap, CostmapConfig};
 use lgv_nav::dwa::{DwaConfig, DwaPlanner};
@@ -148,8 +149,9 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 }
 
 /// FNV-1a of the master grid after `from_map` of `map` and five
-/// updates from scans of `seen` taken along `poses`.
-fn costmap_fingerprint(map: &MapMsg, seen: &World, poses: &[Pose2D], seed: u64) -> u64 {
+/// updates from scans of `seen` taken along `poses`, and the bits of
+/// the cycles those updates charged.
+fn costmap_fingerprint(map: &MapMsg, seen: &World, poses: &[Pose2D], seed: u64) -> (u64, u64) {
     let mut cm = Costmap::from_map(CostmapConfig::default(), map);
     let mut lidar = Lidar::new(LidarConfig::default(), SimRng::seed_from_u64(seed));
     let mut meter = WorkMeter::new();
@@ -158,7 +160,10 @@ fn costmap_fingerprint(map: &MapMsg, seen: &World, poses: &[Pose2D], seed: u64) 
         cm.update(map, pose, &scan, &mut meter);
     }
     let dims = *cm.dims();
-    fnv1a((0..dims.len()).map(|i| cm.cost(dims.unflat(i))))
+    (
+        fnv1a((0..dims.len()).map(|i| cm.cost(dims.unflat(i)))),
+        meter.finish().total_cycles().to_bits(),
+    )
 }
 
 /// Mark the cells within `r` of `c` free in `map`.
@@ -186,7 +191,11 @@ fn lab_costmap_master_grid_is_pinned() {
     ]
     .map(|(x, y, th)| Pose2D::new(x, y, th));
     let got = costmap_fingerprint(&map, &world, &poses, 11);
-    assert_eq!(got, 0x46c2_ce44_e2fb_fd98, "{got:#018x}");
+    assert_eq!(
+        got,
+        (0x46c2_ce44_e2fb_fd98, 0x41c7_a947_2a00_0000),
+        "{got:#018x?}"
+    );
 }
 
 /// A 6 × 6 m walled room with random boxes, an unknown patch in its
@@ -225,9 +234,9 @@ fn seeded_costmap_master_grids_are_pinned() {
     assert_eq!(
         got,
         [
-            0xf6bb_0ac9_e6f3_ee70,
-            0x50b0_09d5_8834_b248,
-            0xb4df_8a32_db9b_1a2a
+            (0xf6bb_0ac9_e6f3_ee70, 0x41ae_4f19_b000_0000),
+            (0x50b0_09d5_8834_b248, 0x41ae_2251_a000_0000),
+            (0xb4df_8a32_db9b_1a2a, 0x41ae_136d_7000_0000),
         ],
         "{got:#018x?}"
     );

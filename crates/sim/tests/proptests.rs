@@ -132,3 +132,113 @@ proptest! {
         prop_assert!(s.ranges.iter().all(|&r| (0.0..=3.5).contains(&r)));
     }
 }
+
+/// `World::raycast_dir` as it stood before it walked the shared
+/// `RayWalk`: its own inlined copy of the stepping loop, with libm
+/// `floor`. Kept here only as the reference the shared walk must
+/// reproduce bit for bit.
+fn reference_raycast_dir(
+    w: &lgv_sim::world::World,
+    from: Point2,
+    dir_x: f64,
+    dir_y: f64,
+    max_range: f64,
+) -> f64 {
+    let dims = w.dims();
+    let to_grid = |p: Point2| {
+        GridIndex::new(
+            ((p.x - dims.origin.x) / dims.resolution).floor() as i32,
+            ((p.y - dims.origin.y) / dims.resolution).floor() as i32,
+        )
+    };
+    let res = dims.resolution;
+    let to = Point2::new(from.x + max_range * dir_x, from.y + max_range * dir_y);
+    let start = to_grid(from);
+    let end = to_grid(to);
+    let dx = to.x - from.x;
+    let dy = to.y - from.y;
+    let step_x: i32 = if dx > 0.0 { 1 } else { -1 };
+    let step_y: i32 = if dy > 0.0 { 1 } else { -1 };
+    let fx = (from.x - dims.origin.x) / res - start.col as f64;
+    let fy = (from.y - dims.origin.y) / res - start.row as f64;
+    let mut t_max_x = if dx.abs() < 1e-12 {
+        f64::INFINITY
+    } else if dx > 0.0 {
+        (1.0 - fx) * res / dx.abs()
+    } else {
+        fx * res / dx.abs()
+    };
+    let mut t_max_y = if dy.abs() < 1e-12 {
+        f64::INFINITY
+    } else if dy > 0.0 {
+        (1.0 - fy) * res / dy.abs()
+    } else {
+        fy * res / dy.abs()
+    };
+    let t_delta_x = if dx.abs() < 1e-12 {
+        f64::INFINITY
+    } else {
+        res / dx.abs()
+    };
+    let t_delta_y = if dy.abs() < 1e-12 {
+        f64::INFINITY
+    } else {
+        res / dy.abs()
+    };
+    let chebyshev = (start.col - end.col).abs().max((start.row - end.row).abs());
+    let mut remaining = (chebyshev as u32 + 1) * 2 + 4;
+    let mut cur = start;
+    loop {
+        if remaining == 0 {
+            return max_range;
+        }
+        remaining -= 1;
+        if w.occupied(cur) {
+            let hit = dims.grid_to_world(cur);
+            return from.distance(hit).min(max_range);
+        }
+        if cur == end {
+            return max_range;
+        }
+        if t_max_x < t_max_y {
+            t_max_x += t_delta_x;
+            cur.col += step_x;
+        } else {
+            t_max_y += t_delta_y;
+            cur.row += step_y;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    fn raycast_dir_matches_reference_bit_for_bit(
+        x in -1.0f64..11.0, y in -1.0f64..11.0, a in -3.2f64..3.2, r in 0.0f64..16.0,
+        axis in 0u8..3,
+    ) {
+        let w = WorldBuilder::new(10.0, 10.0, 0.05).walls()
+            .disc(Point2::new(5.0, 5.0), 0.6)
+            .rect(Point2::new(2.0, 6.0), Point2::new(3.0, 6.4))
+            .build();
+        // Arbitrary headings, plus exact axis directions.
+        let (dx, dy) = match axis {
+            0 => (a.cos(), a.sin()),
+            1 => (a.signum(), 0.0),
+            _ => (0.0, a.signum()),
+        };
+        let from = Point2::new(x, y);
+        let got = w.raycast_dir(from, dx, dy, r);
+        let want = reference_raycast_dir(&w, from, dx, dy, r);
+        prop_assert_eq!(got.to_bits(), want.to_bits());
+    }
+}
+
+#[test]
+fn raycast_with_a_corrupt_range_stops_at_the_world_edge() {
+    let w = WorldBuilder::new(10.0, 10.0, 0.05).build();
+    for r in [1e300, f64::INFINITY] {
+        let d = w.raycast(Point2::new(5.0, 5.0), 0.3, r);
+        assert!(d.is_finite() && d < 10.0, "range {r:e}: {d}");
+    }
+}

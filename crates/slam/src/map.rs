@@ -6,6 +6,7 @@
 //! wire-format [`MapMsg`].
 
 use lgv_types::prelude::*;
+use std::ops::ControlFlow;
 
 /// Log-odds increment for an observed-occupied cell.
 const L_OCC: f32 = 0.9;
@@ -16,9 +17,9 @@ const L_MIN: f32 = -8.0;
 /// Upper clamp bound.
 const L_MAX: f32 = 8.0;
 /// Threshold above which a cell counts as occupied.
-const L_OCC_THRESHOLD: f32 = 0.7;
+pub(crate) const L_OCC_THRESHOLD: f32 = 0.7;
 /// Threshold below which a cell counts as free.
-const L_FREE_THRESHOLD: f32 = -0.7;
+pub(crate) const L_FREE_THRESHOLD: f32 = -0.7;
 
 /// A mutable occupancy-grid map with log-odds cells.
 #[derive(Debug, Clone)]
@@ -53,6 +54,11 @@ impl OccupancyGrid {
         }
     }
 
+    /// All log-odds, row-major.
+    pub(crate) fn logodds_cells(&self) -> &[f32] {
+        &self.logodds
+    }
+
     /// Occupancy probability of a cell in [0, 1]; unknown = 0.5.
     pub fn occ_prob(&self, idx: GridIndex) -> f64 {
         let l = self.logodds(idx) as f64;
@@ -79,40 +85,41 @@ impl OccupancyGrid {
         self.observed
     }
 
-    fn bump(&mut self, idx: GridIndex, delta: f32) {
-        if self.dims.contains(idx) {
-            let flat = self.dims.flat(idx);
-            let old = self.logodds[flat];
-            if old == 0.0 {
-                self.observed += 1;
-            }
-            self.logodds[flat] = (old + delta).clamp(L_MIN, L_MAX);
-        }
-    }
-
     /// Integrate a laser scan taken from `pose`: carve free space
     /// along every beam, reinforce hit endpoints. Records the cell
-    /// updates in `meter` (the dominant map-update cost).
+    /// updates in `meter` (the dominant map-update cost): one per cell
+    /// walked before the endpoint cell, inside the grid or not, and
+    /// one per hit.
     pub fn integrate_scan(&mut self, pose: Pose2D, scan: &LaserScan, meter: &mut WorkMeter) {
         let origin = pose.position();
+        let dims = self.dims;
+        let cells = &mut self.logodds[..];
+        let mut observed = 0;
+        let mut bump = |flat: usize, delta: f32| {
+            let old = cells[flat];
+            observed += (old == 0.0) as usize;
+            cells[flat] = (old + delta).clamp(L_MIN, L_MAX);
+        };
         let mut cell_updates = 0u64;
         for i in 0..scan.len() {
-            let hit = scan.is_hit(i);
             let endpoint = scan.beam_endpoint(pose, i);
             // Free space up to (but excluding) the endpoint cell.
-            let end_cell = self.dims.world_to_grid(endpoint);
-            for cell in GridRay::new(&self.dims, origin, endpoint) {
-                if cell == end_cell {
-                    break;
+            let _ = RayWalk::new(&dims, origin, endpoint).walk(|cell| {
+                if let Some(flat) = cell.flat {
+                    bump(flat, L_FREE);
                 }
-                self.bump(cell, L_FREE);
                 cell_updates += 1;
-            }
-            if hit {
-                self.bump(end_cell, L_OCC);
+                ControlFlow::<()>::Continue(())
+            });
+            if scan.is_hit(i) {
+                let end_cell = dims.world_to_grid(endpoint);
+                if dims.contains(end_cell) {
+                    bump(dims.flat(end_cell), L_OCC);
+                }
                 cell_updates += 1;
             }
         }
+        self.observed += observed;
         meter.serial_ops(cell_updates, crate::rbpf::cost::CYCLES_PER_MAP_CELL_UPDATE);
     }
 

@@ -206,6 +206,13 @@ impl GMapping {
         self.particles[self.best].pose
     }
 
+    /// Pose and log-weight of every active particle, in slot order.
+    pub fn particle_states(&self) -> impl Iterator<Item = (Pose2D, f64)> + '_ {
+        self.particles[..self.active]
+            .iter()
+            .map(|p| (p.pose, p.log_weight))
+    }
+
     /// Current best-particle map.
     pub fn best_map(&self, stamp: SimTime) -> MapMsg {
         self.particles[self.best].map.to_map_msg(stamp)

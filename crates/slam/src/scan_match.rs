@@ -12,7 +12,7 @@
 //! optimizer is a coordinate-descent hill climber with step halving —
 //! the same structure GMapping's `ScanMatcher::optimize` uses.
 
-use crate::map::OccupancyGrid;
+use crate::map::{OccupancyGrid, L_FREE_THRESHOLD, L_OCC_THRESHOLD};
 use lgv_types::prelude::*;
 
 /// Scan-matcher tuning knobs.
@@ -126,6 +126,8 @@ impl ScanMatcher {
     pub fn score_cached(&self, map: &OccupancyGrid, pose: Pose2D, cache: &ScanCache) -> (f64, u64) {
         let mut total = 0.0;
         let dims = *map.dims();
+        let cells = map.logodds_cells();
+        let w = dims.width as usize;
         let (sin_th, cos_th) = pose.theta.sin_cos();
         for &(ox, oy) in &cache.offsets {
             let endpoint = Point2::new(
@@ -133,7 +135,33 @@ impl ScanMatcher {
                 pose.y + ox * sin_th + oy * cos_th,
             );
             let c = dims.world_to_grid(endpoint);
-            if map.is_occupied(c) {
+            let interior = c.col > 0
+                && c.row > 0
+                && (c.col as u32) + 1 < dims.width
+                && (c.row as u32) + 1 < dims.height;
+            if interior {
+                // The whole 3×3 neighbourhood is inside the grid: read
+                // it by flat offset, with the checked path's scores.
+                let i = dims.flat(c);
+                let occ = |j: usize| cells[j] > L_OCC_THRESHOLD;
+                let centre = cells[i];
+                if centre > L_OCC_THRESHOLD {
+                    total += 1.0;
+                } else if occ(i - 1)
+                    | occ(i + 1)
+                    | occ(i - w - 1)
+                    | occ(i - w)
+                    | occ(i - w + 1)
+                    | occ(i + w - 1)
+                    | occ(i + w)
+                    | occ(i + w + 1)
+                {
+                    total += 0.55;
+                } else if centre >= L_FREE_THRESHOLD {
+                    // Unknown: not occupied, and log-odds are never NaN.
+                    total += 0.05;
+                }
+            } else if map.is_occupied(c) {
                 total += 1.0;
             } else {
                 // Check the 8-neighbourhood for a near miss.

@@ -174,3 +174,73 @@ proptest! {
         prop_assert_eq!(mk(1), mk(threads));
     }
 }
+
+/// `ScanMatcher::score` as it stood before its interior fast path:
+/// every endpoint through the checked `is_occupied` / `is_unknown`
+/// reads. Kept here only as the reference the fast path must match.
+fn reference_score(map: &OccupancyGrid, pose: Pose2D, scan: &LaserScan, skip: usize) -> f64 {
+    let dims = map.dims();
+    let (sin_th, cos_th) = pose.theta.sin_cos();
+    let mut total = 0.0;
+    for i in (0..scan.len()).step_by(skip) {
+        if !scan.is_hit(i) {
+            continue;
+        }
+        let r = scan.ranges[i].min(scan.range_max);
+        let (sin_a, cos_a) = scan.beam_angle(i).sin_cos();
+        let (ox, oy) = (r * cos_a, r * sin_a);
+        let c = dims.world_to_grid(Point2::new(
+            pose.x + ox * cos_th - oy * sin_th,
+            pose.y + ox * sin_th + oy * cos_th,
+        ));
+        if map.is_occupied(c) {
+            total += 1.0;
+        } else if c.neighbors8().iter().any(|n| map.is_occupied(*n)) {
+            total += 0.55;
+        } else if map.is_unknown(c) {
+            total += 0.05;
+        }
+    }
+    total
+}
+
+proptest! {
+    // Equivalence checks are cheap: draw many more cases than usual.
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    fn score_matches_the_checked_reference(
+        seed in 0u64..1_000_000, x in -0.3f64..2.3, y in -0.3f64..1.9, th in -PI..PI,
+    ) {
+        // A small random map with occupied, free and unknown cells right
+        // up to every edge, then a few random scans integrated into it
+        // so some cells sit exactly on the free threshold (two misses)
+        // or between the thresholds. The scored scan's endpoints land
+        // inside the map, on its border cells and past them.
+        let dims = GridDims::new(20, 16, 0.1, Point2::ORIGIN);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let cells = (0..dims.len())
+            .map(|_| [MapMsg::OCCUPIED, MapMsg::FREE, MapMsg::UNKNOWN, MapMsg::UNKNOWN][rng.index(4)])
+            .collect();
+        let mut map = OccupancyGrid::from_map_msg(&MapMsg { stamp: SimTime::EPOCH, dims, cells });
+        let beams = 120;
+        let random_scan = |rng: &mut SimRng| LaserScan {
+            stamp: SimTime::EPOCH,
+            angle_min: 0.0,
+            angle_increment: 2.0 * PI / beams as f64,
+            range_max: 3.0,
+            ranges: (0..beams).map(|_| rng.uniform_range(0.0, 3.2)).collect(),
+        };
+        let mut meter = WorkMeter::new();
+        for _ in 0..3 {
+            let from = Pose2D::new(rng.uniform_range(0.0, 2.0), rng.uniform_range(0.0, 1.6), 0.0);
+            let scan = random_scan(&mut rng);
+            map.integrate_scan(from, &scan, &mut meter);
+        }
+        let scan = random_scan(&mut rng);
+        let sm = ScanMatcher::default();
+        let pose = Pose2D::new(x, y, th);
+        let (got, _) = sm.score(&map, pose, &scan);
+        let want = reference_score(&map, pose, &scan, sm.config().beam_skip);
+        prop_assert_eq!(got.to_bits(), want.to_bits());
+    }
+}

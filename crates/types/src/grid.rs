@@ -5,6 +5,7 @@
 //! world-frame origin so world↔grid conversion lives in one place.
 
 use crate::geometry::Point2;
+use std::ops::ControlFlow;
 
 /// Integer cell coordinate in a grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,16 +22,24 @@ impl GridIndex {
         GridIndex { col, row }
     }
 
-    /// Chebyshev (8-connected) distance to another cell.
-    pub fn chebyshev(self, other: GridIndex) -> i32 {
-        (self.col - other.col)
-            .abs()
-            .max((self.row - other.row).abs())
+    /// Chebyshev (8-connected) distance to another cell (in i64: cells
+    /// at opposite ends of the i32 range are 2³² − 1 apart).
+    pub fn chebyshev(self, other: GridIndex) -> i64 {
+        let (dc, dr) = self.deltas(other);
+        dc.max(dr)
     }
 
     /// Manhattan (4-connected) distance to another cell.
-    pub fn manhattan(self, other: GridIndex) -> i32 {
-        (self.col - other.col).abs() + (self.row - other.row).abs()
+    pub fn manhattan(self, other: GridIndex) -> i64 {
+        let (dc, dr) = self.deltas(other);
+        dc + dr
+    }
+
+    fn deltas(self, other: GridIndex) -> (i64, i64) {
+        (
+            (self.col as i64 - other.col as i64).abs(),
+            (self.row as i64 - other.row as i64).abs(),
+        )
     }
 
     /// The 4-connected neighbours (no bounds check).
@@ -124,10 +133,11 @@ impl GridDims {
     }
 
     /// World point → containing cell (may be outside the grid).
+    #[inline]
     pub fn world_to_grid(&self, p: Point2) -> GridIndex {
         GridIndex::new(
-            ((p.x - self.origin.x) / self.resolution).floor() as i32,
-            ((p.y - self.origin.y) / self.resolution).floor() as i32,
+            floor_i32((p.x - self.origin.x) / self.resolution),
+            floor_i32((p.y - self.origin.y) / self.resolution),
         )
     }
 
@@ -148,29 +158,67 @@ impl GridDims {
     }
 }
 
-/// Amanatides–Woo style voxel traversal: iterates every cell a segment
-/// passes through, in order, starting at the cell containing `from`.
+/// `x.floor() as i32`, exactly, for every `f64` (NaN → 0, ±∞ and
+/// out-of-range values saturate), without a call into libm.
 ///
-/// Used by the laser ray-caster and by occupancy-map updates, so it
-/// must visit a contiguous 4-connected-ish chain with no gaps.
+/// `x as i32` truncates towards zero and saturates; the result is one
+/// too large exactly when truncation rounded a negative non-integer up,
+/// which is when it lies above `x`.
+#[inline]
+pub fn floor_i32(x: f64) -> i32 {
+    let t = x as i32;
+    t.saturating_sub(((t as f64) > x) as i32)
+}
+
+/// One cell of a [`RayWalk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RayCell {
+    /// The cell (may be outside the grid; coordinates past the `i32`
+    /// range wrap).
+    pub idx: GridIndex,
+    /// Its row-major index, `Some` only when the cell is inside the grid.
+    pub flat: Option<usize>,
+}
+
+/// Amanatides–Woo voxel traversal: every cell a segment passes
+/// through, in order, from the cell containing `from` to the cell
+/// containing `to`.
+///
+/// This is the one stepping loop of the workspace: the laser
+/// ray-caster, occupancy-map updates, costmap ray clearing and
+/// [`GridRay`] all walk it, so they all visit the same cells. Each step
+/// moves one axis (the one whose next cell border is nearer, `y` on a
+/// tie), so the cells form a 4-connected chain. The walk stops after
+/// the end cell, or after `(chebyshev(start, end) + 1)·2 + 4` cells if
+/// floating-point rounding steps past it. It carries the flat index
+/// along (±1 per column, ±width per row), so a cell inside the grid
+/// costs one unsigned bounds test and no multiply.
 #[derive(Debug, Clone)]
-pub struct GridRay {
-    cur: GridIndex,
-    end: GridIndex,
-    step_x: i32,
-    step_y: i32,
+pub struct RayWalk {
+    // Columns and rows are i64 and the flat index wraps, so no step
+    // can overflow, however far apart the endpoints are.
+    col: i64,
+    row: i64,
+    end_col: i64,
+    end_row: i64,
+    step_x: i64,
+    step_y: i64,
+    flat: usize,
+    flat_step_x: usize,
+    flat_step_y: usize,
+    width: u64,
+    height: u64,
     t_max_x: f64,
     t_max_y: f64,
     t_delta_x: f64,
     t_delta_y: f64,
-    done: bool,
-    /// Safety bound on the number of produced cells.
-    remaining: u32,
+    /// Cells still to yield; 0 once the end cell has been yielded.
+    remaining: u64,
 }
 
-impl GridRay {
-    /// Build a traversal from `from` to `to` (world coordinates) on a
-    /// grid with the given geometry.
+impl RayWalk {
+    /// Walk from `from` to `to` (world coordinates) on a grid with the
+    /// given geometry.
     pub fn new(dims: &GridDims, from: Point2, to: Point2) -> Self {
         let start = dims.world_to_grid(from);
         let end = dims.world_to_grid(to);
@@ -210,19 +258,103 @@ impl GridRay {
             res / dir.y.abs()
         };
 
-        let max_cells = (start.chebyshev(end) as u32 + 1) * 2 + 4;
-        GridRay {
-            cur: start,
-            end,
+        let width = dims.width as usize;
+        let (col, row) = (start.col as i64, start.row as i64);
+        let budget = (start.chebyshev(end) + 1) * 2 + 4;
+        RayWalk {
+            col,
+            row,
+            end_col: end.col as i64,
+            end_row: end.row as i64,
             step_x,
             step_y,
+            flat: (row as usize)
+                .wrapping_mul(width)
+                .wrapping_add(col as usize),
+            flat_step_x: step_x as usize,
+            flat_step_y: (step_y as usize).wrapping_mul(width),
+            width: dims.width as u64,
+            height: dims.height as u64,
             t_max_x,
             t_max_y,
             t_delta_x,
             t_delta_y,
-            done: false,
-            remaining: max_cells,
+            remaining: budget.min(u32::MAX as i64) as u64,
         }
+    }
+
+    /// The current cell.
+    #[inline(always)]
+    fn cell(&self) -> RayCell {
+        let inside = (self.col as u64) < self.width && (self.row as u64) < self.height;
+        RayCell {
+            idx: GridIndex::new(self.col as i32, self.row as i32),
+            flat: inside.then_some(self.flat),
+        }
+    }
+
+    /// Move to the next cell: one step along the axis whose next cell
+    /// border is nearer.
+    ///
+    /// A branch, not selects: on baseline x86-64 an `f64` select
+    /// becomes a branch anyway or a round trip through integer
+    /// registers, and the select forms measured 1.6–1.8× slower per
+    /// cell than this.
+    #[inline(always)]
+    fn step(&mut self) {
+        if self.t_max_x < self.t_max_y {
+            self.t_max_x += self.t_delta_x;
+            self.col += self.step_x;
+            self.flat = self.flat.wrapping_add(self.flat_step_x);
+        } else {
+            self.t_max_y += self.t_delta_y;
+            self.row += self.step_y;
+            self.flat = self.flat.wrapping_add(self.flat_step_y);
+        }
+    }
+
+    /// Visit every cell before the end cell, in order, until `visit`
+    /// breaks. Continues with the end cell (not visited) when the walk
+    /// reached it, or with `None` when rounding stepped past it: then
+    /// `visit` saw every cell up to the budget.
+    #[inline]
+    pub fn walk<B>(
+        mut self,
+        mut visit: impl FnMut(RayCell) -> ControlFlow<B>,
+    ) -> ControlFlow<B, Option<RayCell>> {
+        // Every step moves one cell along one axis, always the same
+        // way, so the end cell can only be the cell as many steps on as
+        // it is Manhattan-far from the start. Visit the cells before it
+        // without testing for the end.
+        let to_end =
+            (self.end_col - self.col).unsigned_abs() + (self.end_row - self.row).unsigned_abs();
+        let before = to_end.min(self.remaining);
+        self.remaining -= before;
+        for _ in 0..before {
+            visit(self.cell())?;
+            self.step();
+        }
+        if self.remaining > 0 && self.col == self.end_col && self.row == self.end_row {
+            return ControlFlow::Continue(Some(self.cell()));
+        }
+        for _ in 0..self.remaining {
+            visit(self.cell())?;
+            self.step();
+        }
+        ControlFlow::Continue(None)
+    }
+}
+
+/// The cells of a [`RayWalk`] one at a time, as plain indices, for
+/// callers that do not index a grid (line-of-sight checks, tests).
+#[derive(Debug, Clone)]
+pub struct GridRay(RayWalk);
+
+impl GridRay {
+    /// Build a traversal from `from` to `to` (world coordinates) on a
+    /// grid with the given geometry.
+    pub fn new(dims: &GridDims, from: Point2, to: Point2) -> Self {
+        GridRay(RayWalk::new(dims, from, to))
     }
 }
 
@@ -230,23 +362,18 @@ impl Iterator for GridRay {
     type Item = GridIndex;
 
     fn next(&mut self) -> Option<GridIndex> {
-        if self.done || self.remaining == 0 {
+        let walk = &mut self.0;
+        if walk.remaining == 0 {
             return None;
         }
-        self.remaining -= 1;
-        let out = self.cur;
-        if out == self.end {
-            self.done = true;
-            return Some(out);
-        }
-        if self.t_max_x < self.t_max_y {
-            self.t_max_x += self.t_delta_x;
-            self.cur.col += self.step_x;
+        let idx = walk.cell().idx;
+        walk.remaining = if walk.col == walk.end_col && walk.row == walk.end_row {
+            0
         } else {
-            self.t_max_y += self.t_delta_y;
-            self.cur.row += self.step_y;
-        }
-        Some(out)
+            walk.remaining - 1
+        };
+        walk.step();
+        Some(idx)
     }
 }
 

@@ -27,7 +27,7 @@ pub mod work;
 pub use angle::{normalize_angle, Angle};
 pub use error::LgvError;
 pub use geometry::{Point2, Pose2D, Twist, Vec2};
-pub use grid::{GridDims, GridIndex, GridRay};
+pub use grid::{GridDims, GridIndex, GridRay, RayCell, RayWalk};
 pub use msg::{
     GoalMsg, LaserScan, MapMsg, OdometryMsg, PathMsg, PoseEstimate, VelocityCmd, VelocitySource,
 };
@@ -43,7 +43,7 @@ pub mod prelude {
     pub use crate::angle::{normalize_angle, Angle};
     pub use crate::error::LgvError;
     pub use crate::geometry::{Point2, Pose2D, Twist, Vec2};
-    pub use crate::grid::{GridDims, GridIndex, GridRay};
+    pub use crate::grid::{GridDims, GridIndex, GridRay, RayCell, RayWalk};
     pub use crate::msg::*;
     pub use crate::node::{NodeKind, NodeSet, Placement, Stage};
     pub use crate::rng::SimRng;
