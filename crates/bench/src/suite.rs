@@ -61,6 +61,7 @@ use lgv_slam::pool::ParallelExecutor;
 use lgv_trace::json::Value;
 use lgv_trace::prof::{self, ProfileTree};
 use lgv_trace::{JsonlSink, TraceRecord, TraceSink, Tracer};
+use lgv_types::fnv1a;
 use std::io::{self, Write};
 use std::sync::Mutex;
 
@@ -235,16 +236,6 @@ impl TraceSink for CountingSink {
         self.events += 1;
         self.max_t_ns = self.max_t_ns.max(rec.t_ns);
     }
-}
-
-/// 64-bit FNV-1a over the captured output bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One completed job, with its captured output.
@@ -702,14 +693,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), reg.len(), "duplicate scenario names");
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

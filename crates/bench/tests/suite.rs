@@ -304,6 +304,44 @@ fn cross_linked_docs_exist() {
     );
 }
 
+/// Three lists name the same shims: the directories under
+/// `crates/shims/`, the rows of the table in `crates/shims/README.md`
+/// and the root `[workspace.dependencies]` paths into `crates/shims/`.
+#[test]
+fn shim_set_matches_readme_and_workspace_dependencies() {
+    let shims = format!("{}/../shims", env!("CARGO_MANIFEST_DIR"));
+    let dirs: BTreeSet<String> = std::fs::read_dir(&shims)
+        .unwrap_or_else(|e| panic!("cannot list {shims}: {e}"))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.is_dir())
+        .map(|path| path.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    // Rows read "| `name` | replaces | provides |".
+    let table: BTreeSet<String> = repo_file("crates/shims/README.md")
+        .lines()
+        .filter_map(|line| Some(line.strip_prefix("| `")?.split_once('`')?.0.to_string()))
+        .collect();
+    let manifest = repo_file("Cargo.toml");
+    let deps = manifest
+        .split_once("[workspace.dependencies]")
+        .expect("root Cargo.toml has [workspace.dependencies]")
+        .1;
+    let deps = deps.split("\n[").next().unwrap();
+    let declared: BTreeSet<String> = deps
+        .lines()
+        .filter_map(|line| {
+            let path = line.split_once("path = \"crates/shims/")?.1;
+            Some(path.split_once('"')?.0.to_string())
+        })
+        .collect();
+    assert!(!dirs.is_empty(), "no shims found under {shims}");
+    assert_eq!(table, dirs, "crates/shims/README.md table vs crates/shims/");
+    assert_eq!(
+        declared, dirs,
+        "root [workspace.dependencies] vs crates/shims/"
+    );
+}
+
 /// `suite --trace`: the JSONL sink rides on the job's own tracer, so
 /// the file holds exactly the events the artifact counts.
 #[test]

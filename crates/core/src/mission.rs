@@ -261,12 +261,7 @@ impl MissionReport {
     /// byte-identical; the fleet determinism tests compare a
     /// one-vehicle fleet against the single-vehicle runner with this.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        lgv_types::fnv1a(format!("{self:?}").as_bytes())
     }
 }
 

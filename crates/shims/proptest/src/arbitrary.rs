@@ -2,7 +2,6 @@
 
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
-use rand::Rng;
 use std::marker::PhantomData;
 
 /// Types with a canonical "anything" strategy.

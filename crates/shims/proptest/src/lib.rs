@@ -27,7 +27,6 @@ pub mod arbitrary;
 pub mod collection {
     use crate::strategy::{SizeRange, Strategy};
     use crate::test_runner::TestRng;
-    use rand::RngExt;
 
     /// Strategy for `Vec<T>` with length drawn from `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
@@ -56,7 +55,7 @@ pub mod collection {
             if self.min >= self.max_exclusive.saturating_sub(1) {
                 self.min
             } else {
-                rng.random_range(self.min..self.max_exclusive)
+                (self.min..self.max_exclusive).sample(rng)
             }
         }
     }
@@ -66,7 +65,6 @@ pub mod collection {
 pub mod option {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
-    use rand::RngExt;
 
     /// Strategy for `Option<T>`: `None` roughly one time in four.
     pub fn of<S: Strategy>(inner: S) -> OptionStrategy<S> {
@@ -81,7 +79,7 @@ pub mod option {
     impl<S: Strategy> Strategy for OptionStrategy<S> {
         type Value = Option<S::Value>;
         fn sample(&self, rng: &mut TestRng) -> Self::Value {
-            if rng.random_range(0usize..4) == 0 {
+            if (0usize..4).sample(rng) == 0 {
                 None
             } else {
                 Some(self.inner.sample(rng))
@@ -228,6 +226,66 @@ macro_rules! prop_assume {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use crate::test_runner::TestRng;
+
+    /// Every property in the workspace sees the cases these draws
+    /// stand for: pinned values of each strategy kind, in stream order.
+    #[test]
+    fn draws_are_pinned() {
+        let mut rng = TestRng::from_name("golden_draws");
+        let ranges = (
+            (-2.5f64..1e6).prop_map(f64::to_bits),
+            (-1.0f32..3.0).prop_map(f32::to_bits),
+            3u8..200,
+            i64::MIN..i64::MAX,
+            0usize..1000,
+            any::<u64>(),
+        );
+        let golden = [
+            (
+                0x410f8968a4f68499,
+                0x3e21c8d0,
+                135,
+                1235300357512118908,
+                597,
+                0x959f7109cf2f99ff,
+            ),
+            (
+                0x40d39d43da448346,
+                0x3f8ae0a4,
+                46,
+                -7473526030925173781,
+                628,
+                0x12f08e5384f775f6,
+            ),
+            (
+                0x412743cd223dc94c,
+                0x3ee16118,
+                173,
+                -573348836228981422,
+                114,
+                0x24ad569b8f396139,
+            ),
+        ];
+        for want in golden {
+            assert_eq!(ranges.sample(&mut rng), want);
+        }
+        let composite = (
+            crate::collection::vec(0u16..500, 1..6),
+            crate::option::of(-7i8..7),
+            ".{2,6}",
+            any::<bool>(),
+            any::<f64>().prop_map(f64::to_bits),
+        );
+        let golden = [
+            (vec![440, 10, 2], None, "\n-🦀", false, 0xb7f6bbd6e03a5283),
+            (vec![154], None, "中/", true, 0x800f47609a6444be),
+            (vec![84, 187], Some(0), "z-", true, 0xc4a06bf33cebc81d),
+        ];
+        for (v, o, s, b, f) in golden {
+            assert_eq!(composite.sample(&mut rng), (v, o, s.to_string(), b, f));
+        }
+    }
 
     proptest! {
         #[should_panic(expected = "proptest `reports_the_failing_inputs` failed at case 0 \

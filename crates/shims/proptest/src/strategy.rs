@@ -1,7 +1,6 @@
 //! The [`Strategy`] trait and the combinators this workspace uses.
 
 use crate::test_runner::TestRng;
-use rand::RngExt;
 use std::fmt::Debug;
 use std::ops::Range;
 
@@ -49,17 +48,44 @@ impl<T: Clone + Debug> Strategy for Just<T> {
     }
 }
 
-macro_rules! range_strategy {
-    ($($ty:ty),*) => {
+macro_rules! float_range_strategy {
+    ($($ty:ty: $bits:literal),*) => {
         $(impl Strategy for Range<$ty> {
             type Value = $ty;
             fn sample(&self, rng: &mut TestRng) -> $ty {
-                rng.random_range(self.clone())
+                assert!(self.start < self.end, "empty range");
+                // The top `$bits` random bits, uniform in [0, 1).
+                let u = (rng.next_u64() >> (64 - $bits)) as $ty * (1.0 / (1u64 << $bits) as $ty);
+                // May round up to `end` for extreme spans: clamp below it.
+                let v = self.start + u * (self.end - self.start);
+                if v >= self.end {
+                    self.end.next_down()
+                } else {
+                    v
+                }
             }
         })*
     };
 }
-range_strategy!(f64, f32, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+float_range_strategy!(f64: 53, f32: 24);
+
+macro_rules! int_range_strategy {
+    ($($ty:ty),*) => {
+        $(impl Strategy for Range<$ty> {
+            type Value = $ty;
+            fn sample(&self, rng: &mut TestRng) -> $ty {
+                assert!(self.start < self.end, "empty range");
+                // Lemire's multiply-shift over the span. The span is a
+                // wrapping `i64` difference, which gives signed and
+                // unsigned types the same bits.
+                let span = (self.end as i64).wrapping_sub(self.start as i64) as u64;
+                let hi = ((rng.next_u64() as u128 * span as u128) >> 64) as u64;
+                (self.start as i64).wrapping_add(hi as i64) as $ty
+            }
+        })*
+    };
+}
+int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// String pattern strategy. Only the `.{min,max}` regex form is
 /// supported: it yields strings of `min..=max` characters drawn from a
@@ -74,9 +100,9 @@ impl Strategy for &str {
             'a', 'b', 'q', 'z', 'A', 'Z', '0', '9', ' ', '_', '-', '.', '/', '"', '\\', '\n', 'é',
             'ß', 'λ', 'ж', '中', '🦀',
         ];
-        let len = rng.random_range(min..max + 1);
+        let len = (min..max + 1).sample(rng);
         (0..len)
-            .map(|_| PALETTE[rng.random_range(0usize..PALETTE.len())])
+            .map(|_| PALETTE[(0..PALETTE.len()).sample(rng)])
             .collect()
     }
 }

@@ -1,7 +1,5 @@
 //! Test configuration, RNG, and case outcome types.
 
-use rand::{Rng, SeedableRng};
-
 /// Per-property configuration (only `cases` is honoured).
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
@@ -26,8 +24,12 @@ impl Default for ProptestConfig {
 
 /// Deterministic per-test generator: seeded from a hash of the test
 /// name so every run of a given test sees the same case sequence.
+///
+/// xoshiro256++ seeded through SplitMix64, the same generator as
+/// `lgv_types::SimRng`. It is a copy, not a dependency: `lgv-types`
+/// dev-depends on this crate.
 #[derive(Clone)]
-pub struct TestRng(rand::rngs::SmallRng);
+pub struct TestRng([u64; 4]);
 
 impl TestRng {
     /// Build the generator for the named test.
@@ -38,13 +40,29 @@ impl TestRng {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
-        TestRng(rand::rngs::SmallRng::seed_from_u64(h))
+        // SplitMix64 expands the hash into the full state.
+        let mut next = || {
+            h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = h;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        TestRng([next(), next(), next(), next()])
     }
-}
 
-impl Rng for TestRng {
-    fn next_u64(&mut self) -> u64 {
-        self.0.next_u64()
+    /// Next 64 uniformly random bits: one xoshiro256++ step.
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.0;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 }
 

@@ -38,6 +38,17 @@ pub use time::{Duration, Rate, SimTime};
 pub use vehicle::VehicleId;
 pub use work::{Work, WorkMeter};
 
+/// 64-bit FNV-1a: the workspace's one checksum over bytes (scenario
+/// outputs, mission-report fingerprints).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Convenience prelude re-exporting the most commonly used items.
 pub mod prelude {
     pub use crate::angle::{normalize_angle, Angle};
@@ -51,4 +62,15 @@ pub mod prelude {
     pub use crate::time::{Duration, Rate, SimTime};
     pub use crate::vehicle::VehicleId;
     pub use crate::work::{Work, WorkMeter};
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Standard FNV-1a test vectors.
+        assert_eq!(super::fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(super::fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
 }
