@@ -218,7 +218,12 @@ mod tests {
         let mut t = TablePrinter::new(vec!["a", "b"]);
         t.row(vec!["1", "2"]);
         t.row(vec!["333", "4"]);
-        t.print();
+        let mut out = Vec::new();
+        t.write_to(&mut out).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "  a  b\n--------\n  1  2\n333  4\n"
+        );
     }
 
     #[test]

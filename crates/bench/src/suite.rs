@@ -537,28 +537,7 @@ impl SuiteReport {
             ));
             s.push_str(&format!("      \"coverage\": {coverage:.4},\n"));
             s.push_str("      \"scopes\": [\n");
-            let rows: Vec<(usize, usize)> = match root {
-                Some(root) => {
-                    // Depth-first canonical walk of the subtree below
-                    // the scenario root.
-                    let mut rows = Vec::new();
-                    let mut stack: Vec<(usize, usize)> = r
-                        .profile
-                        .children_sorted(root)
-                        .into_iter()
-                        .rev()
-                        .map(|c| (c, 1))
-                        .collect();
-                    while let Some((n, d)) = stack.pop() {
-                        rows.push((n, d));
-                        for c in r.profile.children_sorted(n).into_iter().rev() {
-                            stack.push((c, d + 1));
-                        }
-                    }
-                    rows
-                }
-                None => Vec::new(),
-            };
+            let rows = root.map_or_else(Vec::new, |root| r.profile.walk(root));
             for (j, &(n, depth)) in rows.iter().enumerate() {
                 let node = &r.profile.nodes()[n];
                 // Path relative to the scenario root: strip the

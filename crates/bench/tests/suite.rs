@@ -185,7 +185,7 @@ fn profiled_fig13_covers_its_wall_time_with_named_kernels() {
     // Top self-time scope below the root must be a named kernel.
     let (top, _) = r
         .profile
-        .walk()
+        .walk(0)
         .into_iter()
         .filter(|&(n, _)| n != root)
         .max_by_key(|&(n, _)| r.profile.self_ns(n))

@@ -39,7 +39,7 @@ use lgv_nav::frontier::{FrontierConfig, FrontierExplorer};
 use lgv_nav::global_planner::{GlobalPlanner, PlannerConfig};
 use lgv_nav::velocity_mux::{MuxConfig, VelocityMux};
 use lgv_nav::{Amcl, AmclConfig};
-use lgv_net::fault::{CloudFaultKind, FaultClock};
+use lgv_net::fault::{CloudFaultKind, FaultClock, FaultKind};
 use lgv_net::link::{DuplexLink, LinkConfig};
 use lgv_net::measure::SignalDirectionEstimator;
 use lgv_net::shared::SharedMedium;
@@ -114,7 +114,7 @@ pub struct VehicleSession {
     missed_cycles_degraded: u64,
     /// Emits one `fault_begin`/`fault_end` pair per scripted window
     /// (the channels apply the fault effects silently).
-    fault_clock: FaultClock,
+    fault_clock: FaultClock<FaultKind>,
     effective_threads: u32,
     threads_sum: f64,
     threads_n: u64,
@@ -528,12 +528,12 @@ impl VehicleSession {
                     let event = match f.kind {
                         CloudFaultKind::ReplicaCrash { replicas } => TraceEvent::ReplicaCrash {
                             replicas: u64::from(replicas),
-                            window: f.index,
+                            window: f.window,
                             window_ns: f.span.as_nanos(),
                         },
                         CloudFaultKind::Straggler { factor } => TraceEvent::ReplicaStraggle {
                             factor,
-                            window: f.index,
+                            window: f.window,
                             window_ns: f.span.as_nanos(),
                         },
                         CloudFaultKind::FailedScaleUp => continue,

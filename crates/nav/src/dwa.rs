@@ -160,12 +160,6 @@ impl DwaPlanner {
         &self.cfg
     }
 
-    /// Change the parallelism degree at runtime.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.cfg.threads = threads.max(1);
-        self.executor = ParallelExecutor::new(self.cfg.threads);
-    }
-
     /// Cap the linear velocity (the Controller applies Eq. 2c's
     /// `velocityOA` here).
     pub fn set_max_linear(&mut self, v: f64) {

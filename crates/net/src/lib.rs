@@ -50,8 +50,8 @@ pub mod tcp;
 
 pub use channel::{Packet, SendOutcome, UdpChannel};
 pub use fault::{
-    CloudFaultKind, CloudFaultSchedule, CloudFaultWindow, FaultClock, FaultEdge, FaultInjector,
-    FaultKind, FaultSchedule, FaultWindow,
+    CloudFaultKind, CloudFaultSchedule, FaultClock, FaultEdge, FaultInjector, FaultKind,
+    FaultSchedule, Schedule, Window,
 };
 pub use link::{DuplexLink, LinkConfig, RemoteSite};
 pub use measure::{BandwidthMeter, RttTracker, SignalDirectionEstimator};

@@ -70,8 +70,9 @@
 //! # Fault injection
 //!
 //! [`CloudScheduler::set_faults`] attaches a deterministic
-//! [`CloudFaultSchedule`] (`lgv-net`'s cloud-tier counterpart to the
-//! channel fault windows):
+//! [`CloudFaultSchedule`] (`lgv-net`'s fault `Schedule` over
+//! cloud-tier kinds; a [`FaultClock`] reports each window's opening
+//! once, through [`Admission::faults`]):
 //!
 //! * **Replica crashes** remove serving capacity while the window is
 //!   open — admissions land on the surviving replicas and pay the
@@ -88,7 +89,7 @@
 //! An empty schedule (the default) leaves every arithmetic path
 //! byte-identical to a scheduler with no faults attached.
 
-use lgv_net::fault::{CloudFaultKind, CloudFaultSchedule};
+use lgv_net::fault::{CloudFaultKind, CloudFaultSchedule, FaultClock, FaultEdge};
 use lgv_types::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -183,18 +184,7 @@ pub struct Admission {
     /// (each window is reported exactly once, by whichever tenant's
     /// admission crosses into it first — deterministic under the
     /// fleet's lockstep round order).
-    pub faults: Vec<CloudFaultEdge>,
-}
-
-/// A cloud-fault window observed opening at admission time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CloudFaultEdge {
-    /// What failed.
-    pub kind: CloudFaultKind,
-    /// Ordinal of the window in the attached schedule.
-    pub index: u64,
-    /// Total span of the fault window.
-    pub span: Duration,
+    pub faults: Vec<FaultEdge<CloudFaultKind>>,
 }
 
 /// This admission coalesced into a same-stage batch.
@@ -369,10 +359,9 @@ struct SchedulerInner {
     batches: u64,
     batched_admissions: u64,
     // Fault injection.
-    faults: CloudFaultSchedule,
-    /// One flag per schedule window: has its opening been reported
-    /// through [`Admission::faults`] yet?
-    fault_reported: Vec<bool>,
+    /// Reports each window's opening exactly once, through
+    /// [`Admission::faults`].
+    faults: FaultClock<CloudFaultKind>,
     replica_crash_windows: u64,
     straggled_admissions: u64,
     straggler_extra_delay: Duration,
@@ -401,13 +390,13 @@ impl SchedulerInner {
             // are still provisioned and still billed; ledger the
             // serving-nothing fraction as waste.
             let start = SimTime::from_nanos(ew.saturating_mul(self.window.as_nanos()));
-            let dead = self.faults.crashed_at(start).min(provisioned);
+            let dead = self.faults.schedule().crashed_at(start).min(provisioned);
             self.wasted_replica_secs += dead as f64 * self.window.as_secs_f64();
             let total: u64 = self.requested.get(&ew).map_or(0, |m| m.values().sum());
             let util = total as f64 / (self.hw_threads as u64 * provisioned as u64).max(1) as f64;
             let boundary = SimTime::from_nanos((ew + 1).saturating_mul(self.window.as_nanos()));
             if util > self.cfg.scale_up_util && provisioned < self.cfg.max_replicas {
-                if self.faults.scale_up_fails_at(boundary) {
+                if self.faults.schedule().scale_up_fails_at(boundary) {
                     // The autoscaler commits and pays the spin-up, but
                     // the replica never comes: no capacity, no
                     // ScaleEvent, just priced waste.
@@ -453,30 +442,22 @@ impl SchedulerInner {
     /// With an empty schedule this is exactly [`Self::ready_replicas`].
     fn serving_replicas(&self, now: SimTime) -> u32 {
         self.ready_replicas(now)
-            .saturating_sub(self.faults.crashed_at(now))
+            .saturating_sub(self.faults.schedule().crashed_at(now))
             .max(1)
     }
 
     /// Report every schedule window whose opening `now` has reached
     /// and that has not been reported yet (exactly-once per window).
-    fn observe_fault_edges(&mut self, now: SimTime) -> Vec<CloudFaultEdge> {
-        if self.faults.is_empty() {
+    fn observe_fault_edges(&mut self, now: SimTime) -> Vec<FaultEdge<CloudFaultKind>> {
+        if self.faults.schedule().is_empty() {
             return Vec::new();
         }
-        let mut edges = Vec::new();
-        for (i, w) in self.faults.windows().iter().enumerate() {
-            if !self.fault_reported[i] && now >= w.from {
-                self.fault_reported[i] = true;
-                if matches!(w.kind, CloudFaultKind::ReplicaCrash { .. }) {
-                    self.replica_crash_windows += 1;
-                }
-                edges.push(CloudFaultEdge {
-                    kind: w.kind,
-                    index: i as u64,
-                    span: w.until.saturating_since(w.from),
-                });
-            }
-        }
+        let mut edges = self.faults.poll(now);
+        edges.retain(|e| e.begin);
+        self.replica_crash_windows += edges
+            .iter()
+            .filter(|e| matches!(e.kind, CloudFaultKind::ReplicaCrash { .. }))
+            .count() as u64;
         edges
     }
 }
@@ -532,8 +513,7 @@ impl CloudScheduler {
                 scale_downs: 0,
                 batches: 0,
                 batched_admissions: 0,
-                faults: CloudFaultSchedule::none(),
-                fault_reported: Vec::new(),
+                faults: FaultClock::new(CloudFaultSchedule::none()),
                 replica_crash_windows: 0,
                 straggled_admissions: 0,
                 straggler_extra_delay: Duration::ZERO,
@@ -558,8 +538,7 @@ impl CloudScheduler {
     /// behavior, byte for byte.
     pub fn set_faults(&self, faults: CloudFaultSchedule) {
         let mut inner = self.lock();
-        inner.fault_reported = vec![false; faults.windows().len()];
-        inner.faults = faults;
+        inner.faults = FaultClock::new(faults);
     }
 
     /// Admit `exec` seconds of `stage` compute on `threads` threads
@@ -669,7 +648,7 @@ impl CloudScheduler {
         // A straggler window slows the whole remote execution, not
         // just the queueing part: the nominal exec runs factor× slow
         // and the queueing delay stretches with it.
-        let factor = inner.faults.straggle_factor_at(now);
+        let factor = inner.faults.schedule().straggle_factor_at(now);
         if factor > 1.0 {
             let slowed = delay * factor + exec * (factor - 1.0);
             inner.straggled_admissions += 1;
@@ -1072,7 +1051,7 @@ mod tests {
             adm.faults[0].kind,
             CloudFaultKind::ReplicaCrash { replicas: 1 }
         );
-        assert_eq!(adm.faults[0].index, 0);
+        assert_eq!(adm.faults[0].window, 0);
         assert_eq!(adm.faults[0].span, Duration::from_secs(2));
         let adm = s.admit(2, VDP, at(1_100), 8, EXEC);
         assert_eq!(adm.faults.len(), 1);
@@ -1082,6 +1061,29 @@ mod tests {
         );
         // No window reports twice.
         assert!(s.admit(1, VDP, at(1_200), 8, EXEC).faults.is_empty());
+    }
+
+    #[test]
+    fn window_closed_between_admissions_is_still_reported_once() {
+        let s = two_replica_pool();
+        s.set_faults(CloudFaultSchedule::none().with(
+            0.3,
+            0.2,
+            CloudFaultKind::ReplicaCrash { replicas: 1 },
+        ));
+        assert!(s.admit(1, VDP, at(0), 8, EXEC).faults.is_empty());
+        // The window opened at 0.3 s and closed at 0.5 s, unseen; the
+        // first admission after it opened reports it anyway.
+        let adm = s.admit(2, VDP, at(600), 8, EXEC);
+        assert_eq!(adm.faults.len(), 1);
+        assert_eq!(
+            adm.faults[0].kind,
+            CloudFaultKind::ReplicaCrash { replicas: 1 }
+        );
+        assert_eq!(adm.faults[0].window, 0);
+        assert_eq!(adm.faults[0].span, Duration::from_millis(200));
+        assert!(s.admit(1, VDP, at(800), 8, EXEC).faults.is_empty());
+        assert_eq!(s.stats().replica_crash_windows, 1);
     }
 
     #[test]

@@ -754,29 +754,6 @@ impl TraceAnalysis {
         a
     }
 
-    /// Total reconstructed journeys (lineage roots).
-    pub fn journey_count(&self) -> usize {
-        self.journeys.len()
-    }
-
-    /// Journeys that delivered all the way back to the robot bus.
-    pub fn complete_count(&self) -> usize {
-        self.journeys
-            .iter()
-            .filter(|j| j.fate == Fate::Delivered)
-            .count()
-    }
-
-    /// Flagged lying-RTT windows.
-    pub fn anomaly_count(&self) -> usize {
-        self.anomalies.len()
-    }
-
-    /// Control cycles seen (span_begin records named `cycle`).
-    pub fn cycle_count(&self) -> u64 {
-        self.cycles
-    }
-
     /// Scripted fault windows seen (`fault_begin` records).
     pub fn fault_window_count(&self) -> usize {
         self.faults.len()
@@ -795,57 +772,6 @@ impl TraceAnalysis {
     /// Re-offload backoff waits announced across the whole mission.
     pub fn backoff_count(&self) -> usize {
         self.backoffs.len()
-    }
-
-    /// Distinct non-zero envelope `vehicle` tags seen in the trace
-    /// (0 for single-vehicle traces, which never tag records).
-    pub fn vehicle_count(&self) -> usize {
-        self.vehicles.len()
-    }
-
-    /// `policy_decide` ticks seen across the whole trace (0 for
-    /// traces predating the pluggable decision layer).
-    pub fn policy_decision_count(&self) -> u64 {
-        self.policies.values().map(|p| p.decisions).sum()
-    }
-
-    /// Distinct offload-policy names that produced decisions in this
-    /// trace, sorted.
-    pub fn policy_names(&self) -> Vec<&str> {
-        self.policies.keys().map(String::as_str).collect()
-    }
-
-    /// Placement flips (consecutive `policy_decide` ticks of one
-    /// (policy, vehicle) stream proposing different remote sets).
-    pub fn policy_flip_count(&self) -> u64 {
-        self.policies.values().map(|p| p.flips).sum()
-    }
-
-    /// `cloud_batch` joins seen across the fleet (0 outside elastic
-    /// fleet traces).
-    pub fn cloud_batch_join_count(&self) -> u64 {
-        self.cloud_batch_joins
-    }
-
-    /// `cloud_scale` replica transitions seen across the fleet.
-    pub fn cloud_scale_event_count(&self) -> usize {
-        self.cloud_scales.len()
-    }
-
-    /// Distinct radio regions that assigned at least one vehicle
-    /// (0 outside sharded fleet traces).
-    pub fn region_count(&self) -> usize {
-        self.region_vehicles.len()
-    }
-
-    /// Cross-region admissions that paid the deterministic WAN hop.
-    pub fn wan_hop_count(&self) -> u64 {
-        self.wan_hops
-    }
-
-    /// Total WAN-hop surcharge paid across the fleet (virtual ns).
-    pub fn wan_delay_ns(&self) -> u64 {
-        self.wan_delay_ns
     }
 
     /// Per-outage recovery latencies (each heartbeat miss to the next
@@ -957,11 +883,15 @@ impl TraceAnalysis {
             self.events_per_cycle.percentile(95.0),
             self.events_per_cycle.max()
         );
-        let complete = self.complete_count();
+        let complete = self
+            .journeys
+            .iter()
+            .filter(|j| j.fate == Fate::Delivered)
+            .count();
         let _ = writeln!(
             out,
             "journeys: {} reconstructed, {} delivered end-to-end",
-            self.journey_count(),
+            self.journeys.len(),
             complete
         );
 
@@ -1467,9 +1397,8 @@ mod tests {
     #[test]
     fn reconstructs_a_complete_journey() {
         let a = TraceAnalysis::from_records(&complete_journey());
-        assert_eq!(a.journey_count(), 1);
-        assert_eq!(a.complete_count(), 1);
-        assert_eq!(a.cycle_count(), 1);
+        assert_eq!(a.journeys.len(), 1);
+        assert_eq!(a.cycles, 1);
         let j = &a.journeys[0];
         assert_eq!(j.fate, Fate::Delivered);
         assert_eq!(j.stages[0], Some(1_000_000)); // publish->uplink
@@ -1480,6 +1409,7 @@ mod tests {
         assert_eq!(j.end_to_end, Some(65_000_000));
         assert_eq!(j.critical_stage(), Some(2)); // compute dominates
         let report = a.render_report();
+        assert!(report.contains("journeys: 1 reconstructed, 1 delivered end-to-end"));
         assert!(report.contains("cloud compute"));
         assert!(report.contains("none detected"));
     }
@@ -1527,11 +1457,11 @@ mod tests {
         ];
         records.sort_by_key(|r| r.seq);
         let a = TraceAnalysis::from_records(&records);
-        assert_eq!(a.journey_count(), 3);
-        assert_eq!(a.complete_count(), 0);
+        assert_eq!(a.journeys.len(), 3);
         let fates: Vec<Fate> = a.journeys.iter().map(|j| j.fate).collect();
         assert_eq!(fates, vec![Fate::Discarded, Fate::Lost, Fate::Local]);
         let report = a.render_report();
+        assert!(report.contains("journeys: 3 reconstructed, 0 delivered end-to-end"));
         assert!(report.contains("sender discards: up=1"));
         assert!(report.contains("radio losses:    up=1"));
         assert!(report.contains("msg#1 `scan`"));
@@ -1559,7 +1489,7 @@ mod tests {
             records.push(discard(i + 1, 1_200 + i * 10, i + 1));
         }
         let a = TraceAnalysis::from_records(&records);
-        assert_eq!(a.anomaly_count(), 1);
+        assert_eq!(a.anomalies.len(), 1);
         let report = a.render_report();
         assert!(report.contains("RTT metric lies"));
         assert!(report.contains("24.0 ms"));
@@ -1570,7 +1500,7 @@ mod tests {
             discard(1, 1_200, 1),
             discard(2, 1_210, 2),
         ];
-        assert_eq!(TraceAnalysis::from_records(&few).anomaly_count(), 0);
+        assert_eq!(TraceAnalysis::from_records(&few).anomalies.len(), 0);
 
         // Unhealthy RTT (the monitor already sees trouble): not lying.
         let honest = vec![
@@ -1587,7 +1517,7 @@ mod tests {
             discard(3, 1_220, 3),
             discard(4, 1_230, 4),
         ];
-        assert_eq!(TraceAnalysis::from_records(&honest).anomaly_count(), 0);
+        assert_eq!(TraceAnalysis::from_records(&honest).anomalies.len(), 0);
 
         // No RTT sample at all: nothing to lie.
         let blind = vec![
@@ -1595,7 +1525,7 @@ mod tests {
             discard(1, 1_210, 2),
             discard(2, 1_220, 3),
         ];
-        assert_eq!(TraceAnalysis::from_records(&blind).anomaly_count(), 0);
+        assert_eq!(TraceAnalysis::from_records(&blind).anomalies.len(), 0);
     }
 
     #[test]
@@ -1729,7 +1659,7 @@ mod tests {
     #[test]
     fn untagged_traces_render_no_vehicle_section() {
         let a = TraceAnalysis::from_records(&complete_journey());
-        assert_eq!(a.vehicle_count(), 0);
+        assert_eq!(a.vehicles.len(), 0);
         assert!(!a.render_report().contains("per-vehicle attribution"));
     }
 
@@ -1760,7 +1690,7 @@ mod tests {
             )
         });
         let a = TraceAnalysis::from_records(&records);
-        assert_eq!(a.vehicle_count(), 2);
+        assert_eq!(a.vehicles.len(), 2);
         let v1 = &a.vehicles[&1];
         assert_eq!((v1.cycles, v1.journeys, v1.delivered), (1, 1, 1));
         let v2 = &a.vehicles[&2];
@@ -1774,7 +1704,7 @@ mod tests {
         // No region events either: the sharding section must not
         // render for unsharded fleet traces.
         assert!(!report.contains("regional sharding"));
-        assert_eq!(a.region_count(), 0);
+        assert_eq!(a.region_vehicles.len(), 0);
     }
 
     #[test]
@@ -1822,9 +1752,9 @@ mod tests {
             ),
         ];
         let a = TraceAnalysis::from_records(&records);
-        assert_eq!(a.region_count(), 2);
-        assert_eq!(a.wan_hop_count(), 2);
-        assert_eq!(a.wan_delay_ns(), 20_000_000);
+        assert_eq!(a.region_vehicles.len(), 2);
+        assert_eq!(a.wan_hops, 2);
+        assert_eq!(a.wan_delay_ns, 20_000_000);
         let report = a.render_report();
         assert!(report.contains("regional sharding"));
         assert!(report.contains("region r1: 1 vehicle(s)"));
@@ -1838,8 +1768,8 @@ mod tests {
         // and count zero decisions.
         let legacy = vec![rec(5_000, 1, 0, TraceEvent::NetSwitch { to_remote: true })];
         let a = TraceAnalysis::from_records(&legacy);
-        assert_eq!(a.policy_decision_count(), 0);
-        assert!(a.policy_names().is_empty());
+        assert_eq!(a.policies.values().map(|p| p.decisions).sum::<u64>(), 0);
+        assert!(a.policies.is_empty());
         assert!(!a.render_report().contains("policy decisions"));
     }
 
@@ -1858,11 +1788,14 @@ mod tests {
             rec(800, 3, 0, decide("bandit", "-")),
         ];
         let a = TraceAnalysis::from_records(&records);
-        assert_eq!(a.policy_decision_count(), 4);
-        assert_eq!(a.policy_names(), vec!["algorithm1", "bandit"]);
+        assert_eq!(a.policies.values().map(|p| p.decisions).sum::<u64>(), 4);
+        assert_eq!(
+            a.policies.keys().collect::<Vec<_>>(),
+            ["algorithm1", "bandit"]
+        );
         // algorithm1 flipped once (remote -> local); the bandit's
         // single tick has no predecessor, so no flip.
-        assert_eq!(a.policy_flip_count(), 1);
+        assert_eq!(a.policies.values().map(|p| p.flips).sum::<u64>(), 1);
         let rendered = a.render_report();
         assert!(rendered.contains("policy decisions"));
         assert!(rendered.contains("algorithm1"));
@@ -2021,8 +1954,8 @@ mod tests {
             )
         });
         let a = TraceAnalysis::from_records(&records);
-        assert_eq!(a.cloud_batch_join_count(), 1);
-        assert_eq!(a.cloud_scale_event_count(), 1);
+        assert_eq!(a.cloud_batch_joins, 1);
+        assert_eq!(a.cloud_scales.len(), 1);
         assert_eq!(a.vehicles[&2].cloud_batches, 1);
         let report = a.render_report();
         assert!(report.contains("--- elastic cloud ---"), "{report}");

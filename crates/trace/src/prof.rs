@@ -216,12 +216,13 @@ impl ProfileTree {
         segs.join(";")
     }
 
-    /// Visit every real node depth-first in canonical (name-sorted)
-    /// order, yielding `(node, depth)` — depth 1 for top-level scopes.
-    pub fn walk(&self) -> Vec<(usize, usize)> {
+    /// Visit every node below `under` (0, the root, for the whole
+    /// tree) depth-first in canonical (name-sorted) order, yielding
+    /// `(node, depth)` — depth 1 for `under`'s children.
+    pub fn walk(&self, under: usize) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.nodes.len() - 1);
         let mut stack: Vec<(usize, usize)> = self
-            .children_sorted(0)
+            .children_sorted(under)
             .into_iter()
             .rev()
             .map(|c| (c, 1))
@@ -243,7 +244,7 @@ impl ProfileTree {
     /// role of sample counts).
     pub fn to_folded(&self) -> String {
         let mut out = String::new();
-        for (n, _) in self.walk() {
+        for (n, _) in self.walk(0) {
             let path = self.path(n).replace(' ', "_");
             let _ = writeln!(out, "{} {}", path, self.self_ns(n));
         }
@@ -584,7 +585,7 @@ mod tests {
     fn walk_is_depth_first_canonical() {
         let t = tree_of(&[("b", 1, 1), ("a", 1, 2), ("a;y", 1, 1), ("a;x", 1, 1)]);
         let names: Vec<(String, usize)> = t
-            .walk()
+            .walk(0)
             .into_iter()
             .map(|(n, d)| (t.nodes()[n].name.clone(), d))
             .collect();
