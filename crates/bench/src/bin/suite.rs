@@ -34,7 +34,8 @@
 //! - `--print-output` — dump each scenario's captured text output
 //!   after the summary table.
 //! - `--trace PATH` — write the scenario's trace events to PATH as
-//!   JSONL (`docs/OBSERVABILITY.md`); needs exactly one scenario.
+//!   JSONL (`docs/OBSERVABILITY.md`); needs exactly one scenario, and
+//!   exits non-zero if that scenario emitted no events.
 //!
 //! `check-perf` and `check-recovery` are the CI regression gates
 //! (`lgv_bench::gate`): they compare a suite artifact, or a captured
@@ -296,6 +297,17 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.trace {
+        // A scenario that emits nothing on the job's tracer (an
+        // untraced one, or chaos and chaos-fleet, which trace into
+        // tracers of their own) leaves the file empty: fail rather
+        // than exit 0.
+        if let Some(r) = report.results.iter().find(|r| r.events == 0) {
+            eprintln!(
+                "scenario {} emitted no events to the suite's tracer; trace file {path} is empty",
+                r.name
+            );
+            return ExitCode::FAILURE;
+        }
         println!("wrote trace {path}");
     }
 

@@ -18,34 +18,17 @@ use lgv_offload::recovery::RecoveryConfig;
 use lgv_offload::strategy::PinPolicy;
 use lgv_sim::world::WorldBuilder;
 use lgv_sim::LidarConfig;
-use lgv_trace::{JsonlSink, TraceAnalysis, TraceReader, Tracer};
+use lgv_trace::{TraceAnalysis, Tracer};
 use lgv_types::prelude::*;
-use std::io::{self, Write};
-use std::sync::{Arc, Mutex};
+use std::io;
 
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Run one mission with an in-memory trace and analyze it.
+/// Run one mission with the trace analysis attached as a sink.
 fn run_analyzed(cfg: MissionConfig) -> (MissionReport, TraceAnalysis) {
-    let buf = SharedBuf::default();
     let tracer = Tracer::enabled();
-    tracer.attach(JsonlSink::new(Box::new(buf.clone())));
+    let sink = tracer.attach(TraceAnalysis::default());
     let report = mission::run_traced(cfg, tracer);
-    let bytes = buf.0.lock().unwrap().clone();
-    let text = String::from_utf8(bytes).expect("trace is UTF-8");
-    let records = TraceReader::parse_str(&text).expect("trace parses");
-    (report, TraceAnalysis::from_records(&records))
+    let analysis = std::mem::take(&mut *sink.lock().unwrap());
+    (report, analysis)
 }
 
 fn chaos_config(seed: u64) -> MissionConfig {

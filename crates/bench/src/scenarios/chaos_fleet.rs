@@ -29,23 +29,9 @@ use lgv_offload::mission::{MissionConfig, Workload};
 use lgv_offload::model::VelocityModel;
 use lgv_offload::recovery::{DegradedConfig, RecoveryConfig};
 use lgv_sim::world::WorldBuilder;
-use lgv_trace::{JsonlSink, TraceAnalysis, TraceReader, Tracer};
+use lgv_trace::{TraceAnalysis, Tracer};
 use lgv_types::prelude::*;
-use std::io::{self, Write};
-use std::sync::{Arc, Mutex};
-
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+use std::io;
 
 /// One arm's recovery SLOs: the `SLO` line it prints, and what the
 /// recovery gate ([`crate::gate::check_recovery`]) reads back.
@@ -191,24 +177,21 @@ fn corridor_mission(seed: u64) -> MissionConfig {
     base
 }
 
-/// Run one arm's fleet with an in-memory trace and analyze it.
+/// Run one arm's fleet with the trace analysis attached as a sink.
 fn run_arm(arm: &Arm, seed: u64, size: usize) -> (FleetReport, TraceAnalysis) {
     let mut base = corridor_mission(seed);
     base.faults = arm.faults.clone();
     base.recovery = arm.recovery;
-    let buf = SharedBuf::default();
     let tracer = Tracer::enabled();
-    tracer.attach(JsonlSink::new(Box::new(buf.clone())));
+    let sink = tracer.attach(TraceAnalysis::default());
     let report = run_fleet_traced(
         FleetConfig::new(base, size)
             .with_cloud(arm.policy)
             .with_cloud_faults(arm.cloud_faults.clone()),
         tracer,
     );
-    let bytes = buf.0.lock().unwrap().clone();
-    let text = String::from_utf8(bytes).expect("trace is UTF-8");
-    let records = TraceReader::parse_str(&text).expect("trace parses");
-    (report, TraceAnalysis::from_records(&records))
+    let analysis = std::mem::take(&mut *sink.lock().unwrap());
+    (report, analysis)
 }
 
 /// Regenerate the chaos-fleet recovery-SLO study.

@@ -58,7 +58,7 @@
 //! See `docs/CI.md` for how the gate consumes these files.
 
 use lgv_slam::pool::ParallelExecutor;
-use lgv_trace::json::Value;
+use lgv_trace::json::{write_escaped, Value};
 use lgv_trace::prof::{self, ProfileTree};
 use lgv_trace::{JsonlSink, TraceRecord, TraceSink, Tracer};
 use lgv_types::fnv1a;
@@ -409,20 +409,11 @@ pub fn run_suite(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// Append the artifact field `"key": "<value>"`, value JSON-escaped.
+fn push_str_field(s: &mut String, key: &str, value: &str) {
+    s.push_str(&format!("\"{key}\": \""));
+    write_escaped(s, value);
+    s.push('"');
 }
 
 impl SuiteReport {
@@ -454,7 +445,8 @@ impl SuiteReport {
         s.push_str("  \"scenarios\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             s.push_str("    {");
-            s.push_str(&format!("\"name\": \"{}\", ", json_escape(&r.name)));
+            push_str_field(&mut s, "name", &r.name);
+            s.push_str(", ");
             s.push_str(&format!("\"seed\": {}, ", r.seed));
             s.push_str(&format!("\"wall_ms\": {:.3}, ", r.wall_ms));
             if r.events == 0 {
@@ -465,9 +457,10 @@ impl SuiteReport {
                 s.push_str(&format!("\"events\": {}, ", r.events));
             }
             s.push_str(&format!("\"output_bytes\": {}, ", r.output.len()));
-            s.push_str(&format!("\"checksum\": \"{}\"", json_escape(&r.checksum)));
+            push_str_field(&mut s, "checksum", &r.checksum);
             if let Some(e) = &r.error {
-                s.push_str(&format!(", \"error\": \"{}\"", json_escape(e)));
+                s.push_str(", ");
+                push_str_field(&mut s, "error", e);
             }
             s.push('}');
             s.push_str(if i + 1 < self.results.len() {
@@ -525,7 +518,9 @@ impl SuiteReport {
                 0.0
             };
             s.push_str("    {\n");
-            s.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&r.name)));
+            s.push_str("      ");
+            push_str_field(&mut s, "name", &r.name);
+            s.push_str(",\n");
             s.push_str(&format!("      \"wall_ms\": {:.3},\n", r.wall_ms));
             s.push_str(&format!(
                 "      \"profiled_ms\": {:.3},\n",
@@ -545,10 +540,8 @@ impl SuiteReport {
                 let full = r.profile.path(n);
                 let rel = full.split_once(';').map_or(full.as_str(), |(_, p)| p);
                 s.push_str("        {");
-                s.push_str(&format!(
-                    "\"path\": \"{}\", ",
-                    json_escape(&rel.replace(' ', "_"))
-                ));
+                push_str_field(&mut s, "path", &rel.replace(' ', "_"));
+                s.push_str(", ");
                 s.push_str(&format!("\"depth\": {depth}, "));
                 s.push_str(&format!("\"count\": {}, ", node.count));
                 s.push_str(&format!("\"total_ns\": {}, ", node.total_ns));
@@ -584,12 +577,11 @@ impl SuiteReport {
         s.push_str(&format!("\"total_wall_ms\": {:.3}, ", self.total_wall_ms));
         s.push_str("\"scenarios\": [");
         for (i, r) in self.results.iter().enumerate() {
-            s.push_str(&format!(
-                "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"checksum\": \"{}\"}}",
-                json_escape(&r.name),
-                r.wall_ms,
-                json_escape(&r.checksum)
-            ));
+            s.push('{');
+            push_str_field(&mut s, "name", &r.name);
+            s.push_str(&format!(", \"wall_ms\": {:.3}, ", r.wall_ms));
+            push_str_field(&mut s, "checksum", &r.checksum);
+            s.push('}');
             if i + 1 < self.results.len() {
                 s.push_str(", ");
             }
@@ -676,8 +668,16 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_specials() {
+        let json_escape = |v: &str| {
+            let mut out = String::new();
+            write_escaped(&mut out, v);
+            out
+        };
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let mut field = String::new();
+        push_str_field(&mut field, "name", "a\"b");
+        assert_eq!(field, "\"name\": \"a\\\"b\"");
     }
 
     fn job(name: &str, events: u64, sim_time_s: f64) -> JobResult {

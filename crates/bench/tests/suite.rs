@@ -358,3 +358,20 @@ fn traced_job_writes_its_event_stream() {
     assert!(report.results[0].events > 0);
     assert_eq!(records.len() as u64, report.results[0].events);
 }
+
+/// `suite --trace` on a scenario that emits no events on the job's
+/// tracer fails and names it, instead of exiting 0 beside an empty
+/// file.
+#[test]
+fn trace_of_an_untraced_scenario_is_an_error() {
+    let path = std::env::temp_dir().join(format!("lgv-suite-empty-{}.jsonl", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_suite"))
+        .args(["--quick", "--threads", "1", "--only", "table1", "--trace"])
+        .arg(&path)
+        .output()
+        .expect("suite runs");
+    let _ = std::fs::remove_file(&path);
+    assert!(!out.status.success(), "empty trace exited 0");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("table1 emitted no events"), "{err}");
+}

@@ -26,6 +26,7 @@
 
 use crate::event::{SendKind, TraceEvent, TraceRecord};
 use crate::metrics::Histogram;
+use crate::sink::TraceSink;
 use crate::span::{MsgId, SpanId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -83,6 +84,8 @@ struct Journey {
     root: MsgId,
     topic: String,
     span: SpanId,
+    /// Envelope `vehicle` tag of the root publish (0 when untagged).
+    vehicle: u64,
     t_publish: u64,
     /// Stage durations in ns, indexed like [`STAGES`]; `None` when the
     /// journey never reached that stage.
@@ -113,12 +116,34 @@ impl Journey {
     }
 }
 
+/// What the records so far say about one lineage id: its publish, its
+/// re-publications, and what happened to it on the channels.
+#[derive(Debug, Clone, Default)]
+struct MsgInfo {
+    t_publish: u64,
+    topic: String,
+    span: SpanId,
+    vehicle: u64,
+    parent: MsgId,
+    children: Vec<MsgId>,
+    first_up_send: Option<u64>,
+    /// `(observed_t, latency)` of the first uplink delivery.
+    up_deliver: Option<(u64, u64)>,
+    /// `(observed_t, latency)` of the first downlink delivery.
+    down_deliver: Option<(u64, u64)>,
+    compute_ns: u64,
+    discarded: bool,
+    transmitted: bool,
+    lost: bool,
+    bus_dropped: bool,
+}
+
 /// One scripted fault window reconstructed from its
 /// `fault_begin`/`fault_end` edge events, with everything the trace
 /// blames on it: losses, discards, heartbeat misses, migration
 /// timeouts, and the speed cap the controller actually commanded
 /// while the window was open.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FaultSpan {
     window: u64,
     fault: String,
@@ -136,13 +161,12 @@ struct FaultSpan {
 }
 
 /// Per-vehicle aggregates for fleet traces, where records carry a
-/// non-zero envelope `vehicle` tag.
+/// non-zero envelope `vehicle` tag. Journey counts come from the
+/// journeys themselves ([`Journey::vehicle`]).
 #[derive(Debug, Clone, Default)]
 struct VehicleAgg {
     records: u64,
     cycles: u64,
-    journeys: u64,
-    delivered: u64,
     discards: u64,
     losses: u64,
     rtt_samples: u64,
@@ -167,7 +191,7 @@ struct PolicyAgg {
     vmax_sum: f64,
 }
 
-/// One flagged lying-RTT window.
+/// One [`ANOMALY_WINDOW_NS`] window that saw sender discards.
 #[derive(Debug, Clone)]
 struct Anomaly {
     window_start_ns: u64,
@@ -180,7 +204,13 @@ struct Anomaly {
 /// Aggregated view of one mission's trace: reconstructed message
 /// journeys, per-cycle span statistics, drop/loss lineage, and §V
 /// "lying RTT" anomaly windows.
-#[derive(Debug, Clone)]
+///
+/// A streaming fold: each [`TraceSink::record`] call folds one record
+/// in, so the analysis can be attached to a live
+/// [`Tracer`](crate::Tracer) as a sink and read after the run, or
+/// built offline from a parsed trace file with
+/// [`TraceAnalysis::from_records`]. Both give the same report.
+#[derive(Debug, Clone, Default)]
 pub struct TraceAnalysis {
     workload: String,
     deployment: String,
@@ -190,22 +220,32 @@ pub struct TraceAnalysis {
     last_t_ns: u64,
     records: usize,
     cycles: u64,
-    events_per_cycle: Histogram,
-    journeys: Vec<Journey>,
+    /// Lineage state per message id; journeys are folded from it on
+    /// demand ([`TraceAnalysis::journeys`]).
+    msgs: BTreeMap<u64, MsgInfo>,
+    /// Records per span id (the events/cycle histogram).
+    span_events: BTreeMap<u64, u64>,
     /// Sender discards per channel direction.
     discards: BTreeMap<String, u64>,
     /// Radio losses per channel direction.
     losses: BTreeMap<String, u64>,
     /// Queue drops per bus topic.
     bus_drops: BTreeMap<String, u64>,
+    /// Every window with a sender discard, in order; the last one is
+    /// still filling. [`TraceAnalysis::lying_windows`] filters them.
     anomalies: Vec<Anomaly>,
+    /// Latest `(t_ns, rtt_ns)` RTT sample.
+    last_rtt: Option<(u64, u64)>,
     total_rtt_samples: u64,
     /// Scripted fault windows in `fault_begin` emission order.
     faults: Vec<FaultSpan>,
+    /// Fault windows currently open: window id -> index in `faults`.
+    /// Events between a window's begin and end edges are attributed
+    /// to it.
+    open_faults: BTreeMap<u64, usize>,
     /// `max_linear` samples from control decisions outside every
     /// fault window — the baseline the per-window speed compares to.
     speed_outside: Histogram,
-    heartbeat_misses: u64,
     migration_timeouts: u64,
     /// Re-offload backoff events as `(t_ns, wait_ns, failures)`.
     backoffs: Vec<(u64, u64, u64)>,
@@ -249,6 +289,9 @@ pub struct TraceAnalysis {
     /// empty for traces predating the decision layer, so their
     /// reports render byte-identically.
     policies: BTreeMap<String, PolicyAgg>,
+    /// Last proposed remote set per (policy, vehicle) decision
+    /// stream, for counting placement flips.
+    last_policy_remote: BTreeMap<(String, u64), String>,
 }
 
 /// Recovery-SLO summary computed from the resilience trace kinds
@@ -285,473 +328,370 @@ pub struct RecoveryReport {
     pub unrecovered_outages: u64,
 }
 
+impl TraceSink for TraceAnalysis {
+    /// Fold one record in (emission order expected).
+    fn record(&mut self, rec: &TraceRecord) {
+        if self.records == 0 {
+            self.first_t_ns = rec.t_ns;
+        }
+        self.last_t_ns = rec.t_ns;
+        self.records += 1;
+        if !rec.span.is_none() {
+            *self.span_events.entry(rec.span.0).or_insert(0) += 1;
+        }
+        if rec.vehicle != 0 {
+            let v = self.vehicles.entry(rec.vehicle).or_default();
+            v.records += 1;
+            match &rec.event {
+                TraceEvent::SpanBegin { name, .. } if name == "cycle" => v.cycles += 1,
+                TraceEvent::ChannelSend {
+                    outcome: SendKind::Discarded,
+                    ..
+                } => v.discards += 1,
+                TraceEvent::ChannelLoss { .. } => v.losses += 1,
+                TraceEvent::RttSample { .. } => v.rtt_samples += 1,
+                TraceEvent::CloudBatch { .. } => v.cloud_batches += 1,
+                _ => {}
+            }
+        }
+        match &rec.event {
+            TraceEvent::MissionStart {
+                workload,
+                deployment,
+                seed,
+            } => {
+                self.workload = workload.clone();
+                self.deployment = deployment.clone();
+                self.seed = *seed;
+            }
+            TraceEvent::MissionEnd { completed, reason } => {
+                self.completed = Some((*completed, reason.clone()));
+            }
+            TraceEvent::SpanBegin { name, .. } if name == "cycle" => {
+                self.cycles += 1;
+            }
+            TraceEvent::BusPublish {
+                topic, msg, parent, ..
+            } if !msg.is_none() => {
+                self.msgs.entry(msg.0).or_insert_with(|| MsgInfo {
+                    t_publish: rec.t_ns,
+                    topic: topic.clone(),
+                    span: rec.span,
+                    vehicle: rec.vehicle,
+                    parent: *parent,
+                    ..MsgInfo::default()
+                });
+                if !parent.is_none() {
+                    if let Some(p) = self.msgs.get_mut(&parent.0) {
+                        p.children.push(*msg);
+                    }
+                }
+            }
+            TraceEvent::BusDrop { topic, msg } => {
+                *self.bus_drops.entry(topic.clone()).or_insert(0) += 1;
+                if let Some(m) = self.msgs.get_mut(&msg.0) {
+                    m.bus_dropped = true;
+                }
+            }
+            TraceEvent::ChannelSend {
+                dir, outcome, msg, ..
+            } => {
+                match outcome {
+                    SendKind::Discarded => {
+                        *self.discards.entry(dir.clone()).or_insert(0) += 1;
+                        if let Some(m) = self.msgs.get_mut(&msg.0) {
+                            m.discarded = true;
+                        }
+                        for &i in self.open_faults.values() {
+                            self.faults[i].discards += 1;
+                        }
+                        // One more silent discard: extend (or open)
+                        // the current anomaly window.
+                        let w_start = rec.t_ns / ANOMALY_WINDOW_NS * ANOMALY_WINDOW_NS;
+                        if self
+                            .anomalies
+                            .last()
+                            .is_none_or(|w| w.window_start_ns != w_start)
+                        {
+                            self.anomalies.push(Anomaly {
+                                window_start_ns: w_start,
+                                discards: 0,
+                                last_rtt_ms: f64::NAN,
+                                rtt_age_ns: 0,
+                            });
+                        }
+                        let w = self.anomalies.last_mut().expect("window just ensured");
+                        w.discards += 1;
+                        if let Some((t, rtt)) = self.last_rtt {
+                            w.last_rtt_ms = rtt as f64 / 1e6;
+                            w.rtt_age_ns = rec.t_ns.saturating_sub(t);
+                        }
+                    }
+                    SendKind::Transmitted | SendKind::Held => {
+                        if let Some(m) = self.msgs.get_mut(&msg.0) {
+                            m.transmitted = true;
+                            if dir == "up" && m.first_up_send.is_none() {
+                                m.first_up_send = Some(rec.t_ns);
+                            }
+                        }
+                    }
+                }
+            }
+            TraceEvent::ChannelLoss { msg, dir, .. } => {
+                *self.losses.entry(dir.clone()).or_insert(0) += 1;
+                if let Some(m) = self.msgs.get_mut(&msg.0) {
+                    m.lost = true;
+                }
+                for &i in self.open_faults.values() {
+                    self.faults[i].losses += 1;
+                }
+            }
+            TraceEvent::ChannelDeliver {
+                dir,
+                msg,
+                latency_ns,
+                ..
+            } => {
+                if let Some(m) = self.msgs.get_mut(&msg.0) {
+                    let slot = if dir == "down" {
+                        &mut m.down_deliver
+                    } else {
+                        &mut m.up_deliver
+                    };
+                    if slot.is_none() {
+                        *slot = Some((rec.t_ns, *latency_ns));
+                    }
+                }
+            }
+            TraceEvent::ProfileSample {
+                remote: true,
+                nanos,
+                msg,
+                ..
+            } => {
+                if let Some(m) = self.msgs.get_mut(&msg.0) {
+                    m.compute_ns += nanos;
+                }
+            }
+            TraceEvent::RttSample { rtt_ns } => {
+                self.total_rtt_samples += 1;
+                self.last_rtt = Some((rec.t_ns, *rtt_ns));
+            }
+            TraceEvent::ControlDecision { max_linear, .. } => {
+                if self.open_faults.is_empty() {
+                    self.speed_outside.observe(*max_linear);
+                } else {
+                    for &i in self.open_faults.values() {
+                        self.faults[i].speed.observe(*max_linear);
+                    }
+                }
+            }
+            TraceEvent::PolicyDecide {
+                policy,
+                remote,
+                expected_vdp_ns,
+                max_velocity,
+            } => {
+                let prev = self
+                    .last_policy_remote
+                    .insert((policy.clone(), rec.vehicle), remote.clone());
+                let agg = self.policies.entry(policy.clone()).or_default();
+                agg.decisions += 1;
+                agg.remote_decisions += u64::from(remote != "-");
+                agg.flips += u64::from(prev.is_some_and(|p| p != *remote));
+                agg.expected_vdp_sum_ns += expected_vdp_ns;
+                agg.vmax_sum += max_velocity;
+            }
+            TraceEvent::FaultBegin {
+                fault,
+                window,
+                window_ns,
+            } => {
+                self.open_faults.insert(*window, self.faults.len());
+                self.faults.push(FaultSpan {
+                    window: *window,
+                    fault: fault.clone(),
+                    begin_ns: rec.t_ns,
+                    span_ns: *window_ns,
+                    ..FaultSpan::default()
+                });
+            }
+            TraceEvent::FaultEnd { window, .. } => {
+                if let Some(i) = self.open_faults.remove(window) {
+                    self.faults[i].closed = true;
+                }
+            }
+            TraceEvent::HeartbeatMiss { .. } => {
+                self.heartbeat_times.push(rec.t_ns);
+                for &i in self.open_faults.values() {
+                    self.faults[i].heartbeat_misses += 1;
+                }
+            }
+            TraceEvent::NetSwitch { to_remote: true } => {
+                self.reoffload_times.push(rec.t_ns);
+            }
+            TraceEvent::MigrationTimeout { .. } => {
+                self.migration_timeouts += 1;
+                for &i in self.open_faults.values() {
+                    self.faults[i].migration_timeouts += 1;
+                }
+            }
+            TraceEvent::ReoffloadBackoff { wait_ns, failures } => {
+                self.backoffs.push((rec.t_ns, *wait_ns, *failures));
+            }
+            TraceEvent::CloudBatch { marginal_ns, .. } => {
+                self.cloud_batch_joins += 1;
+                self.cloud_marginal_ns += marginal_ns;
+            }
+            TraceEvent::CloudScale {
+                from_replicas,
+                to_replicas,
+                utilization,
+                ..
+            } => {
+                self.cloud_scales
+                    .push((rec.t_ns, *from_replicas, *to_replicas, *utilization));
+            }
+            TraceEvent::Checkpoint { bytes, .. } => {
+                self.checkpoints.push((rec.t_ns, *bytes));
+            }
+            TraceEvent::DegradeEnter { cause, .. } => {
+                self.degrade_enters.push((rec.t_ns, cause.clone()));
+            }
+            TraceEvent::DegradeExit {
+                held_ns,
+                missed_cycles,
+            } => {
+                self.degrade_exits.push((*held_ns, *missed_cycles));
+            }
+            TraceEvent::ReplicaCrash { .. } => {
+                self.replica_crashes.push(rec.t_ns);
+            }
+            TraceEvent::ReplicaStraggle { .. } => {
+                self.replica_straggles.push(rec.t_ns);
+            }
+            TraceEvent::RegionAssign { region, wan, .. } => {
+                *self.region_vehicles.entry(*region).or_insert(0) += 1;
+                if *wan {
+                    self.wan_assigned += 1;
+                }
+            }
+            TraceEvent::WanHop {
+                from_region,
+                to_region,
+                delay_ns,
+            } => {
+                self.wan_hops += 1;
+                self.wan_delay_ns += delay_ns;
+                self.wan_routes.insert((*from_region, *to_region));
+            }
+            _ => {}
+        }
+    }
+}
+
 impl TraceAnalysis {
     /// Reconstruct journeys, spans, and anomalies from one mission's
     /// records (emission order expected, as read from a trace file).
     pub fn from_records(records: &[TraceRecord]) -> TraceAnalysis {
-        let mut a = TraceAnalysis {
-            workload: String::new(),
-            deployment: String::new(),
-            seed: 0,
-            completed: None,
-            first_t_ns: records.first().map_or(0, |r| r.t_ns),
-            last_t_ns: records.last().map_or(0, |r| r.t_ns),
-            records: records.len(),
-            cycles: 0,
-            events_per_cycle: Histogram::default(),
-            journeys: Vec::new(),
-            discards: BTreeMap::new(),
-            losses: BTreeMap::new(),
-            bus_drops: BTreeMap::new(),
-            anomalies: Vec::new(),
-            total_rtt_samples: 0,
-            faults: Vec::new(),
-            speed_outside: Histogram::default(),
-            heartbeat_misses: 0,
-            migration_timeouts: 0,
-            backoffs: Vec::new(),
-            vehicles: BTreeMap::new(),
-            cloud_batch_joins: 0,
-            cloud_marginal_ns: 0,
-            cloud_scales: Vec::new(),
-            checkpoints: Vec::new(),
-            degrade_enters: Vec::new(),
-            degrade_exits: Vec::new(),
-            replica_crashes: Vec::new(),
-            replica_straggles: Vec::new(),
-            heartbeat_times: Vec::new(),
-            reoffload_times: Vec::new(),
-            region_vehicles: BTreeMap::new(),
-            wan_assigned: 0,
-            wan_hops: 0,
-            wan_delay_ns: 0,
-            wan_routes: BTreeSet::new(),
-            policies: BTreeMap::new(),
-        };
-
-        // ---- single pass: index lineage + spans + anomaly windows.
-        struct MsgInfo {
-            t_publish: u64,
-            topic: String,
-            span: SpanId,
-            vehicle: u64,
-            parent: MsgId,
-            children: Vec<MsgId>,
-            first_up_send: Option<u64>,
-            up_deliver: Option<(u64, u64)>,   // (observed_t, latency)
-            down_deliver: Option<(u64, u64)>, // (observed_t, latency)
-            compute_ns: u64,
-            discarded: bool,
-            transmitted: bool,
-            lost: bool,
-            bus_dropped: bool,
-        }
-        impl MsgInfo {
-            fn new(t: u64, topic: String, span: SpanId, vehicle: u64, parent: MsgId) -> MsgInfo {
-                MsgInfo {
-                    t_publish: t,
-                    topic,
-                    span,
-                    vehicle,
-                    parent,
-                    children: Vec::new(),
-                    first_up_send: None,
-                    up_deliver: None,
-                    down_deliver: None,
-                    compute_ns: 0,
-                    discarded: false,
-                    transmitted: false,
-                    lost: false,
-                    bus_dropped: false,
-                }
-            }
-        }
-        let mut msgs: BTreeMap<u64, MsgInfo> = BTreeMap::new();
-        let mut span_events: BTreeMap<u64, u64> = BTreeMap::new();
-
-        // Lying-RTT window state.
-        let mut last_rtt: Option<(u64, u64)> = None; // (t_ns, rtt_ns)
-        let mut window: Option<Anomaly> = None;
-
-        // Fault windows currently open: window id -> index in
-        // `a.faults`. Events between a window's begin and end edges
-        // are attributed to it.
-        let mut open_faults: BTreeMap<u64, usize> = BTreeMap::new();
-
-        // Last proposed remote set per (policy, vehicle) decision
-        // stream, for counting placement flips.
-        let mut last_policy_remote: BTreeMap<(String, u64), String> = BTreeMap::new();
-
+        let mut a = TraceAnalysis::default();
         for rec in records {
-            if !rec.span.is_none() {
-                *span_events.entry(rec.span.0).or_insert(0) += 1;
-            }
-            if rec.vehicle != 0 {
-                let v = a.vehicles.entry(rec.vehicle).or_default();
-                v.records += 1;
-                match &rec.event {
-                    TraceEvent::SpanBegin { name, .. } if name == "cycle" => v.cycles += 1,
-                    TraceEvent::ChannelSend {
-                        outcome: SendKind::Discarded,
-                        ..
-                    } => v.discards += 1,
-                    TraceEvent::ChannelLoss { .. } => v.losses += 1,
-                    TraceEvent::RttSample { .. } => v.rtt_samples += 1,
-                    TraceEvent::CloudBatch { .. } => v.cloud_batches += 1,
-                    _ => {}
-                }
-            }
-            match &rec.event {
-                TraceEvent::MissionStart {
-                    workload,
-                    deployment,
-                    seed,
-                } => {
-                    a.workload = workload.clone();
-                    a.deployment = deployment.clone();
-                    a.seed = *seed;
-                }
-                TraceEvent::MissionEnd { completed, reason } => {
-                    a.completed = Some((*completed, reason.clone()));
-                }
-                TraceEvent::SpanBegin { name, .. } if name == "cycle" => {
-                    a.cycles += 1;
-                }
-                TraceEvent::BusPublish {
-                    topic, msg, parent, ..
-                } if !msg.is_none() => {
-                    msgs.entry(msg.0).or_insert_with(|| {
-                        MsgInfo::new(rec.t_ns, topic.clone(), rec.span, rec.vehicle, *parent)
-                    });
-                    if !parent.is_none() {
-                        if let Some(p) = msgs.get_mut(&parent.0) {
-                            p.children.push(*msg);
-                        }
-                    }
-                }
-                TraceEvent::BusDrop { topic, msg } => {
-                    *a.bus_drops.entry(topic.clone()).or_insert(0) += 1;
-                    if let Some(m) = msgs.get_mut(&msg.0) {
-                        m.bus_dropped = true;
-                    }
-                }
-                TraceEvent::ChannelSend {
-                    dir, outcome, msg, ..
-                } => {
-                    match outcome {
-                        SendKind::Discarded => {
-                            *a.discards.entry(dir.clone()).or_insert(0) += 1;
-                            if let Some(m) = msgs.get_mut(&msg.0) {
-                                m.discarded = true;
-                            }
-                            for &i in open_faults.values() {
-                                a.faults[i].discards += 1;
-                            }
-                            // One more silent discard: extend (or open)
-                            // the current anomaly window.
-                            let w_start = rec.t_ns / ANOMALY_WINDOW_NS * ANOMALY_WINDOW_NS;
-                            let fresh = match &window {
-                                Some(w) => w.window_start_ns != w_start,
-                                None => true,
-                            };
-                            if fresh {
-                                if let Some(w) = window.take() {
-                                    a.anomalies.push(w);
-                                }
-                                window = Some(Anomaly {
-                                    window_start_ns: w_start,
-                                    discards: 0,
-                                    last_rtt_ms: f64::NAN,
-                                    rtt_age_ns: 0,
-                                });
-                            }
-                            let w = window.as_mut().expect("window just ensured");
-                            w.discards += 1;
-                            if let Some((t, rtt)) = last_rtt {
-                                w.last_rtt_ms = rtt as f64 / 1e6;
-                                w.rtt_age_ns = rec.t_ns.saturating_sub(t);
-                            }
-                        }
-                        SendKind::Transmitted | SendKind::Held => {
-                            if let Some(m) = msgs.get_mut(&msg.0) {
-                                m.transmitted = true;
-                                if dir == "up" && m.first_up_send.is_none() {
-                                    m.first_up_send = Some(rec.t_ns);
-                                }
-                            }
-                        }
-                    }
-                }
-                TraceEvent::ChannelLoss { msg, dir, .. } => {
-                    *a.losses.entry(dir.clone()).or_insert(0) += 1;
-                    if let Some(m) = msgs.get_mut(&msg.0) {
-                        m.lost = true;
-                    }
-                    for &i in open_faults.values() {
-                        a.faults[i].losses += 1;
-                    }
-                }
-                TraceEvent::ChannelDeliver {
-                    dir,
-                    msg,
-                    latency_ns,
-                    ..
-                } => {
-                    if let Some(m) = msgs.get_mut(&msg.0) {
-                        let slot = if dir == "down" {
-                            &mut m.down_deliver
-                        } else {
-                            &mut m.up_deliver
-                        };
-                        if slot.is_none() {
-                            *slot = Some((rec.t_ns, *latency_ns));
-                        }
-                    }
-                }
-                TraceEvent::ProfileSample {
-                    remote: true,
-                    nanos,
-                    msg,
-                    ..
-                } => {
-                    if let Some(m) = msgs.get_mut(&msg.0) {
-                        m.compute_ns += nanos;
-                    }
-                }
-                TraceEvent::RttSample { rtt_ns } => {
-                    a.total_rtt_samples += 1;
-                    last_rtt = Some((rec.t_ns, *rtt_ns));
-                }
-                TraceEvent::ControlDecision { max_linear, .. } => {
-                    if open_faults.is_empty() {
-                        a.speed_outside.observe(*max_linear);
-                    } else {
-                        for &i in open_faults.values() {
-                            a.faults[i].speed.observe(*max_linear);
-                        }
-                    }
-                }
-                TraceEvent::PolicyDecide {
-                    policy,
-                    remote,
-                    expected_vdp_ns,
-                    max_velocity,
-                } => {
-                    let agg = a.policies.entry(policy.clone()).or_default();
-                    agg.decisions += 1;
-                    if remote != "-" {
-                        agg.remote_decisions += 1;
-                    }
-                    agg.expected_vdp_sum_ns += expected_vdp_ns;
-                    agg.vmax_sum += max_velocity;
-                    let key = (policy.clone(), rec.vehicle);
-                    match last_policy_remote.get(&key) {
-                        Some(prev) if prev != remote => {
-                            a.policies.get_mut(policy).expect("just entered").flips += 1;
-                        }
-                        _ => {}
-                    }
-                    last_policy_remote.insert(key, remote.clone());
-                }
-                TraceEvent::FaultBegin {
-                    fault,
-                    window,
-                    window_ns,
-                } => {
-                    open_faults.insert(*window, a.faults.len());
-                    a.faults.push(FaultSpan {
-                        window: *window,
-                        fault: fault.clone(),
-                        begin_ns: rec.t_ns,
-                        span_ns: *window_ns,
-                        closed: false,
-                        losses: 0,
-                        discards: 0,
-                        heartbeat_misses: 0,
-                        migration_timeouts: 0,
-                        speed: Histogram::default(),
-                    });
-                }
-                TraceEvent::FaultEnd { window, .. } => {
-                    if let Some(i) = open_faults.remove(window) {
-                        a.faults[i].closed = true;
-                    }
-                }
-                TraceEvent::HeartbeatMiss { .. } => {
-                    a.heartbeat_misses += 1;
-                    a.heartbeat_times.push(rec.t_ns);
-                    for &i in open_faults.values() {
-                        a.faults[i].heartbeat_misses += 1;
-                    }
-                }
-                TraceEvent::NetSwitch { to_remote: true } => {
-                    a.reoffload_times.push(rec.t_ns);
-                }
-                TraceEvent::MigrationTimeout { .. } => {
-                    a.migration_timeouts += 1;
-                    for &i in open_faults.values() {
-                        a.faults[i].migration_timeouts += 1;
-                    }
-                }
-                TraceEvent::ReoffloadBackoff { wait_ns, failures } => {
-                    a.backoffs.push((rec.t_ns, *wait_ns, *failures));
-                }
-                TraceEvent::CloudBatch { marginal_ns, .. } => {
-                    a.cloud_batch_joins += 1;
-                    a.cloud_marginal_ns += marginal_ns;
-                }
-                TraceEvent::CloudScale {
-                    from_replicas,
-                    to_replicas,
-                    utilization,
-                    ..
-                } => {
-                    a.cloud_scales
-                        .push((rec.t_ns, *from_replicas, *to_replicas, *utilization));
-                }
-                TraceEvent::Checkpoint { bytes, .. } => {
-                    a.checkpoints.push((rec.t_ns, *bytes));
-                }
-                TraceEvent::DegradeEnter { cause, .. } => {
-                    a.degrade_enters.push((rec.t_ns, cause.clone()));
-                }
-                TraceEvent::DegradeExit {
-                    held_ns,
-                    missed_cycles,
-                } => {
-                    a.degrade_exits.push((*held_ns, *missed_cycles));
-                }
-                TraceEvent::ReplicaCrash { .. } => {
-                    a.replica_crashes.push(rec.t_ns);
-                }
-                TraceEvent::ReplicaStraggle { .. } => {
-                    a.replica_straggles.push(rec.t_ns);
-                }
-                TraceEvent::RegionAssign { region, wan, .. } => {
-                    *a.region_vehicles.entry(*region).or_insert(0) += 1;
-                    if *wan {
-                        a.wan_assigned += 1;
-                    }
-                }
-                TraceEvent::WanHop {
-                    from_region,
-                    to_region,
-                    delay_ns,
-                } => {
-                    a.wan_hops += 1;
-                    a.wan_delay_ns += delay_ns;
-                    a.wan_routes.insert((*from_region, *to_region));
-                }
-                _ => {}
-            }
+            a.record(rec);
         }
-        if let Some(w) = window.take() {
-            a.anomalies.push(w);
-        }
-        a.anomalies.retain(|w| {
-            w.discards >= ANOMALY_MIN_DISCARDS
-                && w.last_rtt_ms.is_finite()
-                && w.last_rtt_ms <= HEALTHY_RTT_MS
-        });
+        a
+    }
 
-        for count in span_events.values() {
-            a.events_per_cycle.observe(*count as f64);
-        }
-
-        // ---- fold lineage chains into journeys (roots in id order).
-        let roots: Vec<u64> = msgs
+    /// Every lineage chain folded into a journey, roots in id order.
+    fn journeys(&self) -> Vec<Journey> {
+        self.msgs
             .iter()
             .filter(|(_, m)| m.parent.is_none())
-            .map(|(id, _)| *id)
-            .collect();
-        for root in roots {
-            // Walk the chain breadth-first, aggregating per-stage data.
-            let mut chain = vec![root];
-            let mut i = 0;
-            while i < chain.len() {
-                let kids: Vec<u64> = msgs[&chain[i]].children.iter().map(|c| c.0).collect();
-                chain.extend(kids);
-                i += 1;
-            }
-            let rootinfo = &msgs[&root];
-            let (t0, topic, span) = (rootinfo.t_publish, rootinfo.topic.clone(), rootinfo.span);
-            let root_vehicle = rootinfo.vehicle;
+            .map(|(&root, _)| self.journey(root))
+            .collect()
+    }
 
-            let mut first_up_send = None;
-            let mut up_deliver = None;
-            let mut down_deliver = None;
-            let mut compute_ns = 0u64;
-            let mut last_publish = t0;
-            let mut any_send = false;
-            let mut discarded = false;
-            let mut lost = false;
-            let mut bus_dropped = false;
-            let mut transmitted = false;
-            for id in &chain {
-                let m = &msgs[id];
-                any_send |= m.transmitted || m.discarded;
-                discarded |= m.discarded;
-                transmitted |= m.transmitted;
-                lost |= m.lost;
-                bus_dropped |= m.bus_dropped;
-                compute_ns += m.compute_ns;
-                last_publish = last_publish.max(m.t_publish);
-                if first_up_send.is_none() {
-                    first_up_send = m.first_up_send;
-                }
-                if up_deliver.is_none() {
-                    up_deliver = m.up_deliver;
-                }
-                if down_deliver.is_none() {
-                    down_deliver = m.down_deliver;
-                }
-            }
+    /// Fold the chain rooted at `root` breadth-first into one journey.
+    fn journey(&self, root: u64) -> Journey {
+        let mut chain = vec![root];
+        let mut i = 0;
+        while i < chain.len() {
+            chain.extend(self.msgs[&chain[i]].children.iter().map(|c| c.0));
+            i += 1;
+        }
+        let rootinfo = &self.msgs[&root];
+        let t0 = rootinfo.t_publish;
 
-            let complete = down_deliver.is_some_and(|(t, _)| last_publish >= t);
-            let fate = if complete {
-                Fate::Delivered
-            } else if !any_send && chain.len() == 1 {
-                Fate::Local
-            } else if lost {
-                Fate::Lost
-            } else if bus_dropped {
-                Fate::BusDropped
-            } else if discarded && !transmitted {
-                Fate::Discarded
-            } else {
-                Fate::InFlight
-            };
-
-            let mut stages = [None; 5];
-            if complete {
-                let (down_t, down_lat) = down_deliver.expect("complete implies down");
-                stages[0] = first_up_send.map(|t| t.saturating_sub(t0));
-                stages[1] = up_deliver.map(|(_, lat)| lat);
-                stages[2] = Some(compute_ns);
-                stages[3] = Some(down_lat);
-                stages[4] = Some(last_publish.saturating_sub(down_t));
-            }
-            let end_to_end = complete.then(|| last_publish.saturating_sub(t0));
-
-            if root_vehicle != 0 {
-                let v = a.vehicles.entry(root_vehicle).or_default();
-                v.journeys += 1;
-                if fate == Fate::Delivered {
-                    v.delivered += 1;
-                }
-            }
-            a.journeys.push(Journey {
-                root: MsgId(root),
-                topic,
-                span,
-                t_publish: t0,
-                stages,
-                end_to_end,
-                fate,
-            });
+        let mut first_up_send = None;
+        let mut up_deliver = None;
+        let mut down_deliver = None;
+        let mut compute_ns = 0u64;
+        let mut last_publish = t0;
+        let mut any_send = false;
+        let mut discarded = false;
+        let mut lost = false;
+        let mut bus_dropped = false;
+        let mut transmitted = false;
+        for id in &chain {
+            let m = &self.msgs[id];
+            any_send |= m.transmitted || m.discarded;
+            discarded |= m.discarded;
+            transmitted |= m.transmitted;
+            lost |= m.lost;
+            bus_dropped |= m.bus_dropped;
+            compute_ns += m.compute_ns;
+            last_publish = last_publish.max(m.t_publish);
+            first_up_send = first_up_send.or(m.first_up_send);
+            up_deliver = up_deliver.or(m.up_deliver);
+            down_deliver = down_deliver.or(m.down_deliver);
         }
 
-        a
+        let complete = down_deliver.is_some_and(|(t, _)| last_publish >= t);
+        let fate = if complete {
+            Fate::Delivered
+        } else if !any_send && chain.len() == 1 {
+            Fate::Local
+        } else if lost {
+            Fate::Lost
+        } else if bus_dropped {
+            Fate::BusDropped
+        } else if discarded && !transmitted {
+            Fate::Discarded
+        } else {
+            Fate::InFlight
+        };
+
+        let mut stages = [None; 5];
+        if complete {
+            let (down_t, down_lat) = down_deliver.expect("complete implies down");
+            stages[0] = first_up_send.map(|t| t.saturating_sub(t0));
+            stages[1] = up_deliver.map(|(_, lat)| lat);
+            stages[2] = Some(compute_ns);
+            stages[3] = Some(down_lat);
+            stages[4] = Some(last_publish.saturating_sub(down_t));
+        }
+        Journey {
+            root: MsgId(root),
+            topic: rootinfo.topic.clone(),
+            span: rootinfo.span,
+            vehicle: rootinfo.vehicle,
+            t_publish: t0,
+            stages,
+            end_to_end: complete.then(|| last_publish.saturating_sub(t0)),
+            fate,
+        }
+    }
+
+    /// The windows where enough datagrams were discarded while the
+    /// last RTT still looked healthy: the RTT metric lied.
+    fn lying_windows(&self) -> Vec<&Anomaly> {
+        self.anomalies
+            .iter()
+            .filter(|w| {
+                w.discards >= ANOMALY_MIN_DISCARDS
+                    && w.last_rtt_ms.is_finite()
+                    && w.last_rtt_ms <= HEALTHY_RTT_MS
+            })
+            .collect()
     }
 
     /// Scripted fault windows seen (`fault_begin` records).
@@ -761,7 +701,7 @@ impl TraceAnalysis {
 
     /// Heartbeat misses seen across the whole mission.
     pub fn heartbeat_miss_count(&self) -> u64 {
-        self.heartbeat_misses
+        self.heartbeat_times.len() as u64
     }
 
     /// Migration deadline expiries seen across the whole mission.
@@ -875,23 +815,27 @@ impl TraceAnalysis {
             "records: {} spanning {:.1} s of virtual time",
             self.records, span_s
         );
+        let mut per_cycle = Histogram::default();
+        for count in self.span_events.values() {
+            per_cycle.observe(*count as f64);
+        }
         let _ = writeln!(
             out,
             "cycles: {}   events/cycle: mean {:.1}, p95 {:.0}, max {:.0}",
             self.cycles,
-            self.events_per_cycle.mean(),
-            self.events_per_cycle.percentile(95.0),
-            self.events_per_cycle.max()
+            per_cycle.mean(),
+            per_cycle.percentile(95.0),
+            per_cycle.max()
         );
-        let complete = self
-            .journeys
+        let journeys = self.journeys();
+        let complete = journeys
             .iter()
             .filter(|j| j.fate == Fate::Delivered)
             .count();
         let _ = writeln!(
             out,
             "journeys: {} reconstructed, {} delivered end-to-end",
-            self.journeys.len(),
+            journeys.len(),
             complete
         );
 
@@ -914,15 +858,23 @@ impl TraceAnalysis {
                 "rtts",
                 "batches"
             );
+            // (journeys, delivered) per root vehicle tag.
+            let mut tally: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+            for j in &journeys {
+                let t = tally.entry(j.vehicle).or_default();
+                t.0 += 1;
+                t.1 += u64::from(j.fate == Fate::Delivered);
+            }
             for (id, v) in &self.vehicles {
+                let (journeys, delivered) = tally.get(id).copied().unwrap_or_default();
                 let _ = writeln!(
                     out,
                     "v{:<7} {:>8} {:>7} {:>9} {:>10} {:>9} {:>7} {:>5} {:>7}",
                     id,
                     v.records,
                     v.cycles,
-                    v.journeys,
-                    v.delivered,
+                    journeys,
+                    delivered,
                     v.discards,
                     v.losses,
                     v.rtt_samples,
@@ -1020,7 +972,7 @@ impl TraceAnalysis {
             );
         } else {
             let mut hists: Vec<Histogram> = vec![Histogram::default(); STAGES.len() + 1];
-            for j in &self.journeys {
+            for j in &journeys {
                 if j.fate != Fate::Delivered {
                     continue;
                 }
@@ -1063,7 +1015,7 @@ impl TraceAnalysis {
             let _ = writeln!(out, "(no delivered journeys)");
         } else {
             let mut dominated = [0u64; 5];
-            for j in &self.journeys {
+            for j in &journeys {
                 if let Some(i) = j.critical_stage() {
                     dominated[i] += 1;
                 }
@@ -1097,7 +1049,7 @@ impl TraceAnalysis {
         let _ = writeln!(out, "radio losses:    {}", fmt_map(&self.losses));
         let _ = writeln!(out, "bus queue drops: {}", fmt_map(&self.bus_drops));
         let mut fates: BTreeMap<Fate, u64> = BTreeMap::new();
-        for j in &self.journeys {
+        for j in &journeys {
             *fates.entry(j.fate).or_insert(0) += 1;
         }
         let fate_line = if fates.is_empty() {
@@ -1112,7 +1064,7 @@ impl TraceAnalysis {
         let _ = writeln!(out, "journey fates:   {fate_line}");
         // The undelivered journeys, each with its root and fate — the
         // lineage answer to "where did my message go?".
-        for j in &self.journeys {
+        for j in &journeys {
             if matches!(j.fate, Fate::Discarded | Fate::Lost | Fate::BusDropped) {
                 let _ = writeln!(
                     out,
@@ -1198,10 +1150,11 @@ impl TraceAnalysis {
             out,
             "--- anomalies: lying-RTT windows (rtt healthy while sender discards) ---"
         );
-        if self.anomalies.is_empty() {
+        let lying = self.lying_windows();
+        if lying.is_empty() {
             let _ = writeln!(out, "none detected");
         } else {
-            for w in &self.anomalies {
+            for w in &lying {
                 let t0 = w.window_start_ns as f64 / 1e9;
                 let _ = writeln!(
                     out,
@@ -1217,7 +1170,7 @@ impl TraceAnalysis {
             let _ = writeln!(
                 out,
                 "{} window(s) where RTT telemetry ({} samples total) hid sender-side loss",
-                self.anomalies.len(),
+                lying.len(),
                 self.total_rtt_samples
             );
         }
@@ -1314,92 +1267,290 @@ mod tests {
         }
     }
 
+    fn send(dir: &str, msg: u64, outcome: SendKind) -> TraceEvent {
+        TraceEvent::ChannelSend {
+            dir: dir.into(),
+            seq: msg,
+            bytes: 100,
+            outcome,
+            msg: MsgId(msg),
+        }
+    }
+
+    fn deliver(dir: &str, msg: u64, latency_ms: u64) -> TraceEvent {
+        TraceEvent::ChannelDeliver {
+            dir: dir.into(),
+            seq: msg,
+            msg: MsgId(msg),
+            latency_ns: latency_ms * 1_000_000,
+        }
+    }
+
+    fn loss(msg: u64) -> TraceEvent {
+        TraceEvent::ChannelLoss {
+            dir: "up".into(),
+            seq: msg,
+            msg: MsgId(msg),
+        }
+    }
+
+    fn miss() -> TraceEvent {
+        TraceEvent::HeartbeatMiss {
+            silence_ns: 1_600_000_000,
+        }
+    }
+
+    fn decision(max_linear: f64) -> TraceEvent {
+        TraceEvent::ControlDecision {
+            local_vdp_ns: 1,
+            cloud_vdp_ns: 1,
+            bandwidth: 5.0,
+            direction: 0.1,
+            vdp_remote: true,
+            max_linear,
+            net_decision: "hold".into(),
+        }
+    }
+
+    /// `records` re-tagged with envelope `vehicle`.
+    fn on(vehicle: u64, records: impl IntoIterator<Item = TraceRecord>) -> Vec<TraceRecord> {
+        records
+            .into_iter()
+            .map(|r| TraceRecord { vehicle, ..r })
+            .collect()
+    }
+
+    /// `records` moved `ms` later on the virtual clock.
+    fn shift(ms: u64, records: Vec<TraceRecord>) -> Vec<TraceRecord> {
+        records
+            .into_iter()
+            .map(|r| TraceRecord {
+                t_ns: r.t_ns + ms * 1_000_000,
+                ..r
+            })
+            .collect()
+    }
+
     /// One complete offload journey: scan publish -> uplink -> remote
     /// republish -> remote compute -> cmd publish -> downlink ->
     /// robot republish.
     fn complete_journey() -> Vec<TraceRecord> {
+        let cycle = TraceEvent::SpanBegin {
+            span: SpanId(1),
+            name: "cycle".into(),
+            index: 0,
+        };
+        let compute = TraceEvent::ProfileSample {
+            node: "Slam".into(),
+            remote: true,
+            nanos: 40_000_000,
+            msg: MsgId(2),
+        };
+        vec![
+            rec(0, 0, 1, cycle),
+            rec(0, 1, 1, publish("scan", 1, 0)),
+            rec(1, 2, 1, send("up", 1, SendKind::Transmitted)),
+            rec(13, 3, 1, deliver("up", 1, 12)),
+            rec(13, 4, 1, publish("scan", 2, 1)),
+            rec(53, 5, 1, compute),
+            rec(53, 6, 1, publish("cmd_vel", 3, 2)),
+            rec(54, 7, 1, send("down", 3, SendKind::Transmitted)),
+            rec(64, 8, 1, deliver("down", 3, 10)),
+            rec(65, 9, 1, publish("cmd_vel", 4, 3)),
+            rec(200, 10, 1, TraceEvent::SpanEnd { span: SpanId(1) }),
+        ]
+    }
+
+    /// Three uplink journeys: discarded at the sender, lost in the air,
+    /// never sent.
+    fn fates() -> Vec<TraceRecord> {
+        vec![
+            rec(0, 0, 0, publish("scan", 11, 0)),
+            rec(1, 1, 0, send("up", 11, SendKind::Discarded)),
+            rec(10, 2, 0, publish("scan", 12, 0)),
+            rec(11, 3, 0, send("up", 12, SendKind::Transmitted)),
+            rec(12, 4, 0, loss(12)),
+            rec(20, 5, 0, publish("scan", 13, 0)),
+        ]
+    }
+
+    /// A healthy 24 ms RTT sample, then `n` sender discards inside one
+    /// anomaly window.
+    fn lying_burst(n: u64) -> Vec<TraceRecord> {
+        let mut records = vec![rec(100, 0, 0, TraceEvent::RttSample { rtt_ns: 24_000_000 })];
+        for i in 0..n {
+            let discard = send("up", 100 + i, SendKind::Discarded);
+            records.push(rec(1_200 + i * 10, i + 1, 0, discard));
+        }
+        records
+    }
+
+    /// A 2 s blackout: full speed before it; a loss, a discard, a
+    /// heartbeat miss and a lower speed cap inside; one more loss and
+    /// a re-offload backoff after it.
+    fn fault_window() -> Vec<TraceRecord> {
+        let edge = |begin: bool| {
+            let (fault, window) = ("blackout".to_string(), 0);
+            if begin {
+                TraceEvent::FaultBegin {
+                    fault,
+                    window,
+                    window_ns: 2_000_000_000,
+                }
+            } else {
+                TraceEvent::FaultEnd { fault, window }
+            }
+        };
+        let backoff = TraceEvent::ReoffloadBackoff {
+            wait_ns: 2_000_000_000,
+            failures: 1,
+        };
+        vec![
+            rec(0, 0, 0, decision(0.15)),
+            rec(1_000, 1, 0, edge(true)),
+            rec(1_100, 2, 0, loss(0)),
+            rec(1_200, 3, 0, send("up", 0, SendKind::Discarded)),
+            rec(1_300, 4, 0, miss()),
+            rec(1_400, 5, 0, decision(0.08)),
+            rec(3_000, 6, 0, edge(false)),
+            rec(3_100, 7, 0, loss(0)),
+            rec(5_000, 8, 0, backoff),
+        ]
+    }
+
+    /// Vehicle 1 delivers a full journey; vehicle 2 only discards.
+    fn fleet() -> Vec<TraceRecord> {
+        let mut records = on(1, complete_journey());
+        records.extend(on(
+            2,
+            [
+                rec(300, 11, 0, publish("scan", 50, 0)),
+                rec(301, 12, 0, send("up", 50, SendKind::Discarded)),
+            ],
+        ));
+        records
+    }
+
+    /// A batched join on vehicle 2 and a replica scale-up seen by
+    /// vehicle 1.
+    fn elastic() -> Vec<TraceRecord> {
+        let batch = TraceEvent::CloudBatch {
+            stage: "slam".into(),
+            occupancy: 2,
+            window: 2,
+            marginal_ns: 6_000_000,
+        };
+        let scale = TraceEvent::CloudScale {
+            from_replicas: 1,
+            to_replicas: 2,
+            utilization: 1.5,
+            window: 3,
+        };
+        let mut records = on(2, [rec(400, 20, 0, batch)]);
+        records.extend(on(1, [rec(410, 21, 0, scale)]));
+        records
+    }
+
+    /// Two vehicles in two regions, one served across the WAN.
+    fn sharded() -> Vec<TraceRecord> {
+        let assign = |region, wan| TraceEvent::RegionAssign {
+            region,
+            cloud_pool: 0,
+            wan,
+        };
+        let hop = || TraceEvent::WanHop {
+            from_region: 1,
+            to_region: 0,
+            delay_ns: 10_000_000,
+        };
+        vec![
+            rec(0, 0, 0, assign(0, false)),
+            rec(1, 1, 0, assign(1, true)),
+            rec(200, 2, 0, hop()),
+            rec(400, 3, 0, hop()),
+        ]
+    }
+
+    /// algorithm1 flips once (remote -> local); the bandit ticks once.
+    fn policy_ticks() -> Vec<TraceRecord> {
+        let decide = |policy: &str, remote: &str| TraceEvent::PolicyDecide {
+            policy: policy.into(),
+            remote: remote.into(),
+            expected_vdp_ns: 100_000_000,
+            max_velocity: 0.5,
+        };
+        vec![
+            rec(200, 0, 0, decide("algorithm1", "costmap_gen+path_tracking")),
+            rec(400, 1, 0, decide("algorithm1", "costmap_gen+path_tracking")),
+            rec(600, 2, 0, decide("algorithm1", "-")),
+            rec(800, 3, 0, decide("bandit", "-")),
+        ]
+    }
+
+    /// Checkpoint, replica crash, miss, degraded spell, re-offload,
+    /// straggler, and a final miss that never recovers.
+    fn recovery_arc() -> Vec<TraceRecord> {
         vec![
             rec(
                 0,
                 0,
-                1,
-                TraceEvent::SpanBegin {
-                    span: SpanId(1),
-                    name: "cycle".into(),
-                    index: 0,
-                },
-            ),
-            rec(0, 1, 1, publish("scan", 1, 0)),
-            rec(
-                1,
-                2,
-                1,
-                TraceEvent::ChannelSend {
-                    dir: "up".into(),
-                    seq: 0,
-                    bytes: 100,
-                    outcome: SendKind::Transmitted,
-                    msg: MsgId(1),
+                0,
+                TraceEvent::Checkpoint {
+                    bytes: 5184,
+                    elapsed_ns: 40_000_000,
                 },
             ),
             rec(
-                13,
+                2_000,
+                1,
+                0,
+                TraceEvent::ReplicaCrash {
+                    replicas: 1,
+                    window: 0,
+                    window_ns: 4_000_000_000,
+                },
+            ),
+            rec(3_000, 2, 0, miss()),
+            rec(
+                4_000,
                 3,
-                1,
-                TraceEvent::ChannelDeliver {
-                    dir: "up".into(),
-                    seq: 0,
-                    msg: MsgId(1),
-                    latency_ns: 12_000_000,
-                },
-            ),
-            rec(13, 4, 1, publish("scan", 2, 1)),
-            rec(
-                53,
-                5,
-                1,
-                TraceEvent::ProfileSample {
-                    node: "Slam".into(),
-                    remote: true,
-                    nanos: 40_000_000,
-                    msg: MsgId(2),
-                },
-            ),
-            rec(53, 6, 1, publish("cmd_vel", 3, 2)),
-            rec(
-                54,
-                7,
-                1,
-                TraceEvent::ChannelSend {
-                    dir: "down".into(),
-                    seq: 0,
-                    bytes: 20,
-                    outcome: SendKind::Transmitted,
-                    msg: MsgId(3),
+                0,
+                TraceEvent::DegradeEnter {
+                    cause: "blackout".into(),
+                    slam_particles: 4,
+                    dwa_samples: 100,
                 },
             ),
             rec(
-                64,
-                8,
-                1,
-                TraceEvent::ChannelDeliver {
-                    dir: "down".into(),
-                    seq: 0,
-                    msg: MsgId(3),
-                    latency_ns: 10_000_000,
+                9_000,
+                4,
+                0,
+                TraceEvent::DegradeExit {
+                    held_ns: 5_000_000_000,
+                    missed_cycles: 0,
                 },
             ),
-            rec(65, 9, 1, publish("cmd_vel", 4, 3)),
-            rec(200, 10, 1, TraceEvent::SpanEnd { span: SpanId(1) }),
+            rec(10_000, 5, 0, TraceEvent::NetSwitch { to_remote: true }),
+            rec(
+                12_000,
+                6,
+                0,
+                TraceEvent::ReplicaStraggle {
+                    factor: 2.5,
+                    window: 1,
+                    window_ns: 2_000_000_000,
+                },
+            ),
+            rec(13_000, 7, 0, miss()),
         ]
     }
 
     #[test]
     fn reconstructs_a_complete_journey() {
         let a = TraceAnalysis::from_records(&complete_journey());
-        assert_eq!(a.journeys.len(), 1);
+        assert_eq!(a.journeys().len(), 1);
         assert_eq!(a.cycles, 1);
-        let j = &a.journeys[0];
+        let j = &a.journeys()[0];
         assert_eq!(j.fate, Fate::Delivered);
         assert_eq!(j.stages[0], Some(1_000_000)); // publish->uplink
         assert_eq!(j.stages[1], Some(12_000_000)); // uplink air
@@ -1416,220 +1567,48 @@ mod tests {
 
     #[test]
     fn classifies_discard_and_loss_fates() {
-        let mut records = vec![
-            rec(0, 0, 0, publish("scan", 1, 0)),
-            rec(
-                1,
-                1,
-                0,
-                TraceEvent::ChannelSend {
-                    dir: "up".into(),
-                    seq: 0,
-                    bytes: 100,
-                    outcome: SendKind::Discarded,
-                    msg: MsgId(1),
-                },
-            ),
-            rec(10, 2, 0, publish("scan", 2, 0)),
-            rec(
-                11,
-                3,
-                0,
-                TraceEvent::ChannelSend {
-                    dir: "up".into(),
-                    seq: 1,
-                    bytes: 100,
-                    outcome: SendKind::Transmitted,
-                    msg: MsgId(2),
-                },
-            ),
-            rec(
-                12,
-                4,
-                0,
-                TraceEvent::ChannelLoss {
-                    dir: "up".into(),
-                    seq: 1,
-                    msg: MsgId(2),
-                },
-            ),
-            rec(20, 5, 0, publish("scan", 3, 0)),
-        ];
-        records.sort_by_key(|r| r.seq);
-        let a = TraceAnalysis::from_records(&records);
-        assert_eq!(a.journeys.len(), 3);
-        let fates: Vec<Fate> = a.journeys.iter().map(|j| j.fate).collect();
+        let a = TraceAnalysis::from_records(&fates());
+        assert_eq!(a.journeys().len(), 3);
+        let fates: Vec<Fate> = a.journeys().iter().map(|j| j.fate).collect();
         assert_eq!(fates, vec![Fate::Discarded, Fate::Lost, Fate::Local]);
         let report = a.render_report();
         assert!(report.contains("journeys: 3 reconstructed, 0 delivered end-to-end"));
         assert!(report.contains("sender discards: up=1"));
         assert!(report.contains("radio losses:    up=1"));
-        assert!(report.contains("msg#1 `scan`"));
+        assert!(report.contains("msg#11 `scan`"));
     }
 
     #[test]
     fn lying_rtt_needs_healthy_rtt_and_enough_discards() {
-        let discard = |seq: u64, t_ms: u64, msg: u64| {
-            rec(
-                t_ms,
-                seq,
-                0,
-                TraceEvent::ChannelSend {
-                    dir: "up".into(),
-                    seq,
-                    bytes: 100,
-                    outcome: SendKind::Discarded,
-                    msg: MsgId(msg),
-                },
-            )
-        };
         // Healthy RTT then a burst of discards in one window: flagged.
-        let mut records = vec![rec(100, 0, 0, TraceEvent::RttSample { rtt_ns: 24_000_000 })];
-        for i in 0..4 {
-            records.push(discard(i + 1, 1_200 + i * 10, i + 1));
-        }
-        let a = TraceAnalysis::from_records(&records);
-        assert_eq!(a.anomalies.len(), 1);
+        let a = TraceAnalysis::from_records(&lying_burst(4));
+        assert_eq!(a.lying_windows().len(), 1);
         let report = a.render_report();
         assert!(report.contains("RTT metric lies"));
         assert!(report.contains("24.0 ms"));
 
         // Too few discards: not flagged.
-        let few = vec![
-            rec(100, 0, 0, TraceEvent::RttSample { rtt_ns: 24_000_000 }),
-            discard(1, 1_200, 1),
-            discard(2, 1_210, 2),
-        ];
-        assert_eq!(TraceAnalysis::from_records(&few).anomalies.len(), 0);
+        let few = lying_burst(2);
+        assert_eq!(TraceAnalysis::from_records(&few).lying_windows().len(), 0);
 
         // Unhealthy RTT (the monitor already sees trouble): not lying.
-        let honest = vec![
-            rec(
-                100,
-                0,
-                0,
-                TraceEvent::RttSample {
-                    rtt_ns: 900_000_000,
-                },
-            ),
-            discard(1, 1_200, 1),
-            discard(2, 1_210, 2),
-            discard(3, 1_220, 3),
-            discard(4, 1_230, 4),
-        ];
-        assert_eq!(TraceAnalysis::from_records(&honest).anomalies.len(), 0);
+        let mut honest = lying_burst(4);
+        honest[0].event = TraceEvent::RttSample {
+            rtt_ns: 900_000_000,
+        };
+        assert_eq!(
+            TraceAnalysis::from_records(&honest).lying_windows().len(),
+            0
+        );
 
         // No RTT sample at all: nothing to lie.
-        let blind = vec![
-            discard(0, 1_200, 1),
-            discard(1, 1_210, 2),
-            discard(2, 1_220, 3),
-        ];
-        assert_eq!(TraceAnalysis::from_records(&blind).anomalies.len(), 0);
+        let blind = &lying_burst(3)[1..];
+        assert_eq!(TraceAnalysis::from_records(blind).lying_windows().len(), 0);
     }
 
     #[test]
     fn fault_windows_attribute_losses_and_speed() {
-        let records = vec![
-            // Healthy cycle before the fault: full speed, no loss.
-            rec(
-                0,
-                0,
-                0,
-                TraceEvent::ControlDecision {
-                    local_vdp_ns: 1,
-                    cloud_vdp_ns: 1,
-                    bandwidth: 5.0,
-                    direction: 0.1,
-                    vdp_remote: true,
-                    max_linear: 0.15,
-                    net_decision: "hold".into(),
-                },
-            ),
-            rec(
-                1_000,
-                1,
-                0,
-                TraceEvent::FaultBegin {
-                    fault: "blackout".into(),
-                    window: 0,
-                    window_ns: 2_000_000_000,
-                },
-            ),
-            rec(
-                1_100,
-                2,
-                0,
-                TraceEvent::ChannelLoss {
-                    dir: "up".into(),
-                    seq: 0,
-                    msg: MsgId(0),
-                },
-            ),
-            rec(
-                1_200,
-                3,
-                0,
-                TraceEvent::ChannelSend {
-                    dir: "up".into(),
-                    seq: 1,
-                    bytes: 10,
-                    outcome: SendKind::Discarded,
-                    msg: MsgId(0),
-                },
-            ),
-            rec(
-                1_300,
-                4,
-                0,
-                TraceEvent::HeartbeatMiss {
-                    silence_ns: 1_600_000_000,
-                },
-            ),
-            rec(
-                1_400,
-                5,
-                0,
-                TraceEvent::ControlDecision {
-                    local_vdp_ns: 1,
-                    cloud_vdp_ns: 1,
-                    bandwidth: 0.0,
-                    direction: 0.0,
-                    vdp_remote: false,
-                    max_linear: 0.08,
-                    net_decision: "to_local".into(),
-                },
-            ),
-            rec(
-                3_000,
-                6,
-                0,
-                TraceEvent::FaultEnd {
-                    fault: "blackout".into(),
-                    window: 0,
-                },
-            ),
-            rec(
-                3_100,
-                7,
-                0,
-                TraceEvent::ChannelLoss {
-                    dir: "up".into(),
-                    seq: 2,
-                    msg: MsgId(0),
-                },
-            ),
-            rec(
-                5_000,
-                8,
-                0,
-                TraceEvent::ReoffloadBackoff {
-                    wait_ns: 2_000_000_000,
-                    failures: 1,
-                },
-            ),
-        ];
-        let a = TraceAnalysis::from_records(&records);
+        let a = TraceAnalysis::from_records(&fault_window());
         assert_eq!(a.fault_window_count(), 1);
         assert_eq!(a.heartbeat_miss_count(), 1);
         assert_eq!(a.backoff_count(), 1);
@@ -1665,40 +1644,17 @@ mod tests {
 
     #[test]
     fn fleet_traces_attribute_per_vehicle() {
-        // Vehicle 1 delivers a full journey; vehicle 2 only discards.
-        let mut records: Vec<TraceRecord> = complete_journey()
-            .into_iter()
-            .map(|r| TraceRecord { vehicle: 1, ..r })
-            .collect();
-        records.push(TraceRecord {
-            vehicle: 2,
-            ..rec(300, 11, 0, publish("scan", 50, 0))
-        });
-        records.push(TraceRecord {
-            vehicle: 2,
-            ..rec(
-                301,
-                12,
-                0,
-                TraceEvent::ChannelSend {
-                    dir: "up".into(),
-                    seq: 9,
-                    bytes: 100,
-                    outcome: SendKind::Discarded,
-                    msg: MsgId(50),
-                },
-            )
-        });
-        let a = TraceAnalysis::from_records(&records);
+        let a = TraceAnalysis::from_records(&fleet());
         assert_eq!(a.vehicles.len(), 2);
-        let v1 = &a.vehicles[&1];
-        assert_eq!((v1.cycles, v1.journeys, v1.delivered), (1, 1, 1));
-        let v2 = &a.vehicles[&2];
-        assert_eq!((v2.journeys, v2.delivered, v2.discards), (1, 0, 1));
         let report = a.render_report();
         assert!(report.contains("per-vehicle attribution"));
-        assert!(report.contains("v1"));
-        assert!(report.contains("v2"));
+        // The row's cycles, journeys, delivered and discards columns.
+        let row = |v: &str| -> Vec<&str> {
+            let line = report.lines().find(|l| l.starts_with(v)).expect(v);
+            line.split_whitespace().skip(2).take(4).collect()
+        };
+        assert_eq!(row("v1 "), ["1", "1", "1", "0"]);
+        assert_eq!(row("v2 "), ["0", "1", "0", "1"]);
         // No elastic cloud events: the section must not render.
         assert!(!report.contains("elastic cloud"));
         // No region events either: the sharding section must not
@@ -1709,49 +1665,7 @@ mod tests {
 
     #[test]
     fn sharded_traces_report_regions_and_wan_hops() {
-        let records = vec![
-            rec(
-                0,
-                0,
-                0,
-                TraceEvent::RegionAssign {
-                    region: 0,
-                    cloud_pool: 0,
-                    wan: false,
-                },
-            ),
-            rec(
-                1,
-                1,
-                0,
-                TraceEvent::RegionAssign {
-                    region: 1,
-                    cloud_pool: 0,
-                    wan: true,
-                },
-            ),
-            rec(
-                200_000_000,
-                2,
-                0,
-                TraceEvent::WanHop {
-                    from_region: 1,
-                    to_region: 0,
-                    delay_ns: 10_000_000,
-                },
-            ),
-            rec(
-                400_000_000,
-                3,
-                0,
-                TraceEvent::WanHop {
-                    from_region: 1,
-                    to_region: 0,
-                    delay_ns: 10_000_000,
-                },
-            ),
-        ];
-        let a = TraceAnalysis::from_records(&records);
+        let a = TraceAnalysis::from_records(&sharded());
         assert_eq!(a.region_vehicles.len(), 2);
         assert_eq!(a.wan_hops, 2);
         assert_eq!(a.wan_delay_ns, 20_000_000);
@@ -1775,19 +1689,7 @@ mod tests {
 
     #[test]
     fn policy_section_aggregates_decisions_and_flips() {
-        let decide = |policy: &str, remote: &str| TraceEvent::PolicyDecide {
-            policy: policy.into(),
-            remote: remote.into(),
-            expected_vdp_ns: 100_000_000,
-            max_velocity: 0.5,
-        };
-        let records = vec![
-            rec(200, 0, 0, decide("algorithm1", "costmap_gen+path_tracking")),
-            rec(400, 1, 0, decide("algorithm1", "costmap_gen+path_tracking")),
-            rec(600, 2, 0, decide("algorithm1", "-")),
-            rec(800, 3, 0, decide("bandit", "-")),
-        ];
-        let a = TraceAnalysis::from_records(&records);
+        let a = TraceAnalysis::from_records(&policy_ticks());
         assert_eq!(a.policies.values().map(|p| p.decisions).sum::<u64>(), 4);
         assert_eq!(
             a.policies.keys().collect::<Vec<_>>(),
@@ -1807,14 +1709,7 @@ mod tests {
         // heartbeat_miss + net_switch alone (the pre-resilience chaos
         // vocabulary) must not trigger the section.
         let legacy = vec![
-            rec(
-                1_000,
-                0,
-                0,
-                TraceEvent::HeartbeatMiss {
-                    silence_ns: 1_600_000_000,
-                },
-            ),
+            rec(1_000, 0, 0, miss()),
             rec(5_000, 1, 0, TraceEvent::NetSwitch { to_remote: true }),
         ];
         let a = TraceAnalysis::from_records(&legacy);
@@ -1824,74 +1719,7 @@ mod tests {
 
     #[test]
     fn recovery_report_computes_the_slos() {
-        let records = vec![
-            rec(
-                0,
-                0,
-                0,
-                TraceEvent::Checkpoint {
-                    bytes: 5184,
-                    elapsed_ns: 40_000_000,
-                },
-            ),
-            rec(
-                2_000,
-                1,
-                0,
-                TraceEvent::ReplicaCrash {
-                    replicas: 1,
-                    window: 0,
-                    window_ns: 4_000_000_000,
-                },
-            ),
-            rec(
-                3_000,
-                2,
-                0,
-                TraceEvent::HeartbeatMiss {
-                    silence_ns: 1_600_000_000,
-                },
-            ),
-            rec(
-                4_000,
-                3,
-                0,
-                TraceEvent::DegradeEnter {
-                    cause: "blackout".into(),
-                    slam_particles: 4,
-                    dwa_samples: 100,
-                },
-            ),
-            rec(
-                9_000,
-                4,
-                0,
-                TraceEvent::DegradeExit {
-                    held_ns: 5_000_000_000,
-                    missed_cycles: 0,
-                },
-            ),
-            rec(10_000, 5, 0, TraceEvent::NetSwitch { to_remote: true }),
-            rec(
-                12_000,
-                6,
-                0,
-                TraceEvent::ReplicaStraggle {
-                    factor: 2.5,
-                    window: 1,
-                    window_ns: 2_000_000_000,
-                },
-            ),
-            rec(
-                13_000,
-                7,
-                0,
-                TraceEvent::HeartbeatMiss {
-                    silence_ns: 1_600_000_000,
-                },
-            ),
-        ];
-        let a = TraceAnalysis::from_records(&records);
+        let a = TraceAnalysis::from_records(&recovery_arc());
         let r = a.recovery_report().expect("resilience kinds present");
         assert_eq!((r.checkpoints, r.checkpoint_bytes), (1, 5184));
         assert_eq!(r.degrade_entries, 1);
@@ -1921,38 +1749,8 @@ mod tests {
 
     #[test]
     fn elastic_cloud_events_render_attributed_section() {
-        let mut records: Vec<TraceRecord> = complete_journey()
-            .into_iter()
-            .map(|r| TraceRecord { vehicle: 1, ..r })
-            .collect();
-        records.push(TraceRecord {
-            vehicle: 2,
-            ..rec(
-                400,
-                20,
-                0,
-                TraceEvent::CloudBatch {
-                    stage: "slam".into(),
-                    occupancy: 2,
-                    window: 2,
-                    marginal_ns: 6_000_000,
-                },
-            )
-        });
-        records.push(TraceRecord {
-            vehicle: 1,
-            ..rec(
-                410,
-                21,
-                0,
-                TraceEvent::CloudScale {
-                    from_replicas: 1,
-                    to_replicas: 2,
-                    utilization: 1.5,
-                    window: 3,
-                },
-            )
-        });
+        let mut records = on(1, complete_journey());
+        records.extend(elastic());
         let a = TraceAnalysis::from_records(&records);
         assert_eq!(a.cloud_batch_joins, 1);
         assert_eq!(a.cloud_scales.len(), 1);
@@ -1962,4 +1760,114 @@ mod tests {
         assert!(report.contains("batched joins: 1"), "{report}");
         assert!(report.contains("replicas 1 -> 2"), "{report}");
     }
+
+    /// The fixtures above laid end to end on a two-vehicle mission, so
+    /// that every report section opens.
+    fn every_section() -> Vec<TraceRecord> {
+        let start = TraceEvent::MissionStart {
+            workload: "navigation".into(),
+            deployment: "edge-8t".into(),
+            seed: 7,
+        };
+        let end = TraceEvent::MissionEnd {
+            completed: true,
+            reason: "goal reached".into(),
+        };
+        let mut records = vec![rec(0, 0, 0, start)];
+        records.extend(fleet());
+        records.extend(elastic());
+        records.extend(shift(500, sharded()));
+        records.extend(shift(1_000, policy_ticks()));
+        records.extend(on(2, shift(2_000, fates())));
+        records.extend(shift(3_000, fault_window()));
+        records.extend(on(1, shift(9_000, lying_burst(4))));
+        records.extend(shift(11_000, recovery_arc()));
+        records.push(rec(24_000, 0, 0, end));
+        for (seq, r) in records.iter_mut().enumerate() {
+            r.seq = seq as u64;
+        }
+        records
+    }
+
+    /// The whole report of [`every_section`], pinned byte for byte.
+    #[test]
+    fn golden_report_covers_every_section() {
+        let report = TraceAnalysis::from_records(&every_section()).render_report();
+        assert_eq!(report, GOLDEN_REPORT, "\n{report}");
+    }
+
+    const GOLDEN_REPORT: &str = r#"=== trace report ===
+mission: navigation on edge-8t (seed 7)
+outcome: completed (goal reached)
+records: 53 spanning 24.0 s of virtual time
+cycles: 1   events/cycle: mean 11.0, p95 11, max 11
+journeys: 5 reconstructed, 1 delivered end-to-end
+
+--- per-vehicle attribution ---
+vehicle   records  cycles  journeys  delivered  discards  losses  rtts batches
+v1             17       1         1          1         4       0     1       0
+v2              9       0         4          0         2       1     0       1
+
+--- elastic cloud ---
+batched joins: 1 (0.006 s marginal compute charged)
+replica scale events: 1
+  t=   0.410s  replicas 1 -> 2  (window utilization 1.50)
+
+--- regional sharding ---
+regions: 2 (2 vehicles assigned, 1 served by a remote pool)
+  region r0: 1 vehicle(s)
+  region r1: 1 vehicle(s)
+wan hops: 2 admissions, 0.020 s total surcharge, 1 route(s)
+  route r1 -> r0
+
+--- policy decisions ---
+policy       decisions    remote   flips   mean_vdp_ms  mean_vmax
+algorithm1           3         2       1       100.000      0.500
+bandit               1         0       0       100.000      0.500
+
+--- latency waterfall (1 delivered journeys) ---
+stage             count   mean_ms    p50_ms    p95_ms    max_ms
+publish->uplink       1     1.000     1.000     1.000     1.000
+uplink air            1    12.000    12.000    12.000    12.000
+cloud compute         1    40.000    40.000    40.000    40.000
+downlink air          1    10.000    10.000    10.000    10.000
+delivery              1     1.000     1.000     1.000     1.000
+end-to-end            1    65.000    65.000    65.000    65.000
+
+--- critical path (which stage dominated each delivered journey) ---
+stage            dominated   share
+publish->uplink          0    0.0%
+uplink air               0    0.0%
+cloud compute            1  100.0%
+downlink air             0    0.0%
+delivery                 0    0.0%
+
+--- drop & loss lineage ---
+sender discards: up=7
+radio losses:    up=3
+bus queue drops: none
+journey fates:   delivered=1, discarded at sender=2, lost in the air=1, handled locally=1
+  msg#11 `scan` published at 2.000 s in span#0 -> discarded at sender
+  msg#12 `scan` published at 2.010 s in span#0 -> lost in the air
+  msg#50 `scan` published at 0.300 s in span#0 -> discarded at sender
+
+--- fault windows (scripted faults and what the trace blames on them) ---
+#0 blackout      [   4.0 s,    6.0 s)
+  inside: 1 radio losses, 1 sender discards, 1 heartbeat misses, 0 migration timeouts
+  speed cap: mean 0.080 m/s inside vs 0.150 m/s outside fault windows
+2 of 10 dropped/discarded datagrams fell inside a fault window
+re-offload backoffs: 1 (waits 2.0 s)
+
+--- anomalies: lying-RTT windows (rtt healthy while sender discards) ---
+[  10.0 s,   11.0 s): 4 datagrams discarded while last RTT reads 24.0 ms (1.1 s stale) -> RTT metric lies
+1 window(s) where RTT telemetry (1 samples total) hid sender-side loss
+
+--- recovery SLOs ---
+checkpoints: 1 completed (5184 snapshot bytes streamed)
+replica fault windows: 1 crash, 1 straggle
+degraded mode: 1 entries, 5.000 s held (20.8% of trace), 0 missed cycles
+  entered at 15.000 s (cause: blackout)
+time-to-detect: mean 1.000 s (replica crash -> heartbeat miss)
+time-to-recover: mean 11.850 s (heartbeat miss -> re-offload), 1 outage(s) unrecovered at trace end
+"#;
 }

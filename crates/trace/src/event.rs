@@ -19,7 +19,7 @@
 //! Rust's shortest-roundtrip `{:?}` formatting. See
 //! `docs/OBSERVABILITY.md` for the full schema reference.
 
-use crate::json::Value;
+use crate::json::{write_escaped, Value};
 use crate::span::{MsgId, SpanId};
 use std::fmt::Write as _;
 
@@ -737,19 +737,7 @@ pub(crate) fn str_value<'a>(v: &'a Value, name: &str) -> Result<&'a str, String>
 
 fn write_str(out: &mut String, name: &str, v: &str) {
     let _ = write!(out, ",\"{name}\":\"");
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    write_escaped(out, v);
     out.push('"');
 }
 

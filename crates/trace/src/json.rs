@@ -1,4 +1,5 @@
-//! A small JSON reader: the one JSON parser in the workspace.
+//! A small JSON reader: the one JSON parser in the workspace, plus
+//! the one string escaper its writers share ([`write_escaped`]).
 //!
 //! The workspace is hermetic (no serde_json), and everything it reads
 //! back is JSON it wrote itself: trace lines ([`crate::TraceReader`]
@@ -24,9 +25,37 @@
 //! assert!(Value::parse(&"[".repeat(100_000)).is_err());
 //! ```
 
+use std::fmt::Write as _;
+
 /// Deepest array/object nesting [`Value::parse`] accepts; deeper input
 /// is an error rather than unbounded recursion.
 pub const MAX_DEPTH: usize = 128;
+
+/// Append `s` to `out` as the inside of a JSON string literal: quotes,
+/// backslashes and control characters escaped, with no intermediate
+/// allocation. The trace encoder and the bench harness's artifact
+/// writers share it.
+///
+/// ```
+/// let mut out = String::new();
+/// lgv_trace::json::write_escaped(&mut out, "a\"b\n\u{1}");
+/// assert_eq!(out, r#"a\"b\n\u0001"#);
+/// ```
+pub fn write_escaped(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -118,9 +118,13 @@ stage_suite() {
     cargo test --release -q -p lgv-offload --test fleet -- --include-ignored
     # Elastic-fleet quick job: the elasticity ablation on its own, so
     # a regression in the elastic scheduler fails fast with readable
-    # output.
+    # output. Its trace then drives the offline analysis path: the
+    # JSONL reader and the per-vehicle, per-mission report split on a
+    # real fleet stream (an empty stream fails the suite run itself).
     ./target/release/suite --quick --threads 2 --only elastic-fleet \
-        --out target/BENCH_elastic.json
+        --out target/BENCH_elastic.json --trace target/elastic-fleet.jsonl
+    ./target/release/trace_report target/elastic-fleet.jsonl \
+        > target/elastic-fleet-report.txt
     # Chaos-fleet quick job + recovery-SLO gate: the SLO lines from a
     # quick chaos-fleet run (time-to-recover, degraded fraction,
     # missed cycles — all virtual-clock, machine-independent) are

@@ -71,13 +71,17 @@ impl Write for SharedBuf {
     }
 }
 
-fn run_chaos(seed: u64) -> (MissionReport, String) {
+/// Run one chaos mission with two sinks on its tracer: the JSONL
+/// encoder (returned as text) and a live [`TraceAnalysis`].
+fn run_chaos(seed: u64) -> (MissionReport, String, TraceAnalysis) {
     let buf = SharedBuf::default();
     let tracer = Tracer::enabled();
     tracer.attach(JsonlSink::new(Box::new(buf.clone())));
+    let live = tracer.attach(TraceAnalysis::default());
     let report = mission::run_traced(chaos_config(seed), tracer);
-    let bytes = buf.0.lock().unwrap().clone();
-    (report, String::from_utf8(bytes).expect("trace is UTF-8"))
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("trace is UTF-8");
+    let live = std::mem::take(&mut *live.lock().unwrap());
+    (report, text, live)
 }
 
 #[test]
@@ -86,7 +90,7 @@ fn randomized_fault_schedules_degrade_gracefully() {
         let schedule = FaultSchedule::randomized(seed, CHAOS_HORIZON);
         assert!(!schedule.is_empty(), "seed {seed} scheduled no faults");
         let earliest = schedule.windows().iter().map(|w| w.from).min().unwrap();
-        let (report, trace) = run_chaos(seed);
+        let (report, trace, live) = run_chaos(seed);
         // Graceful: finished or aborted with a stated reason — and
         // either way the report is populated, not a husk.
         assert!(
@@ -110,6 +114,15 @@ fn randomized_fault_schedules_degrade_gracefully() {
         let reencoded: String = records.iter().map(|r| r.to_json() + "\n").collect();
         assert_eq!(trace, reencoded, "seed {seed}: re-encode differs");
         let analysis = TraceAnalysis::from_records(&records);
+        // The analysis folded live from the tracer sees exactly what
+        // the offline path reads back from the JSONL file.
+        assert_eq!(
+            live.render_report(),
+            analysis.render_report(),
+            "seed {seed}: live analysis differs from the parsed trace's"
+        );
+        assert_eq!(live.heartbeat_miss_count(), analysis.heartbeat_miss_count());
+        assert_eq!(live.recovery_report(), analysis.recovery_report());
         // A window can only miss the trace if the mission finished
         // before it was scheduled to open.
         if analysis.fault_window_count() == 0 {
@@ -131,8 +144,8 @@ fn randomized_fault_schedules_degrade_gracefully() {
 #[test]
 fn chaos_runs_are_byte_deterministic_per_seed() {
     for seed in [1u64, 4] {
-        let (ra, ta) = run_chaos(seed);
-        let (rb, tb) = run_chaos(seed);
+        let (ra, ta, _) = run_chaos(seed);
+        let (rb, tb, _) = run_chaos(seed);
         assert_eq!(ra.completed, rb.completed, "seed {seed}: outcome diverged");
         assert_eq!(ta, tb, "seed {seed}: trace diverged between identical runs");
     }
