@@ -329,7 +329,8 @@ fn run_job(scenario: &Scenario, quick: bool, trace: Option<JsonlSink>) -> JobRes
 /// longest-processing-time heuristic over [`Scenario::cost_hint`],
 /// then the buckets are executed fork-join style by the same
 /// [`ParallelExecutor`] the parallel gmapping algorithm uses — one
-/// bucket per worker thread, each worker draining its bucket serially.
+/// bucket per chunk, the calling thread and the workers each draining
+/// the buckets they claim serially.
 ///
 /// With `profile` on (and the `prof` feature compiled in), wall-clock
 /// scope collection is enabled for the duration of the run and each
@@ -373,7 +374,8 @@ pub fn run_suite(
     }
     let mut work: Vec<Vec<usize>> = buckets.into_iter().map(|(_, jobs)| jobs).collect();
 
-    // Fork-join over the buckets: each worker gets exactly one.
+    // Fork-join over the buckets: `n` items at degree `n` are `n`
+    // one-bucket chunks.
     let executor = ParallelExecutor::new(n);
     let per_bucket: Vec<Vec<(usize, JobResult)>> = executor.run_chunks(&mut work, |chunk| {
         let mut done = Vec::new();

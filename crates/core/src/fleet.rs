@@ -28,9 +28,10 @@
 //!
 //! **Parallel execution.** Regions sharing a scheduler pool form a
 //! *pool group*; groups share no mutable state, so each lockstep round
-//! fans the groups across [`ParallelExecutor`] workers and barriers at
-//! the round boundary. Within a group, regions (and their vehicles)
-//! step in vehicle order. Reports are therefore byte-identical for
+//! fans the groups across [`ParallelExecutor`] participants (the
+//! calling thread and its workers, claiming chunks of groups) and
+//! barriers at the round boundary. Within a group, regions (and their
+//! vehicles) step in vehicle order. Reports are therefore byte-identical for
 //! any [`FleetConfig::threads`] value — the round barrier plus the
 //! previous-window census (below) make intra-round order immaterial,
 //! and inter-group order never exists.
@@ -455,7 +456,8 @@ pub fn run_fleet_traced(cfg: FleetConfig, tracer: Tracer) -> FleetReport {
 
     // Lockstep rounds: every running session finishes cycle k before
     // any session starts cycle k+1. Pool groups fan out across the
-    // executor's workers; the run_chunks return is the round barrier.
+    // executor's participants; the run_chunks return is the round
+    // barrier.
     // Sessions drop out individually as their missions end (goal,
     // battery, or time cap).
     let executor = ParallelExecutor::new(cfg.threads.max(1).min(groups.len().max(1)));

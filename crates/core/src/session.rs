@@ -569,6 +569,18 @@ impl VehicleSession {
         }
     }
 
+    /// Host threads for a node's parallel kernel: an offloaded node
+    /// gets its modelled threads capped at the host's parallelism, an
+    /// on-board one gets 1. Outputs do not depend on this; it only
+    /// decides how many cores the host spends.
+    fn host_threads(&self, local: bool) -> usize {
+        if local {
+            1
+        } else {
+            (self.effective_threads as usize).min(lgv_slam::pool::host_parallelism())
+        }
+    }
+
     /// Run the VDP (CostmapGen → PathTracking → VelocityMux) on the
     /// given scan; returns the velocity command and its total
     /// processing time on the executing platform.
@@ -584,6 +596,7 @@ impl VehicleSession {
         let t_cm = self.charge_node(NodeKind::CostmapGen, &cm_work, local);
 
         self.dwa.set_max_linear(self.vmax_now);
+        self.dwa.set_threads(self.host_threads(local));
         let dwa_out = {
             let _prof = lgv_trace::prof::scope("nav/dwa");
             self.dwa
@@ -637,11 +650,7 @@ impl VehicleSession {
                     return;
                 }
                 let slam_remote = self.remote_enabled && self.plan.remote.contains(NodeKind::Slam);
-                let threads = if slam_remote {
-                    self.effective_threads as usize
-                } else {
-                    1
-                };
+                let threads = self.host_threads(!slam_remote);
                 let slam = self
                     .slam
                     .as_mut()
@@ -665,13 +674,16 @@ impl VehicleSession {
 
     fn run_planning(&mut self) {
         if self.cfg.workload == Workload::Exploration {
-            let out = self.frontier.select_goal_excluding(
-                &self.known_map,
-                self.pose_est.position(),
-                self.now,
-                &self.frontier_blacklist,
-                0.6,
-            );
+            let out = {
+                let _prof = lgv_trace::prof::scope("nav/frontier");
+                self.frontier.select_goal_excluding(
+                    &self.known_map,
+                    self.pose_est.position(),
+                    self.now,
+                    &self.frontier_blacklist,
+                    0.6,
+                )
+            };
             self.charge_node(NodeKind::Exploration, &out.work, true);
             match out.goal {
                 Some(g) => {
@@ -711,23 +723,26 @@ impl VehicleSession {
             return;
         }
 
-        let plan_result = if self.cfg.workload == Workload::Exploration {
-            // Frontier cells often hug the inflation of newly-seen
-            // walls; aim for the nearest plannable cell around them.
-            self.planner.plan_near(
-                &self.costmap,
-                self.pose_est.position(),
-                self.current_goal,
-                0.5,
-                self.now,
-            )
-        } else {
-            self.planner.plan(
-                &self.costmap,
-                self.pose_est.position(),
-                self.current_goal,
-                self.now,
-            )
+        let plan_result = {
+            let _prof = lgv_trace::prof::scope("nav/plan");
+            if self.cfg.workload == Workload::Exploration {
+                // Frontier cells often hug the inflation of newly-seen
+                // walls; aim for the nearest plannable cell around them.
+                self.planner.plan_near(
+                    &self.costmap,
+                    self.pose_est.position(),
+                    self.current_goal,
+                    0.5,
+                    self.now,
+                )
+            } else {
+                self.planner.plan(
+                    &self.costmap,
+                    self.pose_est.position(),
+                    self.current_goal,
+                    self.now,
+                )
+            }
         };
         match plan_result {
             Ok(res) => {

@@ -304,13 +304,17 @@ impl Costmap {
         radius: f64,
     ) -> ClearanceWindow<'_> {
         let res = self.dims.resolution;
-        // `footprint_collides`' box spans at most ceil(r / res) cells
-        // either side of the centre cell, plus one for the rounding of
-        // `world_to_grid` at the box corners.
-        let free_above = (radius.max(0.0) / res).ceil() as u32 + 1;
-        let half = (reach.max(0.0) / res).ceil() as i64 + free_above as i64 + 2;
-        // Clip to the map: cells beyond it are blocked anyway.
+        let q = radius.max(0.0) / res;
         let c = self.dims.world_to_grid(center);
+        let half = (reach.max(0.0) / res).ceil() as i64 + q.ceil() as i64 + 3;
+        // Rounding slack of the box's reach (see `ClearanceWindow`):
+        // a few ulps of the largest cell coordinate, in cells, that a
+        // pose in the window can have.
+        let cells = (c.col.unsigned_abs().max(c.row.unsigned_abs()) as f64) + half as f64 + 2.0;
+        let origin = self.dims.origin.x.abs().max(self.dims.origin.y.abs()) / res;
+        let slack = 8.0 * f64::EPSILON * (2.0 * origin + cells + q + 2.0);
+        let free_above = (q + slack).floor() as u32 + 1;
+        // Clip to the map: cells beyond it are blocked anyway.
         let lo_col = (c.col as i64 - half).max(0);
         let lo_row = (c.row as i64 - half).max(0);
         let hi_col = (c.col as i64 + half).min(self.dims.width as i64 - 1);
@@ -370,12 +374,25 @@ impl Costmap {
 /// cell outside the window counts as blocked, so a clearance never
 /// over-estimates.
 ///
-/// [`Costmap::footprint_collides`] for a disc of radius `r` only looks
-/// at cells within Chebyshev distance `k = ceil(r / res) + 1` of the
-/// disc centre's cell. A centre cell whose clearance exceeds `k`
-/// therefore cannot collide, and
-/// [`ClearanceWindow::footprint_collides`] skips the scan there; every
-/// other cell still gets it.
+/// **The box's reach.** [`Costmap::footprint_collides`] for a disc of
+/// radius `r` at `p` scans the box `[world_to_grid(p − r),
+/// world_to_grid(p + r)]`. Per axis, with `u = (p.x − origin.x) / res`
+/// and `q = r / res`, the box runs from `⌊u − q⌋` to `⌊u + q⌋` around
+/// the centre cell `⌊u⌋`. Writing `u = U + α` and `q = Q + β` with
+/// integer parts `U`, `Q` and fractions `α, β ∈ [0, 1)`, `u − q` is
+/// `U − Q − 1 + (1 + α − β)` with `1 + α − β ∈ (0, 2)`, so
+/// `⌊u − q⌋ ≥ U − Q − 1`, and likewise `⌊u + q⌋ ≤ U + Q + 1`. The box
+/// therefore reaches at most `k = ⌊q⌋ + 1` cells from the centre cell
+/// in Chebyshev distance. The three roundings in each corner's
+/// `world_to_grid` and the two in the centre's move `u ± q` and `u`
+/// by a few ulps of the coordinate in cells; the window adds that
+/// slack to `q` before the floor, which matters only when `r / res`
+/// sits within rounding of an integer. At `r = 0.11`, `res = 0.05`,
+/// `k` is 3, not the 4 of the looser `⌈q⌉ + 1`.
+///
+/// A centre cell whose clearance exceeds `k` therefore cannot collide,
+/// and [`ClearanceWindow::footprint_collides`] skips the scan there;
+/// every other cell still gets it.
 #[derive(Debug, Clone)]
 pub(crate) struct ClearanceWindow<'a> {
     cm: &'a Costmap,
@@ -793,15 +810,38 @@ mod tests {
                 dims.origin.y + rng.uniform_range(-0.3, wh + 0.3),
             );
             let reach = rng.uniform_range(0.0, 0.8);
-            let r = rng.uniform_range(0.05, 0.2);
+            // Half the radii sit at k·res or one ulp either side, where
+            // `r / res` is within rounding of an integer.
+            let r = if rng.chance(0.5) {
+                rng.uniform_range(0.05, 0.2)
+            } else {
+                let r = (1 + rng.index(4)) as f64 * dims.resolution;
+                [r.next_down(), r, r.next_up()][rng.index(3)]
+            };
             let window = cm.clearance_window(centre, reach, r);
             for _ in 0..300 {
                 let p = random_point(&mut rng, &dims, centre, reach + 0.5);
+                let c = dims.world_to_grid(p);
                 proptest::prop_assert_eq!(
-                    window.footprint_collides(p, dims.world_to_grid(p)),
+                    window.footprint_collides(p, c),
                     cm.footprint_collides(p, r),
                     "at {:?} r={}", p, r
                 );
+                // The box's reach bound itself, blocked cells or not,
+                // for every pose whose cell the window covers.
+                let (col, row) = (c.col - window.origin.col, c.row - window.origin.row);
+                if col >= 0 && row >= 0 && (col as usize) < window.stride && (row as usize) < window.rows {
+                    let lo = dims.world_to_grid(Point2::new(p.x - r, p.y - r));
+                    let hi = dims.world_to_grid(Point2::new(p.x + r, p.y + r));
+                    let reach = (c.col - lo.col)
+                        .max(hi.col - c.col)
+                        .max(c.row - lo.row)
+                        .max(hi.row - c.row);
+                    proptest::prop_assert!(
+                        reach as u32 <= window.free_above,
+                        "box at {:?} r={} reaches {} cells", p, r, reach
+                    );
+                }
             }
         }
 

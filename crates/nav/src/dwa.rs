@@ -10,10 +10,22 @@
 //! `M` trajectories over `N` threads with the same [`ParallelExecutor`]
 //! SLAM uses.
 //!
-//! Each activation first builds one `ClearanceWindow` around the
-//! robot, sized to the farthest pose any rollout can reach. A rollout
-//! pose whose cell has enough Chebyshev clearance cannot collide, so
-//! only the remaining poses pay for the full
+//! **Threads.** The modelled degree `N` prices the node's `Work`; the
+//! host threads that score the candidates follow the rule SLAM's
+//! executor does. A session gives an offloaded DWA
+//! `min(modelled threads, host parallelism)` host threads through
+//! [`DwaPlanner::set_threads`] and an on-board one a single thread, so
+//! a 1-thread deployment scores inline. Each candidate writes only its
+//! own slot and the reduction runs serially over all of them, so the
+//! twist, score and `Work` are the same at every thread count.
+//!
+//! **Footprint pre-check.** Each activation first builds one
+//! `ClearanceWindow` around the robot, sized to the farthest pose any
+//! rollout can reach. The footprint box of radius `r` reaches at most
+//! `⌊r / res⌋ + 1` cells from the pose's cell, so a pose whose cell has
+//! more Chebyshev clearance than that cannot collide and skips the
+//! scan; at the default `r = 0.11 m` on a 5 cm grid that is clearance
+//! above 3. Only the remaining poses pay for the full
 //! [`Costmap::footprint_collides`] scan. The pre-check only skips
 //! scans whose answer is already known, so scores, feasibility and
 //! the modelled `Work` are unchanged.
@@ -160,6 +172,13 @@ impl DwaPlanner {
         &self.cfg
     }
 
+    /// Change the host threads that score candidates (the session
+    /// does this when the node moves between platforms). Outputs do
+    /// not depend on it; see the [module docs](self).
+    pub fn set_threads(&mut self, threads: usize) {
+        self.executor = ParallelExecutor::new(threads);
+    }
+
     /// Cap the linear velocity (the Controller applies Eq. 2c's
     /// `velocityOA` here).
     pub fn set_max_linear(&mut self, v: f64) {
@@ -242,7 +261,8 @@ impl DwaPlanner {
         let window = cm.clearance_window(pose.position(), reach, cfg.footprint_radius);
         let headings = HeadingTable::new(pose.theta, &omegas, cfg.sim_dt, steps as usize);
 
-        // Parallel scoring (paper Fig. 5): each thread takes a chunk.
+        // Parallel scoring (paper Fig. 5): the threads claim chunks of
+        // candidates.
         let cfg_ref = &self.cfg;
         self.executor.run_chunks(&mut candidates, |chunk| {
             for c in chunk.iter_mut() {
@@ -679,13 +699,12 @@ mod tests {
         let cm = Costmap::from_map(CostmapConfig::default(), &open_map(120, 120));
         let pose = Pose2D::new(1.0, 2.0, 0.3);
         let run = |threads: usize| {
-            let mut dwa = DwaPlanner::new(DwaConfig {
-                threads,
-                ..Default::default()
-            });
-            dwa.compute(&cm, pose, &straight_path(2.0), Point2::new(5.0, 2.5))
-                .twist
+            let mut dwa = DwaPlanner::new(DwaConfig::default());
+            dwa.set_threads(threads);
+            let r = dwa.compute(&cm, pose, &straight_path(2.0), Point2::new(5.0, 2.5));
+            (r.twist, r.score.to_bits(), r.work.total_cycles().to_bits())
         };
+        assert_eq!(run(1), run(2));
         assert_eq!(run(1), run(8));
     }
 

@@ -132,8 +132,8 @@ fn dwa_run(threads: usize) -> Vec<([u64; 4], u32, u32)> {
 }
 
 #[test]
-fn dwa_outputs_are_pinned_at_one_and_three_threads() {
-    for threads in [1, 3] {
+fn dwa_outputs_are_pinned_at_one_two_three_and_eight_threads() {
+    for threads in [1, 2, 3, 8] {
         let got = dwa_run(threads);
         assert_eq!(got, DWA_GOLDEN, "threads {threads}: {got:?}");
     }

@@ -646,14 +646,16 @@ impl TraceAnalysis {
         }
 
         let complete = down_deliver.is_some_and(|(t, _)| last_publish >= t);
+        // A drop outranks "local": a lone publish evicted from a bus
+        // queue never reached a send either.
         let fate = if complete {
             Fate::Delivered
-        } else if !any_send && chain.len() == 1 {
-            Fate::Local
         } else if lost {
             Fate::Lost
         } else if bus_dropped {
             Fate::BusDropped
+        } else if !any_send && chain.len() == 1 {
+            Fate::Local
         } else if discarded && !transmitted {
             Fate::Discarded
         } else {
@@ -1576,6 +1578,22 @@ mod tests {
         assert!(report.contains("sender discards: up=1"));
         assert!(report.contains("radio losses:    up=1"));
         assert!(report.contains("msg#11 `scan`"));
+    }
+
+    #[test]
+    fn lone_publish_evicted_from_a_bus_queue_is_a_bus_drop() {
+        let drop = TraceEvent::BusDrop {
+            topic: "map".into(),
+            msg: MsgId(21),
+        };
+        let a =
+            TraceAnalysis::from_records(&[rec(0, 0, 0, publish("map", 21, 0)), rec(1, 1, 0, drop)]);
+        let fates: Vec<Fate> = a.journeys().iter().map(|j| j.fate).collect();
+        assert_eq!(fates, vec![Fate::BusDropped]);
+        let report = a.render_report();
+        assert!(report.contains("bus queue drops: map=1"), "{report}");
+        assert!(report.contains("dropped on a bus queue=1"), "{report}");
+        assert!(!report.contains("handled locally"), "{report}");
     }
 
     #[test]

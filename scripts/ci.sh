@@ -104,6 +104,11 @@ stage_suite() {
     ./target/release/suite --quick --threads 4 \
         --out target/BENCH_ci.json \
         --profile --profile-out target/BENCH_profile.json
+    # Render that profile: runs the `--prof` reader on a real artifact
+    # and leaves the per-kernel µs/call rows (`nav/dwa`, `slam/*`,
+    # `pool/wait`, ...) to compare against another commit's run.
+    ./target/release/trace_report --prof target/BENCH_profile.json \
+        > target/BENCH_profile.txt
     # Byte-identical parallel vs serial across every scenario, in
     # release mode (too slow for the default debug-mode test run,
     # hence #[ignore]).
