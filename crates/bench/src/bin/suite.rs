@@ -298,9 +298,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.trace {
         // A scenario that emits nothing on the job's tracer (an
-        // untraced one, or chaos and chaos-fleet, which trace into
-        // tracers of their own) leaves the file empty: fail rather
-        // than exit 0.
+        // untraced one) leaves the file empty: fail rather than exit 0.
         if let Some(r) = report.results.iter().find(|r| r.events == 0) {
             eprintln!(
                 "scenario {} emitted no events to the suite's tracer; trace file {path} is empty",

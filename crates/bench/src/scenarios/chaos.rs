@@ -21,13 +21,18 @@ use lgv_sim::LidarConfig;
 use lgv_trace::{TraceAnalysis, Tracer};
 use lgv_types::prelude::*;
 use std::io;
+use std::sync::Mutex;
 
-/// Run one mission with the trace analysis attached as a sink.
-fn run_analyzed(cfg: MissionConfig) -> (MissionReport, TraceAnalysis) {
-    let tracer = Tracer::enabled();
-    let sink = tracer.attach(TraceAnalysis::default());
-    let report = mission::run_traced(cfg, tracer);
-    let analysis = std::mem::take(&mut *sink.lock().unwrap());
+/// Run one mission on the job's tracer and take the analysis of its
+/// records out of `sink`, a [`TraceAnalysis`] attached to that tracer
+/// (emptied again for the next mission).
+fn run_analyzed(
+    cfg: MissionConfig,
+    tracer: &Tracer,
+    sink: &Mutex<TraceAnalysis>,
+) -> (MissionReport, TraceAnalysis) {
+    let report = mission::run_traced(cfg, tracer.clone());
+    let analysis = std::mem::take(&mut *sink.lock().expect("trace analysis sink poisoned"));
     (report, analysis)
 }
 
@@ -79,7 +84,7 @@ fn schedule_label(s: &FaultSchedule) -> String {
         .join(" ")
 }
 
-fn chaos_sweep(ctx: &mut ScenarioCtx) -> io::Result<()> {
+fn chaos_sweep(ctx: &mut ScenarioCtx, sink: &Mutex<TraceAnalysis>) -> io::Result<()> {
     write_banner(
         ctx.out,
         "Chaos sweep: randomized fault schedules vs the recovery stack",
@@ -92,7 +97,7 @@ fn chaos_sweep(ctx: &mut ScenarioCtx) -> io::Result<()> {
     for seed in ctx.seed..ctx.seed + n_seeds {
         let cfg = chaos_config(seed);
         let label = schedule_label(&cfg.faults);
-        let (report, analysis) = run_analyzed(cfg);
+        let (report, analysis) = run_analyzed(cfg, &ctx.tracer, sink);
         table.row(vec![
             seed.to_string(),
             label,
@@ -111,7 +116,7 @@ fn chaos_sweep(ctx: &mut ScenarioCtx) -> io::Result<()> {
     table.write_to(ctx.out)
 }
 
-fn crash_showcase(ctx: &mut ScenarioCtx) -> io::Result<()> {
+fn crash_showcase(ctx: &mut ScenarioCtx, sink: &Mutex<TraceAnalysis>) -> io::Result<()> {
     write_banner(
         ctx.out,
         "Scripted remote crash: heartbeat fallback and backed-off re-offload",
@@ -147,7 +152,7 @@ fn crash_showcase(ctx: &mut ScenarioCtx) -> io::Result<()> {
         faults: FaultSchedule::none().with(30.0, 20.0, FaultKind::RemoteCrash),
         recovery: RecoveryConfig::default(),
     };
-    let (report, analysis) = run_analyzed(cfg);
+    let (report, analysis) = run_analyzed(cfg, &ctx.tracer, sink);
     writeln!(
         ctx.out,
         "  completed {} in {:.1} s  (switches {}, heartbeat misses {}, migration timeouts {}, backoffs {})",
@@ -170,6 +175,7 @@ fn crash_showcase(ctx: &mut ScenarioCtx) -> io::Result<()> {
 
 /// Regenerate the chaos sweep + crash showcase.
 pub fn run(ctx: &mut ScenarioCtx) -> io::Result<()> {
-    chaos_sweep(ctx)?;
-    crash_showcase(ctx)
+    let sink = ctx.tracer.attach(TraceAnalysis::default());
+    chaos_sweep(ctx, &sink)?;
+    crash_showcase(ctx, &sink)
 }

@@ -32,6 +32,7 @@ use lgv_sim::world::WorldBuilder;
 use lgv_trace::{TraceAnalysis, Tracer};
 use lgv_types::prelude::*;
 use std::io;
+use std::sync::Mutex;
 
 /// One arm's recovery SLOs: the `SLO` line it prints, and what the
 /// recovery gate ([`crate::gate::check_recovery`]) reads back.
@@ -177,20 +178,26 @@ fn corridor_mission(seed: u64) -> MissionConfig {
     base
 }
 
-/// Run one arm's fleet with the trace analysis attached as a sink.
-fn run_arm(arm: &Arm, seed: u64, size: usize) -> (FleetReport, TraceAnalysis) {
+/// Run one arm's fleet on the job's tracer and take the analysis of
+/// its records out of `sink`, a [`TraceAnalysis`] attached to that
+/// tracer (emptied again for the next arm).
+fn run_arm(
+    arm: &Arm,
+    seed: u64,
+    size: usize,
+    tracer: &Tracer,
+    sink: &Mutex<TraceAnalysis>,
+) -> (FleetReport, TraceAnalysis) {
     let mut base = corridor_mission(seed);
     base.faults = arm.faults.clone();
     base.recovery = arm.recovery;
-    let tracer = Tracer::enabled();
-    let sink = tracer.attach(TraceAnalysis::default());
     let report = run_fleet_traced(
         FleetConfig::new(base, size)
             .with_cloud(arm.policy)
             .with_cloud_faults(arm.cloud_faults.clone()),
-        tracer,
+        tracer.clone(),
     );
-    let analysis = std::mem::take(&mut *sink.lock().unwrap());
+    let analysis = std::mem::take(&mut *sink.lock().expect("trace analysis sink poisoned"));
     (report, analysis)
 }
 
@@ -218,9 +225,10 @@ pub fn run(ctx: &mut ScenarioCtx) -> io::Result<()> {
         "wasted repl-s",
     ]);
     let mut slo_lines = Vec::new();
+    let sink = ctx.tracer.attach(TraceAnalysis::default());
     let mut mission_secs = Vec::new();
     for arm in arms(ctx.seed) {
-        let (report, analysis) = run_arm(&arm, ctx.seed, size);
+        let (report, analysis) = run_arm(&arm, ctx.seed, size, &ctx.tracer, &sink);
         mission_secs.push((arm.name, report.mean_mission_secs()));
         let recovery = analysis.recovery_report();
         let (degraded_s, degraded_frac, missed, ckpts) =

@@ -344,19 +344,31 @@ fn shim_set_matches_readme_and_workspace_dependencies() {
 
 /// `suite --trace`: the JSONL sink rides on the job's own tracer, so
 /// the file holds exactly the events the artifact counts.
-#[test]
-fn traced_job_writes_its_event_stream() {
-    let scenarios: Vec<Scenario> = registry()
-        .into_iter()
-        .filter(|s| s.name == "fig11")
-        .collect();
-    let path = std::env::temp_dir().join(format!("lgv-suite-trace-{}.jsonl", std::process::id()));
+fn assert_trace_matches_artifact(name: &str) {
+    let scenarios: Vec<Scenario> = registry().into_iter().filter(|s| s.name == name).collect();
+    let path = std::env::temp_dir().join(format!(
+        "lgv-suite-trace-{name}-{}.jsonl",
+        std::process::id()
+    ));
     let sink = lgv_trace::JsonlSink::create(&path).expect("temp trace file");
     let report = run_suite(&scenarios, 1, true, false, Some(sink));
     let records = lgv_trace::TraceReader::read_file(&path).expect("trace reads back");
     let _ = std::fs::remove_file(&path);
-    assert!(report.results[0].events > 0);
-    assert_eq!(records.len() as u64, report.results[0].events);
+    assert!(report.results[0].events > 0, "{name} traced nothing");
+    assert_eq!(records.len() as u64, report.results[0].events, "{name}");
+}
+
+#[test]
+fn traced_job_writes_its_event_stream() {
+    assert_trace_matches_artifact("fig11");
+}
+
+/// chaos folds a live `TraceAnalysis` per mission; that sink rides on
+/// the job's tracer too, so the counting and JSONL sinks see the same
+/// missions.
+#[test]
+fn traced_chaos_writes_its_event_stream() {
+    assert_trace_matches_artifact("chaos");
 }
 
 /// `suite --trace` on a scenario that emits no events on the job's

@@ -221,17 +221,22 @@ impl Costmap {
         debug_assert_eq!(map.cells.len(), n);
 
         // Distance (in metres) to the nearest lethal cell, via a
-        // two-pass chamfer transform.
-        let mut dist = vec![CHAMFER_FAR; n];
-        #[allow(clippy::needless_range_loop)] // two parallel arrays
-        for i in 0..n {
-            let lethal = self.static_lethal[i]
-                || (self.marked_at[i] != 0
-                    && self.updates - self.marked_at[i] < self.cfg.mark_ttl_updates);
-            if lethal {
-                dist[i] = 0.0;
-            }
-        }
+        // two-pass chamfer transform. The seed pass is one branch-free
+        // select per cell (non-short-circuit `|`/`&`), so the compiler
+        // can vectorize it; marks are never newer than `updates`.
+        let (updates, ttl) = (self.updates, self.cfg.mark_ttl_updates);
+        let mut dist: Vec<f32> = self
+            .static_lethal
+            .iter()
+            .zip(&self.marked_at)
+            .map(|(&s, &m)| {
+                if s | ((m != 0) & (updates.wrapping_sub(m) < ttl)) {
+                    0.0
+                } else {
+                    CHAMFER_FAR
+                }
+            })
+            .collect();
         chamfer(&mut dist, w, self.dims.resolution as f32);
 
         // Master grid from distance + known/unknown state.

@@ -4,7 +4,7 @@
 use lgv_slam::map::OccupancyGrid;
 use lgv_slam::motion::{MotionModel, MotionNoise};
 use lgv_slam::pool::ParallelExecutor;
-use lgv_slam::scan_match::ScanMatcher;
+use lgv_slam::scan_match::{MatchResult, ScanCache, ScanMatcher, ScanMatcherConfig};
 use lgv_slam::{GMapping, SlamConfig};
 use lgv_types::prelude::*;
 use proptest::prelude::*;
@@ -242,5 +242,121 @@ proptest! {
         let (got, _) = sm.score(&map, pose, &scan);
         let want = reference_score(&map, pose, &scan, sm.config().beam_skip);
         prop_assert_eq!(got.to_bits(), want.to_bits());
+    }
+}
+
+/// `ScanMatcher::optimize` as it stood before it skipped repeated poses
+/// and stopped hopeless candidates early: every candidate scored in
+/// full, through [`reference_score`]. Kept here only as the reference
+/// the pruned climb must match.
+fn reference_optimize(
+    cfg: &ScanMatcherConfig,
+    map: &OccupancyGrid,
+    prediction: Pose2D,
+    scan: &LaserScan,
+) -> MatchResult {
+    let used = ScanCache::new(scan, cfg.beam_skip).used_beams();
+    let score = |pose| reference_score(map, pose, scan, cfg.beam_skip.max(1));
+    let mut evals = used;
+    let mut best = prediction;
+    let mut best_score = score(best);
+    if used == 0 {
+        return MatchResult {
+            pose: prediction,
+            score: 0.0,
+            converged: false,
+            beam_evals: evals,
+        };
+    }
+    let (mut dt, mut dr) = (cfg.step_trans, cfg.step_rot);
+    for _ in 0..cfg.levels {
+        let mut improved = true;
+        while improved {
+            improved = false;
+            let candidates = [
+                Pose2D::new(best.x + dt, best.y, best.theta),
+                Pose2D::new(best.x - dt, best.y, best.theta),
+                Pose2D::new(best.x, best.y + dt, best.theta),
+                Pose2D::new(best.x, best.y - dt, best.theta),
+                Pose2D::new(best.x, best.y, best.theta + dr),
+                Pose2D::new(best.x, best.y, best.theta - dr),
+            ];
+            for cand in candidates {
+                let s = score(cand);
+                evals += used;
+                if s > best_score {
+                    best_score = s;
+                    best = cand;
+                    improved = true;
+                }
+            }
+        }
+        dt /= 2.0;
+        dr /= 2.0;
+    }
+    let converged = best_score / used as f64 >= cfg.min_score;
+    MatchResult {
+        pose: if converged { best } else { prediction },
+        score: best_score,
+        converged,
+        beam_evals: evals,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    fn pruned_optimize_matches_the_full_reference(
+        seed in 0u64..1_000_000,
+        x in -0.3f64..2.3, y in -0.3f64..1.9, th in -PI..PI,
+        kind in 0u32..4, beams in 0usize..160, skip in 1usize..4, min_score in 0.0f64..0.9,
+    ) {
+        // A small random map as in `score_matches_the_checked_reference`:
+        // endpoints land inside it, on its border cells and past them.
+        let dims = GridDims::new(20, 16, 0.1, Point2::ORIGIN);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let cells = (0..dims.len())
+            .map(|_| [MapMsg::OCCUPIED, MapMsg::FREE, MapMsg::UNKNOWN, MapMsg::UNKNOWN][rng.index(4)])
+            .collect();
+        let mut map = OccupancyGrid::from_map_msg(&MapMsg { stamp: SimTime::EPOCH, dims, cells });
+        let range_max = 3.0;
+        let random_scan = |rng: &mut SimRng, beams: usize| LaserScan {
+            stamp: SimTime::EPOCH,
+            angle_min: rng.uniform_range(-PI, PI),
+            angle_increment: 2.0 * PI / beams.max(1) as f64,
+            range_max,
+            ranges: (0..beams).map(|_| rng.uniform_range(0.0, 3.2)).collect(),
+        };
+        let mut meter = WorkMeter::new();
+        for _ in 0..3 {
+            let from = Pose2D::new(rng.uniform_range(0.0, 2.0), rng.uniform_range(0.0, 1.6), 0.0);
+            let scan = random_scan(&mut rng, 90);
+            map.integrate_scan(from, &scan, &mut meter);
+        }
+        let mut scan = random_scan(&mut rng, beams);
+        let prediction = Pose2D::new(x, y, th);
+        match kind {
+            // No hit beams at all: every return at or past range_max.
+            0 => scan.ranges.iter_mut().for_each(|r| *r = range_max + *r * 0.1),
+            // The scan was seen from near the prediction, so the climb
+            // has a real optimum to find and often converges.
+            1 => {
+                let truth = Pose2D::new(x + 0.04, y - 0.03, th + 0.02);
+                for _ in 0..3 {
+                    map.integrate_scan(truth, &scan, &mut meter);
+                }
+            }
+            _ => {}
+        }
+        let cfg = ScanMatcherConfig { beam_skip: skip, min_score, ..Default::default() };
+        let sm = ScanMatcher::new(cfg.clone());
+        let got = sm.optimize(&map, prediction, &scan);
+        let want = reference_optimize(&cfg, &map, prediction, &scan);
+        prop_assert_eq!(got.pose.x.to_bits(), want.pose.x.to_bits());
+        prop_assert_eq!(got.pose.y.to_bits(), want.pose.y.to_bits());
+        prop_assert_eq!(got.pose.theta.to_bits(), want.pose.theta.to_bits());
+        prop_assert_eq!(got.score.to_bits(), want.score.to_bits());
+        prop_assert_eq!(got.converged, want.converged);
+        prop_assert_eq!(got.beam_evals, want.beam_evals);
     }
 }
