@@ -27,7 +27,7 @@ use lgv_offload::deploy::Deployment;
 use lgv_offload::fleet::{run_fleet_traced, CloudPolicy, ElasticConfig, FleetConfig, FleetReport};
 use lgv_offload::mission::{MissionConfig, Workload};
 use lgv_offload::model::VelocityModel;
-use lgv_offload::recovery::{DegradedConfig, RecoveryConfig};
+use lgv_offload::recovery::RecoveryConfig;
 use lgv_sim::world::WorldBuilder;
 use lgv_trace::{TraceAnalysis, Tracer};
 use lgv_types::prelude::*;
@@ -124,7 +124,7 @@ fn arms(seed: u64) -> Vec<Arm> {
             name: "crash-ckpt",
             faults: crash(),
             cloud_faults: CloudFaultSchedule::none(),
-            recovery: RecoveryConfig::default().with_checkpoints(Duration::from_secs(2)),
+            recovery: RecoveryConfig::default().with_checkpoints(),
             policy: CloudPolicy::Fixed,
         },
         Arm {
@@ -138,7 +138,7 @@ fn arms(seed: u64) -> Vec<Arm> {
             name: "blackout-degraded",
             faults: blackout(),
             cloud_faults: CloudFaultSchedule::none(),
-            recovery: RecoveryConfig::default().with_degraded(DegradedConfig::default()),
+            recovery: RecoveryConfig::default().with_degraded(),
             policy: CloudPolicy::Fixed,
         },
         Arm {

@@ -10,7 +10,7 @@ use crate::suite::ScenarioCtx;
 use crate::{write_banner, TablePrinter};
 use lgv_nav::costmap::{Costmap, CostmapConfig};
 use lgv_nav::dwa::{DwaConfig, DwaPlanner};
-use lgv_nav::velocity_mux::{MuxConfig, VelocityMux};
+use lgv_nav::velocity_mux::VelocityMux;
 use lgv_sim::platform::Platform;
 use lgv_sim::world::presets;
 use lgv_sim::{Lidar, LidarConfig};
@@ -38,7 +38,7 @@ fn vdp_work(seed: u64, samples: u32) -> Work {
         waypoints: vec![pose.position(), presets::lab_goal()],
     };
     let out = dwa.compute(&cm, pose, &path, presets::lab_goal());
-    let w_mux = VelocityMux::new(MuxConfig::default()).work();
+    let w_mux = VelocityMux::new().work();
     w_cm + out.work + w_mux
 }
 

@@ -16,7 +16,7 @@ use lgv_middleware::{Bus, Switcher, SwitcherConfig, TopicName};
 use lgv_net::link::{DuplexLink, LinkConfig, RemoteSite};
 use lgv_net::measure::SignalDirectionEstimator;
 use lgv_net::signal::WirelessConfig;
-use lgv_offload::netctl::{NetControl, NetControlConfig, NetDecision};
+use lgv_offload::netctl::{NetControl, NetDecision};
 use lgv_sim::world::presets;
 use lgv_types::prelude::*;
 use std::io;
@@ -57,7 +57,7 @@ pub fn run(ctx: &mut ScenarioCtx) -> io::Result<()> {
     remote_bus.set_tracer(tracer.clone());
 
     let mut direction = SignalDirectionEstimator::new(wap);
-    let mut netctl = NetControl::new(NetControlConfig::default());
+    let mut netctl = NetControl::new();
     let mut remote_active = true;
 
     // Scripted drive: out along +x at 0.5 m/s, then back.

@@ -342,6 +342,74 @@ fn shim_set_matches_readme_and_workspace_dependencies() {
     );
 }
 
+/// Settable tuning values: the `pub` fields of every `pub struct
+/// *Config` under `crates/*/src`. A value with one setting in use is a
+/// constant beside the code that reads it, not a field; adding a knob
+/// means raising this ceiling in the same change.
+const CONFIG_FIELD_CEILING: usize = 82;
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot list {dir:?}: {e}")) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Fields of each `pub struct *Config { .. }` in `text`, by name.
+fn config_fields(text: &str) -> Vec<(String, usize)> {
+    let mut found = Vec::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        let Some(name) = line
+            .strip_prefix("pub struct ")
+            .and_then(|rest| rest.strip_suffix(" {"))
+            .filter(|name| name.ends_with("Config"))
+        else {
+            continue;
+        };
+        let fields = lines
+            .by_ref()
+            .take_while(|l| *l != "}")
+            .filter(|l| l.starts_with("    pub "))
+            .count();
+        found.push((name.to_string(), fields));
+    }
+    found
+}
+
+#[test]
+fn config_fields_stay_under_the_ceiling() {
+    let crates = format!("{}/..", env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).unwrap_or_else(|e| panic!("cannot list {crates}: {e}"))
+    {
+        let src = entry.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    let mut structs = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+        structs.extend(config_fields(&text));
+    }
+    let total: usize = structs.iter().map(|(_, n)| n).sum();
+    assert!(
+        structs.iter().any(|(name, _)| name == "MissionConfig"),
+        "the scan found no MissionConfig: {structs:?}"
+    );
+    assert!(
+        total <= CONFIG_FIELD_CEILING,
+        "{total} config fields exceed the ceiling of {CONFIG_FIELD_CEILING}: make a value \
+         only its Default sets a constant, or raise the ceiling on purpose ({structs:?})"
+    );
+}
+
 /// `suite --trace`: the JSONL sink rides on the job's own tracer, so
 /// the file holds exactly the events the artifact counts.
 fn assert_trace_matches_artifact(name: &str) {

@@ -21,9 +21,11 @@
 
 use crate::classify::Classification;
 use crate::model::VelocityModel;
-use crate::netctl::{NetControl, NetControlConfig, NetDecision, NetInputs, SwitchCause};
+use crate::netctl::{NetControl, NetDecision, NetInputs, SwitchCause};
 use crate::policy::{EnergyParams, NodeEstimates, OffloadPolicy, PolicyContext};
 use crate::strategy::PlacementPlan;
+use lgv_nav::velocity_mux::BASE_TIMEOUT;
+use lgv_sim::vehicle::MAX_ANGULAR;
 use lgv_trace::{TraceEvent, Tracer};
 use lgv_types::prelude::*;
 
@@ -86,35 +88,17 @@ pub struct ControlDecision {
     pub net_cause: SwitchCause,
 }
 
-/// Controller configuration.
-#[derive(Debug, Clone)]
-pub struct ControllerConfig {
-    /// Eq. 2c parameters.
-    pub velocity: VelocityModel,
-    /// Algorithm 2 parameters.
-    pub netctl: NetControlConfig,
-    /// Heading-error budget per reaction interval (rad) for the
-    /// angular-velocity cap.
-    pub heading_budget: f64,
-    /// Velocity cap while node state is still migrating.
-    pub cold_state_cap: f64,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            velocity: VelocityModel::default(),
-            netctl: NetControlConfig::default(),
-            heading_budget: 0.35,
-            cold_state_cap: 0.15,
-        }
-    }
-}
+/// Heading-error budget per reaction interval (rad) for the
+/// angular-velocity cap.
+pub const HEADING_BUDGET: f64 = 0.35;
+/// Velocity cap while node state is still migrating.
+pub const COLD_STATE_CAP: f64 = 0.15;
 
 /// The runtime Controller.
 #[derive(Debug, Clone)]
 pub struct Controller {
-    cfg: ControllerConfig,
+    /// Eq. 2c parameters.
+    velocity: VelocityModel,
     policy: Box<dyn OffloadPolicy>,
     netctl: NetControl,
     offloaded_deployment: bool,
@@ -130,16 +114,15 @@ impl Controller {
     /// * `offloaded` — whether the deployment has a remote host at all;
     /// * `adaptive` — whether Algorithm 2 may switch placements.
     pub fn new(
-        cfg: ControllerConfig,
+        velocity: VelocityModel,
         policy: Box<dyn OffloadPolicy>,
         offloaded: bool,
         adaptive: bool,
     ) -> Self {
-        let netctl = NetControl::new(cfg.netctl);
         Controller {
-            cfg,
+            velocity,
             policy,
-            netctl,
+            netctl: NetControl::new(),
             offloaded_deployment: offloaded,
             adaptive,
             tracer: Tracer::disabled(),
@@ -228,18 +211,18 @@ impl Controller {
         };
 
         // Eq. 2c velocity with the safety and cold-state caps.
-        let mut max_linear = self.cfg.velocity.vmax(makespan);
+        let mut max_linear = self.velocity.vmax(makespan);
         if let Some(cap) = inputs.exploration_cap {
             max_linear = max_linear.min(cap);
         }
         if inputs.cold_state {
-            max_linear = max_linear.min(self.cfg.cold_state_cap);
+            max_linear = max_linear.min(COLD_STATE_CAP);
         }
 
         // Rotational budget and pipeline-matched staleness timeout.
         let max_angular =
-            (self.cfg.heading_budget / makespan.as_secs_f64().max(0.05)).clamp(0.4, 2.84);
-        let mux_timeout = Duration::from_millis(600).max(makespan * 2.5);
+            (HEADING_BUDGET / makespan.as_secs_f64().max(0.05)).clamp(0.4, MAX_ANGULAR);
+        let mux_timeout = BASE_TIMEOUT.max(makespan * 2.5);
         if verdict.cause == SwitchCause::HeartbeatMiss {
             let silence = inputs.since_downlink.unwrap_or(Duration::ZERO);
             self.tracer.emit_at(
@@ -312,7 +295,7 @@ mod tests {
 
     fn controller(adaptive: bool) -> Controller {
         Controller::new(
-            ControllerConfig::default(),
+            VelocityModel::default(),
             build(
                 PolicyKind::Algorithm1,
                 Goal::MissionTime,

@@ -19,35 +19,19 @@ use lgv_trace::{TraceEvent, Tracer};
 use lgv_types::prelude::*;
 use std::collections::VecDeque;
 
-/// Governor configuration.
-#[derive(Debug, Clone)]
-pub struct GovernorConfig {
-    /// Sliding window of velocity samples considered.
-    pub window: usize,
-    /// Gap ratio (`1 − v_real/v_max`) below which full parallelism is
-    /// kept.
-    pub low_gap: f64,
-    /// Gap ratio above which parallelism drops to the minimum.
-    pub high_gap: f64,
-    /// Smallest thread count the governor will recommend.
-    pub min_threads: u32,
-}
-
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        GovernorConfig {
-            window: 25,
-            low_gap: 0.15,
-            high_gap: 0.6,
-            min_threads: 1,
-        }
-    }
-}
+/// Sliding window of velocity samples considered.
+pub const WINDOW: usize = 25;
+/// Gap ratio (`1 − v_real/v_max`) below which full parallelism is
+/// kept.
+pub const LOW_GAP: f64 = 0.15;
+/// Gap ratio above which parallelism drops to the minimum.
+pub const HIGH_GAP: f64 = 0.6;
+/// Smallest thread count the governor will recommend.
+pub const MIN_THREADS: u32 = 1;
 
 /// Tracks the velocity gap and recommends a thread count.
 #[derive(Debug, Clone)]
 pub struct ThreadGovernor {
-    cfg: GovernorConfig,
     max_threads: u32,
     samples: VecDeque<f64>,
     tracer: Tracer,
@@ -55,10 +39,9 @@ pub struct ThreadGovernor {
 
 impl ThreadGovernor {
     /// Governor for a deployment allowed up to `max_threads`.
-    pub fn new(cfg: GovernorConfig, max_threads: u32) -> Self {
+    pub fn new(max_threads: u32) -> Self {
         assert!(max_threads >= 1);
         ThreadGovernor {
-            cfg,
             max_threads,
             samples: VecDeque::new(),
             tracer: Tracer::disabled(),
@@ -77,7 +60,7 @@ impl ThreadGovernor {
             return;
         }
         let gap = (1.0 - v_real / vmax).clamp(0.0, 1.0);
-        if self.samples.len() == self.cfg.window {
+        if self.samples.len() == WINDOW {
             self.samples.pop_front();
         }
         self.samples.push_back(gap);
@@ -104,19 +87,19 @@ impl ThreadGovernor {
 
     fn recommend_inner(&self) -> u32 {
         // Be generous until the window has real data.
-        if self.samples.len() < self.cfg.window / 2 {
+        if self.samples.len() < WINDOW / 2 {
             return self.max_threads;
         }
         let gap = self.mean_gap();
-        let (lo, hi) = (self.cfg.low_gap, self.cfg.high_gap);
+        let (lo, hi) = (LOW_GAP, HIGH_GAP);
         if gap <= lo {
             self.max_threads
         } else if gap >= hi {
-            self.cfg.min_threads.min(self.max_threads)
+            MIN_THREADS.min(self.max_threads)
         } else {
             let t = 1.0 - (gap - lo) / (hi - lo);
-            let span = (self.max_threads - self.cfg.min_threads) as f64;
-            (self.cfg.min_threads as f64 + t * span).round() as u32
+            let span = (self.max_threads - MIN_THREADS) as f64;
+            (MIN_THREADS as f64 + t * span).round() as u32
         }
     }
 
@@ -160,7 +143,7 @@ mod tests {
     use super::*;
 
     fn governor() -> ThreadGovernor {
-        ThreadGovernor::new(GovernorConfig::default(), 12)
+        ThreadGovernor::new(12)
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! * [`deploy`] — the five evaluation deployments of §VIII (local /
 //!   gateway / gateway+8T / cloud / cloud+12T).
 //! * [`recovery`] — the failure-recovery policy: rebuild horizon,
-//!   heartbeat timeout, re-offload backoff, checkpoint cadence, and
-//!   degraded-mode fidelity, all in one [`RecoveryConfig`].
+//!   checkpoint cadence and degraded-mode fidelity, switched on by
+//!   [`RecoveryConfig`].
 //! * [`mission`] — end-to-end virtual-time mission runner for the two
 //!   standard workloads (Navigation with a map, Exploration without),
 //!   wiring the whole stack together: simulated vehicle + sensors,
@@ -57,19 +57,19 @@ pub mod session;
 pub mod strategy;
 
 pub use classify::{classify, Classification, NodeProfile};
-pub use controller::{ControlDecision, ControlInputs, Controller, ControllerConfig};
+pub use controller::{ControlDecision, ControlInputs, Controller};
 pub use deploy::Deployment;
 pub use fleet::{run_fleet, run_fleet_traced, FleetConfig, FleetReport};
-pub use governor::{GovernorConfig, ThreadGovernor};
+pub use governor::ThreadGovernor;
 pub use migration::{MigrationManager, MigrationTicket};
 pub use mission::{MissionConfig, MissionReport, Workload};
 pub use model::{max_velocity_oa, Goal, VelocityModel};
-pub use netctl::{NetControl, NetControlConfig, NetDecision};
+pub use netctl::{NetControl, NetDecision};
 pub use policy::{
-    Algorithm1Policy, BanditPolicy, EnergyParams, GlobalPlacementPolicy, NodeEstimates,
-    OffloadPolicy, PolicyContext, PolicyKind,
+    BanditPolicy, EnergyParams, GlobalPlacementPolicy, NodeEstimates, OffloadPolicy, PolicyContext,
+    PolicyKind,
 };
 pub use profiler::Profiler;
-pub use recovery::{DegradedConfig, RecoveryConfig};
+pub use recovery::RecoveryConfig;
 pub use session::VehicleSession;
 pub use strategy::{OffloadStrategy, PlacementPlan};

@@ -41,11 +41,11 @@ pub enum NetDecision {
 pub enum SwitchCause {
     /// Algorithm 2's bandwidth × direction rule.
     Rule,
-    /// Bandwidth starved past `outage_timeout` while offloaded — the
+    /// Bandwidth starved past [`OUTAGE_TIMEOUT`] while offloaded — the
     /// radio is the problem.
     OutageWatchdog,
     /// The radio is healthy but the remote fell silent past
-    /// `heartbeat_timeout` — the remote host is the problem.
+    /// [`HEARTBEAT_TIMEOUT`] — the remote host is the problem.
     HeartbeatMiss,
 }
 
@@ -74,7 +74,7 @@ pub struct NetInputs {
     pub remote_active: bool,
     /// Virtual age of the last robot-side downlink arrival; `None`
     /// until the remote has been heard from at all (a fresh offload
-    /// gets `heartbeat_timeout` to produce its first downlink).
+    /// gets [`HEARTBEAT_TIMEOUT`] to produce its first downlink).
     pub since_downlink: Option<Duration>,
     /// The robot's own radio diagnostics: weak signal or scripted
     /// blackout right now. A silent downlink under a *weak* radio is
@@ -96,64 +96,42 @@ pub struct NetVerdict {
     pub backoff_armed: Option<(Duration, u64)>,
 }
 
-/// Controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetControlConfig {
-    /// Bandwidth threshold (packets/s). The paper uses 4 of a 5 Hz
-    /// send rate (§VIII-C).
-    pub bandwidth_threshold: f64,
-    /// Minimum time between switches (hysteresis dwell).
-    pub min_dwell: Duration,
-    /// Ignore measurements this long after startup (the bandwidth
-    /// window and direction estimator need to fill).
-    pub warmup: Duration,
-    /// Direction magnitudes below this count as "not moving" (neither
-    /// branch of Algorithm 2 fires).
-    pub direction_deadband: f64,
-    /// Extension beyond the paper's Algorithm 2: if the bandwidth has
-    /// been below threshold for this long while offloaded, invoke the
-    /// nodes locally regardless of signal direction. The paper's two
-    /// rules only cover the *mobility* cases; a stationary robot in a
-    /// total outage would otherwise deadlock (it cannot move without
-    /// commands, and it cannot switch without moving).
-    pub outage_timeout: Duration,
-    /// Cloud-liveness heartbeat: if the downlink has been silent this
-    /// long while offloaded *and the radio itself looks healthy*, the
-    /// remote host is presumed dead and the nodes are invoked locally
-    /// immediately — bypassing the dwell, well before the outage
-    /// watchdog would react.
-    pub heartbeat_timeout: Duration,
-    /// First re-offload backoff after a failed offload; doubles per
-    /// consecutive failure.
-    pub backoff_base: Duration,
-    /// Ceiling for the exponential backoff.
-    pub backoff_cap: Duration,
-    /// Forget recorded failures (and any pending backoff) after the
-    /// remote has been continuously healthy this long.
-    pub failure_forget: Duration,
-}
-
-impl Default for NetControlConfig {
-    fn default() -> Self {
-        NetControlConfig {
-            bandwidth_threshold: 4.0,
-            min_dwell: Duration::from_millis(1500),
-            warmup: Duration::from_secs(2),
-            direction_deadband: 0.02,
-            outage_timeout: Duration::from_secs(5),
-            heartbeat_timeout: Duration::from_millis(1500),
-            backoff_base: Duration::from_secs(2),
-            backoff_cap: Duration::from_secs(30),
-            failure_forget: Duration::from_secs(30),
-        }
-    }
-}
+/// Bandwidth threshold (packets/s). The paper uses 4 of a 5 Hz send
+/// rate (§VIII-C).
+pub const BANDWIDTH_THRESHOLD: f64 = 4.0;
+/// Minimum time between switches (hysteresis dwell).
+pub const MIN_DWELL: Duration = Duration::from_millis(1500);
+/// Ignore measurements this long after startup (the bandwidth window
+/// and direction estimator need to fill).
+pub const WARMUP: Duration = Duration::from_secs(2);
+/// Direction magnitudes below this count as "not moving" (neither
+/// branch of Algorithm 2 fires).
+pub const DIRECTION_DEADBAND: f64 = 0.02;
+/// Extension beyond the paper's Algorithm 2: if the bandwidth has been
+/// below threshold for this long while offloaded, invoke the nodes
+/// locally regardless of signal direction. The paper's two rules only
+/// cover the *mobility* cases; a stationary robot in a total outage
+/// would otherwise deadlock (it cannot move without commands, and it
+/// cannot switch without moving).
+pub const OUTAGE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Cloud-liveness heartbeat: if the downlink has been silent this long
+/// while offloaded *and the radio itself looks healthy*, the remote
+/// host is presumed dead and the nodes are invoked locally immediately
+/// — bypassing the dwell, well before the outage watchdog would react.
+pub const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(1500);
+/// First re-offload backoff after a failed offload; doubles per
+/// consecutive failure.
+pub const BACKOFF_BASE: Duration = Duration::from_secs(2);
+/// Ceiling for the exponential backoff.
+pub const BACKOFF_CAP: Duration = Duration::from_secs(30);
+/// Forget recorded failures (and any pending backoff) after the remote
+/// has been continuously healthy this long.
+pub const FAILURE_FORGET: Duration = Duration::from_secs(30);
 
 /// Algorithm 2 with switch-dwell hysteresis, a cloud-liveness
 /// heartbeat, and exponential re-offload backoff.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetControl {
-    cfg: NetControlConfig,
     last_switch: Option<SimTime>,
     started: Option<SimTime>,
     starved_since: Option<SimTime>,
@@ -172,20 +150,9 @@ pub struct NetControl {
 }
 
 impl NetControl {
-    /// Build with config.
-    pub fn new(cfg: NetControlConfig) -> Self {
-        NetControl {
-            cfg,
-            last_switch: None,
-            started: None,
-            starved_since: None,
-            healthy_since: None,
-            failures: 0,
-            backoff_pending: false,
-            backoff_wait: Duration::ZERO,
-            backoff_until: None,
-            switches: 0,
-        }
+    /// A controller that has not switched yet.
+    pub fn new() -> Self {
+        NetControl::default()
     }
 
     /// Evaluate the rule at `now` given the measured packet bandwidth
@@ -218,16 +185,16 @@ impl NetControl {
             backoff_armed: None,
         };
         let started = *self.started.get_or_insert(now);
-        if now.saturating_since(started) < self.cfg.warmup {
+        if now.saturating_since(started) < WARMUP {
             return keep(SwitchCause::Rule);
         }
 
         // Forget old failures once the remote has been continuously
         // healthy long enough — the next incident backs off from the
         // base again.
-        if inp.remote_active && inp.bandwidth >= self.cfg.bandwidth_threshold {
+        if inp.remote_active && inp.bandwidth >= BANDWIDTH_THRESHOLD {
             let since = *self.healthy_since.get_or_insert(now);
-            if now.saturating_since(since) >= self.cfg.failure_forget {
+            if now.saturating_since(since) >= FAILURE_FORGET {
                 self.failures = 0;
                 self.backoff_pending = false;
                 self.backoff_until = None;
@@ -243,7 +210,7 @@ impl NetControl {
         // territory.
         if inp.remote_active && !inp.radio_weak {
             if let Some(age) = inp.since_downlink {
-                if age >= self.cfg.heartbeat_timeout {
+                if age >= HEARTBEAT_TIMEOUT {
                     self.starved_since = None;
                     self.last_switch = Some(now);
                     self.switches += 1;
@@ -258,14 +225,14 @@ impl NetControl {
         }
 
         if let Some(last) = self.last_switch {
-            if now.saturating_since(last) < self.cfg.min_dwell {
+            if now.saturating_since(last) < MIN_DWELL {
                 return keep(SwitchCause::Rule);
             }
         }
-        // Outage watchdog (extension; see `NetControlConfig`).
-        if inp.remote_active && inp.bandwidth < self.cfg.bandwidth_threshold {
+        // Outage watchdog (extension; see `OUTAGE_TIMEOUT`).
+        if inp.remote_active && inp.bandwidth < BANDWIDTH_THRESHOLD {
             let since = *self.starved_since.get_or_insert(now);
-            if now.saturating_since(since) >= self.cfg.outage_timeout {
+            if now.saturating_since(since) >= OUTAGE_TIMEOUT {
                 self.starved_since = None;
                 self.last_switch = Some(now);
                 self.switches += 1;
@@ -280,11 +247,11 @@ impl NetControl {
             self.starved_since = None;
         }
 
-        let db = self.cfg.direction_deadband;
+        let db = DIRECTION_DEADBAND;
         let (r_t, d_t) = (inp.bandwidth, inp.direction);
-        let decision = if r_t < self.cfg.bandwidth_threshold && d_t < -db && inp.remote_active {
+        let decision = if r_t < BANDWIDTH_THRESHOLD && d_t < -db && inp.remote_active {
             NetDecision::InvokeLocal
-        } else if r_t > self.cfg.bandwidth_threshold && d_t > db && !inp.remote_active {
+        } else if r_t > BANDWIDTH_THRESHOLD && d_t > db && !inp.remote_active {
             NetDecision::InvokeRemote
         } else {
             NetDecision::Keep
@@ -333,8 +300,8 @@ impl NetControl {
     pub fn record_failure(&mut self, _now: SimTime) {
         self.failures += 1;
         let exp = (self.failures - 1).min(16) as u32;
-        let wait = self.cfg.backoff_base * (1u64 << exp) as f64;
-        self.backoff_wait = wait.min(self.cfg.backoff_cap);
+        let wait = BACKOFF_BASE * (1u64 << exp) as f64;
+        self.backoff_wait = wait.min(BACKOFF_CAP);
         self.backoff_pending = true;
         self.backoff_until = None;
     }
@@ -378,14 +345,14 @@ mod tests {
     /// A controller whose warm-up has already elapsed (first decide
     /// call pins the start time).
     fn warmed() -> NetControl {
-        let mut c = NetControl::new(NetControlConfig::default());
+        let mut c = NetControl::new();
         assert_eq!(c.decide(t(0), 5.0, 0.0, true), NetDecision::Keep);
         c
     }
 
     #[test]
     fn warmup_suppresses_early_decisions() {
-        let mut c = NetControl::new(NetControlConfig::default());
+        let mut c = NetControl::new();
         // Clear "go local" conditions, but inside the warm-up window.
         assert_eq!(c.decide(t(0), 0.0, -0.5, true), NetDecision::Keep);
         assert_eq!(c.decide(t(1000), 0.0, -0.5, true), NetDecision::Keep);

@@ -10,10 +10,10 @@
 //! trait so implementations can be raced head-to-head on identical
 //! inputs:
 //!
-//! * [`Algorithm1Policy`] — the paper's strategy behind the trait,
-//!   **byte-identical** to calling [`OffloadStrategy::decide`]
-//!   directly (the default; every pre-existing benchmark checksum is
-//!   pinned to it);
+//! * [`OffloadStrategy`] — the paper's strategy behind the trait
+//!   (named `"algorithm1"`), **byte-identical** to calling
+//!   [`OffloadStrategy::decide`] directly (the default; every
+//!   pre-existing benchmark checksum is pinned to it);
 //! * [`GlobalPlacementPolicy`] — greedy state-space search over the
 //!   full node→tier assignment vector, scored by the analytical
 //!   model's predicted cycle time and vehicle energy (the muPlacer
@@ -226,11 +226,11 @@ pub fn build(
     seed: u64,
 ) -> Box<dyn OffloadPolicy> {
     match kind {
-        PolicyKind::Algorithm1 => Box::new(Algorithm1Policy::new(OffloadStrategy {
+        PolicyKind::Algorithm1 => Box::new(OffloadStrategy {
             goal,
             velocity,
             pins,
-        })),
+        }),
         PolicyKind::GlobalPlacement => Box::new(GlobalPlacementPolicy::new(goal, velocity, pins)),
         PolicyKind::Bandit => Box::new(BanditPolicy::new(goal, velocity, pins, seed)),
     }
@@ -302,33 +302,20 @@ fn better(goal: Goal, a: (f64, f64), b: (f64, f64)) -> bool {
 // Algorithm 1 behind the trait
 // ---------------------------------------------------------------------------
 
-/// The paper's Algorithm 1 ported behind [`OffloadPolicy`].
+/// The paper's Algorithm 1 behind [`OffloadPolicy`].
 ///
 /// Byte-identical to calling [`OffloadStrategy::decide`] with the
 /// context's two makespans: it reads nothing else from the context
 /// (in particular it ignores [`PolicyContext::net`], because the
 /// historical pipeline evaluated the strategy before the network
 /// controller), so every pre-existing benchmark checksum is preserved.
-#[derive(Debug, Clone)]
-pub struct Algorithm1Policy {
-    strategy: OffloadStrategy,
-}
-
-impl Algorithm1Policy {
-    /// Wrap an Algorithm 1 strategy.
-    pub fn new(strategy: OffloadStrategy) -> Self {
-        Algorithm1Policy { strategy }
-    }
-}
-
-impl OffloadPolicy for Algorithm1Policy {
+impl OffloadPolicy for OffloadStrategy {
     fn name(&self) -> &'static str {
         "algorithm1"
     }
 
     fn decide(&mut self, _now: SimTime, ctx: &PolicyContext<'_>) -> PlacementPlan {
-        self.strategy
-            .decide(ctx.class, ctx.local_vdp, ctx.cloud_vdp)
+        OffloadStrategy::decide(self, ctx.class, ctx.local_vdp, ctx.cloud_vdp)
     }
 
     fn clone_box(&self) -> Box<dyn OffloadPolicy> {
@@ -698,12 +685,12 @@ mod tests {
                         velocity: VelocityModel::default(),
                         pins,
                     };
-                    let mut policy = Algorithm1Policy::new(strategy.clone());
+                    let mut policy = strategy.clone();
                     for local in [0u64, 60, 100, 600, 900] {
                         for cloud in [0u64, 60, 100, 600, 900] {
                             let c = ctx(class, ms(local), ms(cloud), estimates(profile));
                             let expect = strategy.decide(class, ms(local), ms(cloud));
-                            let got = policy.decide(SimTime::EPOCH, &c);
+                            let got = OffloadPolicy::decide(&mut policy, SimTime::EPOCH, &c);
                             assert_eq!(got, expect, "local={local} cloud={cloud} {goal:?}");
                         }
                     }
@@ -718,7 +705,7 @@ mod tests {
         // cloud VDP below local, so T3 stays remote and the expected
         // makespan is the cloud one.
         let class = classify(&table2_with_map());
-        let mut p = Algorithm1Policy::new(OffloadStrategy::new(Goal::MissionTime));
+        let mut p: Box<dyn OffloadPolicy> = Box::new(OffloadStrategy::new(Goal::MissionTime));
         let mut c = ctx(&class, ms(600), ms(40), estimates(&table2_with_map()));
         c.rtt = Duration::ZERO;
         let plan = p.decide(SimTime::EPOCH, &c);
@@ -730,7 +717,7 @@ mod tests {
     fn equal_local_and_remote_times_prefer_offloading() {
         // Tc == Tl^v is not "Tc > Tl^v": Algorithm 1 keeps T3 remote.
         let class = classify(&table2_with_map());
-        let mut p = Algorithm1Policy::new(OffloadStrategy::new(Goal::MissionTime));
+        let mut p: Box<dyn OffloadPolicy> = Box::new(OffloadStrategy::new(Goal::MissionTime));
         let c = ctx(&class, ms(100), ms(100), estimates(&table2_with_map()));
         let plan = p.decide(SimTime::EPOCH, &c);
         assert!(plan.remote.contains(NodeKind::PathTracking));
@@ -848,7 +835,7 @@ mod tests {
             7,
         );
         assert!(bandit.decide(SimTime::EPOCH, &c).remote.is_empty());
-        let mut alg1 = Algorithm1Policy::new(OffloadStrategy::new(Goal::MissionTime));
+        let mut alg1: Box<dyn OffloadPolicy> = Box::new(OffloadStrategy::new(Goal::MissionTime));
         assert!(alg1
             .decide(SimTime::EPOCH, &c)
             .remote
@@ -944,10 +931,10 @@ mod tests {
         // 4 pkt/s threshold switches in *neither* direction, whatever
         // the signal direction says — and the resulting Keep verdict
         // leaves the decision layer free to keep its own optimum.
-        use crate::netctl::{NetControl, NetControlConfig, NetInputs};
+        use crate::netctl::{NetControl, NetInputs};
         let t = SimTime::EPOCH + Duration::from_secs(3); // past warmup
         for (remote_active, direction) in [(true, -0.5), (false, 0.5)] {
-            let mut nc = NetControl::new(NetControlConfig::default());
+            let mut nc = NetControl::new();
             let inputs = |bandwidth| NetInputs {
                 bandwidth,
                 direction,
@@ -978,7 +965,7 @@ mod tests {
         // |d_t| == 0.02 sits *inside* the deadband (strict
         // inequalities again): the robot counts as "not moving" and
         // neither branch fires; one tick beyond it does.
-        use crate::netctl::{NetControl, NetControlConfig, NetInputs};
+        use crate::netctl::{NetControl, NetInputs};
         let t = SimTime::EPOCH + Duration::from_secs(3);
         for (remote_active, bandwidth, away) in [(true, 3.0, true), (false, 5.0, false)] {
             let sign = if away { -1.0 } else { 1.0 };
@@ -989,7 +976,7 @@ mod tests {
                 since_downlink: Some(Duration::ZERO),
                 radio_weak: false,
             };
-            let mut nc = NetControl::new(NetControlConfig::default());
+            let mut nc = NetControl::new();
             nc.evaluate(SimTime::EPOCH, inputs(0.0));
             let v = nc.evaluate(t, inputs(sign * 0.02));
             assert_eq!(v.decision, NetDecision::Keep, "deadband edge must keep");
@@ -1009,7 +996,7 @@ mod tests {
         // min_dwell (1.5 s) exclusive — and while suppressed, the Keep
         // verdict reaches the decision layer, so the search policy is
         // free to propose its optimum rather than being forced local.
-        use crate::netctl::{NetControl, NetControlConfig, NetInputs};
+        use crate::netctl::{NetControl, NetInputs, MIN_DWELL};
         let t0 = SimTime::EPOCH + Duration::from_secs(3);
         let inputs = || NetInputs {
             bandwidth: 3.0,
@@ -1018,13 +1005,13 @@ mod tests {
             since_downlink: Some(Duration::ZERO),
             radio_weak: false,
         };
-        let mut nc = NetControl::new(NetControlConfig::default());
+        let mut nc = NetControl::new();
         nc.evaluate(SimTime::EPOCH, inputs());
         let v = nc.evaluate(t0, inputs());
         assert_eq!(v.decision, NetDecision::InvokeLocal);
 
         // One nanosecond short of the dwell: still suppressed.
-        let dwell = NetControlConfig::default().min_dwell;
+        let dwell = MIN_DWELL;
         let held = nc.evaluate(t0 + (dwell - Duration::from_nanos(1)), inputs());
         assert_eq!(held.decision, NetDecision::Keep, "inside dwell must keep");
         // The suppressed verdict feeds the layer: the search policy

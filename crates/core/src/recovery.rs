@@ -2,16 +2,21 @@
 //!
 //! PR 3's crash recovery hardcoded its constants: an 8 s migration
 //! rebuild horizon, a 1.5 s cloud-liveness heartbeat, and a 2 s → 30 s
-//! exponential re-offload backoff, all buried in `session.rs` /
-//! `netctl.rs`. [`RecoveryConfig`] hoists them into one place and adds
-//! the two recovery mechanisms this layer grew later:
+//! exponential re-offload backoff. The horizon and the two recovery
+//! mechanisms this layer grew later live here; the heartbeat and
+//! backoff belong to Algorithm 2's controller
+//! ([`HEARTBEAT_TIMEOUT`](crate::netctl::HEARTBEAT_TIMEOUT),
+//! [`BACKOFF_BASE`](crate::netctl::BACKOFF_BASE),
+//! [`BACKOFF_CAP`](crate::netctl::BACKOFF_CAP)). [`RecoveryConfig`]
+//! switches the mechanisms on:
 //!
-//! * **Checkpointed re-offload** ([`RecoveryConfig::checkpoint_interval`]):
-//!   while a node set runs remotely, the session periodically streams a
-//!   compact snapshot of the offloaded state over the migration TCP
-//!   path. When the remote crashes, the rebuild only has to cover the
-//!   time since the last completed checkpoint instead of the full
-//!   rebuild horizon — bounded re-compute instead of a cold rebuild.
+//! * **Checkpointed re-offload** ([`RecoveryConfig::checkpoints`]):
+//!   while a node set runs remotely, the session streams a compact
+//!   snapshot of the offloaded state over the migration TCP path every
+//!   [`CHECKPOINT_INTERVAL`]. When the remote crashes, the rebuild only
+//!   has to cover the time since the last completed checkpoint instead
+//!   of the full rebuild horizon — bounded re-compute instead of a cold
+//!   rebuild.
 //! * **Degraded-mode autonomy** ([`RecoveryConfig::degraded`]): when a
 //!   blackout persists or re-offload keeps failing, the session drops
 //!   the local pipeline to reduced fidelity (fewer SLAM particles,
@@ -24,124 +29,99 @@
 
 use lgv_types::prelude::*;
 
-/// Reduced-fidelity local pipeline for riding out sustained outages.
-///
-/// Both thresholds are hysteresis guards: entry requires the stress
-/// condition to hold continuously for [`DegradedConfig::trigger_after`],
-/// and exit requires continuous health for
-/// [`DegradedConfig::restore_hold`] — a link that flaps faster than
-/// either window never toggles the mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradedConfig {
-    /// Continuous stress (blackout or exhausted re-offload backoff)
-    /// required before fidelity drops.
-    pub trigger_after: Duration,
-    /// Continuous health required before full fidelity is restored.
-    pub restore_hold: Duration,
-    /// SLAM particle count while degraded (clamped to the configured
-    /// count; the filter keeps its best particle across the switch).
-    pub slam_particles: usize,
-    /// DWA trajectory-sample budget while degraded.
-    pub dwa_samples: u32,
-}
+/// How long a crash-abandoned migration may rebuild remote state
+/// before the session falls back to cold local execution (and how long
+/// the cold fallback waits before clearing): freshly-invoked nodes
+/// rebuild equivalent state from live sensor data on this scale (the
+/// costmap's obstacle history ages out on it anyway). Doubles as the
+/// migration deadline: a transfer still in flight at this point
+/// delivers state the destination no longer needs.
+pub const REBUILD_HORIZON: Duration = Duration::from_secs(8);
 
-impl Default for DegradedConfig {
-    fn default() -> Self {
-        DegradedConfig {
-            trigger_after: Duration::from_secs(3),
-            restore_hold: Duration::from_secs(5),
-            slam_particles: 4,
-            dwa_samples: 100,
-        }
-    }
-}
+/// Checkpoint cadence while offloaded, with checkpoints on.
+pub const CHECKPOINT_INTERVAL: Duration = Duration::from_secs(2);
+
+/// Checkpoint size as a fraction of the full migration state
+/// (incremental snapshots are much smaller than a cold transfer).
+pub const CHECKPOINT_FRACTION: f64 = 0.25;
+
+// Degraded mode's two thresholds are hysteresis guards: entry requires
+// the stress condition to hold continuously for `DEGRADED_TRIGGER_AFTER`,
+// and exit requires continuous health for `DEGRADED_RESTORE_HOLD` — a
+// link that flaps faster than either window never toggles the mode.
+
+/// Continuous stress (blackout or exhausted re-offload backoff)
+/// required before fidelity drops.
+pub const DEGRADED_TRIGGER_AFTER: Duration = Duration::from_secs(3);
+/// Continuous health required before full fidelity is restored.
+pub const DEGRADED_RESTORE_HOLD: Duration = Duration::from_secs(5);
+/// SLAM particle count while degraded (clamped to the configured
+/// count; the filter keeps its best particle across the switch).
+pub const DEGRADED_SLAM_PARTICLES: usize = 4;
+/// DWA trajectory-sample budget while degraded.
+pub const DEGRADED_DWA_SAMPLES: u32 = 100;
+
+const _: () = assert!(
+    DEGRADED_RESTORE_HOLD.as_nanos() > DEGRADED_TRIGGER_AFTER.as_nanos(),
+    "hysteresis is asymmetric"
+);
+const _: () = assert!(DEGRADED_SLAM_PARTICLES >= 1 && DEGRADED_DWA_SAMPLES >= 12);
 
 /// Recovery-policy configuration, threaded through
 /// [`MissionConfig`](crate::mission::MissionConfig) (and from there
 /// through [`FleetConfig`](crate::fleet::FleetConfig)).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RecoveryConfig {
-    /// How long a crash-abandoned migration may rebuild remote state
-    /// before the session falls back to cold local execution (and how
-    /// long the cold fallback waits before clearing). PR 3's
-    /// `REBUILD_HORIZON`.
-    pub rebuild_horizon: Duration,
-    /// Cloud-liveness heartbeat timeout (Algorithm 2 declares the
-    /// remote dead after this much downlink silence while offloaded).
-    pub heartbeat_timeout: Duration,
-    /// First re-offload backoff after a failure; doubles per
-    /// consecutive failure.
-    pub backoff_base: Duration,
-    /// Ceiling on the re-offload backoff.
-    pub backoff_cap: Duration,
-    /// Checkpoint cadence while offloaded. `None` disables
-    /// checkpointing (the pre-checkpoint behavior).
-    pub checkpoint_interval: Option<Duration>,
-    /// Checkpoint size as a fraction of the full migration state
-    /// (incremental snapshots are much smaller than a cold transfer).
-    pub checkpoint_fraction: f64,
-    /// Degraded-mode policy. `None` keeps full fidelity no matter how
-    /// long the outage lasts (the pre-degraded behavior).
-    pub degraded: Option<DegradedConfig>,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            rebuild_horizon: crate::session::REBUILD_HORIZON,
-            heartbeat_timeout: Duration::from_millis(1500),
-            backoff_base: Duration::from_secs(2),
-            backoff_cap: Duration::from_secs(30),
-            checkpoint_interval: None,
-            checkpoint_fraction: 0.25,
-            degraded: None,
-        }
-    }
+    /// Stream a checkpoint every [`CHECKPOINT_INTERVAL`] while
+    /// offloaded. Off keeps the pre-checkpoint behavior.
+    pub checkpoints: bool,
+    /// Drop to reduced fidelity under a sustained outage. Off keeps
+    /// full fidelity no matter how long the outage lasts (the
+    /// pre-degraded behavior).
+    pub degraded: bool,
 }
 
 impl RecoveryConfig {
-    /// Enable checkpointed re-offload at the given cadence.
-    pub fn with_checkpoints(mut self, interval: Duration) -> Self {
-        self.checkpoint_interval = Some(interval);
+    /// Enable checkpointed re-offload.
+    pub fn with_checkpoints(mut self) -> Self {
+        self.checkpoints = true;
         self
     }
 
-    /// Enable degraded-mode autonomy with the given policy.
-    pub fn with_degraded(mut self, degraded: DegradedConfig) -> Self {
-        self.degraded = Some(degraded);
+    /// Enable degraded-mode autonomy.
+    pub fn with_degraded(mut self) -> Self {
+        self.degraded = true;
         self
     }
 
-    /// The full recovery posture: 2 s checkpoints plus default
-    /// degraded-mode hysteresis — what the chaos-fleet scenario runs.
+    /// The full recovery posture: checkpoints plus degraded mode —
+    /// what the chaos-fleet scenario runs.
     pub fn resilient() -> Self {
-        RecoveryConfig::default()
-            .with_checkpoints(Duration::from_secs(2))
-            .with_degraded(DegradedConfig::default())
+        RecoveryConfig::default().with_checkpoints().with_degraded()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netctl::{BACKOFF_BASE, BACKOFF_CAP, HEARTBEAT_TIMEOUT};
 
     #[test]
     fn defaults_reproduce_the_historical_constants() {
         let cfg = RecoveryConfig::default();
-        assert_eq!(cfg.rebuild_horizon, Duration::from_secs(8));
-        assert_eq!(cfg.heartbeat_timeout, Duration::from_millis(1500));
-        assert_eq!(cfg.backoff_base, Duration::from_secs(2));
-        assert_eq!(cfg.backoff_cap, Duration::from_secs(30));
-        assert!(cfg.checkpoint_interval.is_none());
-        assert!(cfg.degraded.is_none());
+        assert_eq!(REBUILD_HORIZON, Duration::from_secs(8));
+        assert_eq!(HEARTBEAT_TIMEOUT, Duration::from_millis(1500));
+        assert_eq!(BACKOFF_BASE, Duration::from_secs(2));
+        assert_eq!(BACKOFF_CAP, Duration::from_secs(30));
+        assert!(!cfg.checkpoints);
+        assert!(!cfg.degraded);
     }
 
     #[test]
     fn resilient_enables_both_mechanisms() {
         let cfg = RecoveryConfig::resilient();
-        assert_eq!(cfg.checkpoint_interval, Some(Duration::from_secs(2)));
-        let d = cfg.degraded.expect("degraded mode on");
-        assert!(d.restore_hold > d.trigger_after, "hysteresis is asymmetric");
-        assert!(d.slam_particles >= 1 && d.dwa_samples >= 12);
+        assert!(cfg.checkpoints);
+        assert_eq!(CHECKPOINT_INTERVAL, Duration::from_secs(2));
+        assert!(cfg.degraded);
     }
 }

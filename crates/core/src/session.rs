@@ -21,23 +21,27 @@
 //! downlink actually delivers it — so a static offloading policy
 //! genuinely stalls in a dead zone, which is what Algorithm 2 fixes.
 
-use crate::classify::{classify, table2_with_map, table2_without_map, Classification};
-use crate::controller::{ControlInputs, Controller, ControllerConfig};
+use crate::classify::{classify, table2_with_map, table2_without_map, Classification, NodeProfile};
+use crate::controller::{ControlInputs, Controller};
 use crate::deploy::Deployment;
-use crate::governor::{GovernorConfig, ThreadGovernor};
+use crate::governor::ThreadGovernor;
 use crate::migration::{MigrationEvent, MigrationManager};
 use crate::mission::{MissionConfig, MissionReport, NetSample, VelocitySample, Workload};
 use crate::model::TimeBreakdown;
-use crate::netctl::{NetControlConfig, NetDecision, SwitchCause};
+use crate::netctl::{NetDecision, SwitchCause};
 use crate::policy::{self, EnergyParams, NodeEstimates};
 use crate::profiler::Profiler;
+use crate::recovery::{
+    CHECKPOINT_FRACTION, CHECKPOINT_INTERVAL, DEGRADED_DWA_SAMPLES, DEGRADED_RESTORE_HOLD,
+    DEGRADED_SLAM_PARTICLES, DEGRADED_TRIGGER_AFTER, REBUILD_HORIZON,
+};
 use crate::strategy::PlacementPlan;
 use lgv_middleware::{Bus, Switcher, SwitcherConfig, TopicName};
 use lgv_nav::costmap::{Costmap, CostmapConfig};
 use lgv_nav::dwa::{DwaConfig, DwaPlanner};
 use lgv_nav::frontier::{FrontierConfig, FrontierExplorer};
 use lgv_nav::global_planner::{GlobalPlanner, PlannerConfig};
-use lgv_nav::velocity_mux::{MuxConfig, VelocityMux};
+use lgv_nav::velocity_mux::VelocityMux;
 use lgv_nav::{Amcl, AmclConfig};
 use lgv_net::fault::{CloudFaultKind, FaultClock, FaultKind};
 use lgv_net::link::{DuplexLink, LinkConfig};
@@ -60,12 +64,6 @@ use std::collections::HashMap;
 pub const CONTROL_PERIOD: Duration = Duration::from_millis(200);
 pub(crate) const SUBSTEP: Duration = Duration::from_millis(10);
 pub(crate) const GOAL_TOLERANCE: f64 = 0.35;
-/// How long freshly-invoked nodes take to rebuild equivalent state
-/// from live sensor data when migration cannot deliver it (the
-/// costmap's obstacle history ages out on this scale anyway). Doubles
-/// as the migration deadline: a transfer still in flight at this
-/// point delivers state the destination no longer needs.
-pub(crate) const REBUILD_HORIZON: Duration = Duration::from_secs(8);
 
 /// One vehicle's complete runtime wiring: simulated hardware, the real
 /// algorithm stack, middleware over the radio, Algorithms 1 + 2, and
@@ -120,6 +118,9 @@ pub struct VehicleSession {
     threads_n: u64,
     direction: SignalDirectionEstimator,
     class: Classification,
+    /// The static Table II profile `class` was classified from: the
+    /// cold-start fallback of the VDP and per-node estimates.
+    table2: Vec<NodeProfile>,
     // Fleet membership (absent for a standalone single-vehicle run).
     vehicle_id: VehicleId,
     cloud: Option<CloudScheduler>,
@@ -192,7 +193,6 @@ impl VehicleSession {
         let mut rng = SimRng::seed_from_u64(cfg.seed);
         let vehicle_cfg = VehicleConfig {
             max_linear: cfg.velocity.hw_cap,
-            ..VehicleConfig::default()
         };
         let vehicle = Vehicle::new(vehicle_cfg, cfg.start, rng.fork(1));
         let lidar = Lidar::new(cfg.lidar.clone(), rng.fork(2));
@@ -200,7 +200,7 @@ impl VehicleSession {
         let dims = *cfg.world.dims();
         let truth_map = cfg.world.to_map_msg(SimTime::EPOCH);
 
-        let (amcl, slam, known_map, costmap, planner, class) = match cfg.workload {
+        let (amcl, slam, known_map, costmap, planner, table2) = match cfg.workload {
             Workload::Navigation => {
                 let amcl = Amcl::new(AmclConfig::default(), &truth_map, cfg.start, rng.fork(3));
                 let costmap = Costmap::from_map(CostmapConfig::default(), &truth_map);
@@ -211,7 +211,7 @@ impl VehicleSession {
                     truth_map,
                     costmap,
                     planner,
-                    classify(&table2_with_map()),
+                    table2_with_map(),
                 )
             }
             Workload::Exploration => {
@@ -238,7 +238,7 @@ impl VehicleSession {
                     empty,
                     costmap,
                     planner,
-                    classify(&table2_without_map()),
+                    table2_without_map(),
                 )
             }
         };
@@ -247,7 +247,6 @@ impl VehicleSession {
             samples: cfg.dwa_samples,
             max_linear: cfg.velocity.hw_cap,
             threads: 1,
-            ..DwaConfig::default()
         });
 
         // Middleware over the simulated radio.
@@ -279,8 +278,7 @@ impl VehicleSession {
         }
         let mut profiler = Profiler::new();
         profiler.set_tracer(tracer.clone());
-        let mut governor =
-            ThreadGovernor::new(GovernorConfig::default(), cfg.deployment.threads.max(1));
+        let mut governor = ThreadGovernor::new(cfg.deployment.threads.max(1));
         governor.set_tracer(tracer.clone());
         let mut ledger = EnergyLedger::new();
         ledger.set_tracer(tracer.clone());
@@ -298,21 +296,13 @@ impl VehicleSession {
         // solo missions and fleet tenants construct their decisions
         // identically.
         let mut controller = Controller::new(
-            ControllerConfig {
-                velocity: cfg.velocity,
-                netctl: NetControlConfig {
-                    heartbeat_timeout: cfg.recovery.heartbeat_timeout,
-                    backoff_base: cfg.recovery.backoff_base,
-                    backoff_cap: cfg.recovery.backoff_cap,
-                    ..NetControlConfig::default()
-                },
-                ..ControllerConfig::default()
-            },
+            cfg.velocity,
             policy::for_mission(&cfg),
             cfg.deployment.offloaded(),
             cfg.adaptive,
         );
         controller.set_tracer(tracer.clone());
+        let class = classify(&table2);
         let plan = policy::initial_plan(&class, cfg.deployment.offloaded());
 
         let start = cfg.start;
@@ -328,7 +318,7 @@ impl VehicleSession {
             costmap,
             planner,
             dwa,
-            mux: VelocityMux::new(MuxConfig::default()),
+            mux: VelocityMux::new(),
             frontier: FrontierExplorer::new(FrontierConfig::default()),
             tb3,
             remote,
@@ -343,14 +333,14 @@ impl VehicleSession {
                 let mut mig = MigrationManager::new(sm, wan, rng.fork(0xC3));
                 mig.set_tracer(tracer.clone());
                 mig.set_faults(cfg.faults.clone());
-                mig.set_deadline(cfg.recovery.rebuild_horizon);
+                mig.set_deadline(REBUILD_HORIZON);
                 Some(mig)
             } else {
                 None
             },
             cold_state: false,
             cold_since: SimTime::EPOCH,
-            rebuild_need: cfg.recovery.rebuild_horizon,
+            rebuild_need: REBUILD_HORIZON,
             last_ckpt_attempt: SimTime::EPOCH,
             degraded: false,
             stress_since: None,
@@ -363,6 +353,7 @@ impl VehicleSession {
             threads_n: 0,
             direction: SignalDirectionEstimator::new(wap),
             class,
+            table2,
             vehicle_id: VehicleId::NONE,
             cloud: None,
             wan_hop: None,
@@ -860,10 +851,8 @@ impl VehicleSession {
                                 .emit_at(cycle_start.as_nanos(), TraceEvent::MigrationAbort);
                         }
                         self.rebuild_need = match mig.take_checkpoint() {
-                            Some(at) => cycle_start
-                                .saturating_since(at)
-                                .min(self.cfg.recovery.rebuild_horizon),
-                            None => self.cfg.recovery.rebuild_horizon,
+                            Some(at) => cycle_start.saturating_since(at).min(REBUILD_HORIZON),
+                            None => REBUILD_HORIZON,
                         };
                     }
                     self.cold_state = true;
@@ -902,20 +891,20 @@ impl VehicleSession {
         // migration channel is idle, periodically stream a compact
         // snapshot of the offloaded state so a later crash rebuilds
         // from the snapshot's age instead of the full horizon.
-        if let Some(interval) = self.cfg.recovery.checkpoint_interval {
+        if self.cfg.recovery.checkpoints {
             if let Some(mig) = self.migration.as_mut() {
                 if self.remote_enabled
                     && !self.cold_state
                     && !mig.in_progress()
                     && !self.plan.remote.is_empty()
-                    && cycle_start.saturating_since(self.last_ckpt_attempt) >= interval
+                    && cycle_start.saturating_since(self.last_ckpt_attempt) >= CHECKPOINT_INTERVAL
                 {
                     self.last_ckpt_attempt = cycle_start;
                     let _ = mig.begin_checkpoint(
                         cycle_start,
                         self.plan.remote,
                         self.cfg.slam_particles,
-                        self.cfg.recovery.checkpoint_fraction,
+                        CHECKPOINT_FRACTION,
                     );
                 }
             }
@@ -926,34 +915,34 @@ impl VehicleSession {
         // runs locally), drop SLAM/DWA fidelity so the 200 ms deadline
         // keeps being met on vehicle silicon; restore — with
         // hysteresis — once the link is healthy again.
-        if let Some(dcfg) = self.cfg.recovery.degraded {
+        if self.cfg.recovery.degraded {
             let stressed = self.cfg.deployment.offloaded()
                 && !self.remote_enabled
                 && (radio_weak || self.controller.offload_failures() >= 2);
             if stressed {
                 self.healthy_since = None;
                 let since = *self.stress_since.get_or_insert(cycle_start);
-                if !self.degraded && cycle_start.saturating_since(since) >= dcfg.trigger_after {
+                if !self.degraded && cycle_start.saturating_since(since) >= DEGRADED_TRIGGER_AFTER {
                     self.degraded = true;
                     self.degrade_entered_at = cycle_start;
                     self.missed_cycles_degraded = 0;
                     if let Some(slam) = self.slam.as_mut() {
-                        slam.set_active_particles(dcfg.slam_particles);
+                        slam.set_active_particles(DEGRADED_SLAM_PARTICLES);
                     }
-                    self.dwa.set_samples(dcfg.dwa_samples);
+                    self.dwa.set_samples(DEGRADED_DWA_SAMPLES);
                     self.tracer.emit_at(
                         cycle_start.as_nanos(),
                         TraceEvent::DegradeEnter {
                             cause: if radio_weak { "blackout" } else { "backoff" }.to_string(),
-                            slam_particles: dcfg.slam_particles as u64,
-                            dwa_samples: u64::from(dcfg.dwa_samples),
+                            slam_particles: DEGRADED_SLAM_PARTICLES as u64,
+                            dwa_samples: u64::from(DEGRADED_DWA_SAMPLES),
                         },
                     );
                 }
             } else {
                 self.stress_since = None;
                 let since = *self.healthy_since.get_or_insert(cycle_start);
-                if self.degraded && cycle_start.saturating_since(since) >= dcfg.restore_hold {
+                if self.degraded && cycle_start.saturating_since(since) >= DEGRADED_RESTORE_HOLD {
                     self.degraded = false;
                     if let Some(slam) = self.slam.as_mut() {
                         slam.set_active_particles(self.cfg.slam_particles);
@@ -1065,12 +1054,8 @@ impl VehicleSession {
             return measured;
         }
         // Cold start: price the static profile on the platforms.
-        let profiles = match self.cfg.workload {
-            Workload::Navigation => table2_with_map(),
-            Workload::Exploration => table2_without_map(),
-        };
         let mut total = Duration::ZERO;
-        for p in &profiles {
+        for p in &self.table2 {
             if !p.kind.on_vdp() {
                 continue;
             }
@@ -1092,12 +1077,8 @@ impl VehicleSession {
     /// models otherwise (the same cold-start fallback as
     /// [`Self::estimate_vdp`]).
     fn node_estimates(&self) -> NodeEstimates {
-        let profiles = match self.cfg.workload {
-            Workload::Navigation => table2_with_map(),
-            Workload::Exploration => table2_without_map(),
-        };
         let mut nodes = NodeEstimates::default();
-        for p in &profiles {
+        for p in &self.table2 {
             nodes.set_demand(p.kind, p.cycles_per_sec() / 1e9);
             nodes.set_local(
                 p.kind,

@@ -3,7 +3,7 @@
 
 use lgv_offload::classify::{classify, NodeProfile};
 use lgv_offload::model::{max_velocity_oa, Goal, VelocityModel};
-use lgv_offload::netctl::{NetControl, NetControlConfig, NetDecision};
+use lgv_offload::netctl::{NetControl, NetDecision};
 use lgv_offload::profiler::Profiler;
 use lgv_offload::strategy::{OffloadStrategy, PinPolicy};
 use lgv_types::prelude::*;
@@ -139,7 +139,7 @@ proptest! {
     fn netctl_never_switches_to_the_current_placement(
         bw in 0.0f64..10.0, dir in -1.0f64..1.0, remote in any::<bool>(), at_s in 3u64..100,
     ) {
-        let mut c = NetControl::new(NetControlConfig::default());
+        let mut c = NetControl::new();
         // Pin warm-up start.
         let _ = c.decide(SimTime::EPOCH, 5.0, 0.0, remote);
         let d = c.decide(SimTime::EPOCH + Duration::from_secs(at_s), bw, dir, remote);
@@ -154,8 +154,7 @@ proptest! {
     fn netctl_respects_dwell_under_any_inputs(
         seq in proptest::collection::vec((0.0f64..10.0, -1.0f64..1.0), 1..60),
     ) {
-        let cfg = NetControlConfig::default();
-        let mut c = NetControl::new(cfg);
+        let mut c = NetControl::new();
         let mut remote = true;
         let mut last_switch: Option<u64> = None;
         for (k, &(bw, dir)) in seq.iter().enumerate() {

@@ -6,7 +6,7 @@ use lgv_offload::deploy::Deployment;
 use lgv_offload::fleet::{run_fleet, FleetConfig};
 use lgv_offload::mission::{self, MissionConfig, Workload};
 use lgv_offload::model::VelocityModel;
-use lgv_offload::recovery::{DegradedConfig, RecoveryConfig};
+use lgv_offload::recovery::RecoveryConfig;
 use lgv_sim::world::WorldBuilder;
 use lgv_trace::{TraceAnalysis, Tracer};
 use lgv_types::prelude::*;
@@ -47,7 +47,7 @@ fn checkpointed_recovery_beats_cold_rebuild() {
     let cold = mission::run(corridor(crash.clone(), RecoveryConfig::default()));
     let (ckpt, analysis) = run_analyzed(corridor(
         crash,
-        RecoveryConfig::default().with_checkpoints(Duration::from_secs(2)),
+        RecoveryConfig::default().with_checkpoints(),
     ));
     assert!(cold.completed && ckpt.completed);
     let recovery = analysis.recovery_report().expect("checkpoints traced");
@@ -68,7 +68,7 @@ fn degraded_mode_drops_no_cycles_under_sustained_blackout() {
     let blackout = FaultSchedule::none().with(8.0, 20.0, FaultKind::Blackout);
     let (report, analysis) = run_analyzed(corridor(
         blackout,
-        RecoveryConfig::default().with_degraded(DegradedConfig::default()),
+        RecoveryConfig::default().with_degraded(),
     ));
     assert!(report.completed, "mission rides out the blackout");
     let recovery = analysis.recovery_report().expect("degrade events traced");
@@ -88,7 +88,7 @@ fn degraded_mode_restores_full_fidelity_after_recovery() {
     let blackout = FaultSchedule::none().with(8.0, 12.0, FaultKind::Blackout);
     let (report, analysis) = run_analyzed(corridor(
         blackout,
-        RecoveryConfig::default().with_degraded(DegradedConfig::default()),
+        RecoveryConfig::default().with_degraded(),
     ));
     assert!(report.completed);
     let recovery = analysis.recovery_report().expect("degrade events traced");

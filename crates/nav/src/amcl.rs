@@ -12,7 +12,8 @@
 use lgv_slam::map::OccupancyGrid;
 use lgv_slam::motion::{MotionModel, MotionNoise};
 use lgv_slam::rbpf::cost::CYCLES_PER_BEAM_EVAL;
-use lgv_slam::scan_match::{ScanMatcher, ScanMatcherConfig};
+use lgv_slam::rbpf::RESAMPLE_NEFF_FRAC;
+use lgv_slam::scan_match::{ScanCache, ScanMatcher, ScanMatcherConfig};
 use lgv_types::prelude::*;
 use lgv_types::rng::low_variance_resample;
 
@@ -43,7 +44,7 @@ impl Default for AmclConfig {
             min_particles: 40,
             max_particles: 200,
             beam_skip: 10,
-            resample_neff_frac: 0.5,
+            resample_neff_frac: RESAMPLE_NEFF_FRAC,
             converge_spread: 0.08,
             motion: MotionNoise::default(),
             init_spread: (0.15, 0.1),
@@ -166,9 +167,10 @@ impl Amcl {
         meter.serial_ops(n as u64, lgv_slam::rbpf::cost::CYCLES_PER_MOTION_SAMPLE);
 
         // Weight with the beam likelihood against the static map.
+        let cache = ScanCache::new(scan, self.cfg.beam_skip);
         let mut evals = 0u64;
         for p in &mut self.particles {
-            let (score, used) = self.matcher.score(&self.map, p.pose, scan);
+            let (score, used) = self.matcher.score_cached(&self.map, p.pose, &cache);
             evals += used;
             let per_beam = if used > 0 { score / used as f64 } else { 0.0 };
             p.weight *= (per_beam * 4.0).exp();

@@ -142,6 +142,11 @@ impl Costmap {
         }
     }
 
+    /// Configuration.
+    pub fn config(&self) -> &CostmapConfig {
+        &self.cfg
+    }
+
     /// Is the cell traversable for planning (known and sub-inscribed)?
     pub fn traversable(&self, idx: GridIndex) -> bool {
         let c = self.cost(idx);

@@ -24,11 +24,11 @@
 //! rollout can reach. The footprint box of radius `r` reaches at most
 //! `⌊r / res⌋ + 1` cells from the pose's cell, so a pose whose cell has
 //! more Chebyshev clearance than that cannot collide and skips the
-//! scan; at the default `r = 0.11 m` on a 5 cm grid that is clearance
-//! above 3. Only the remaining poses pay for the full
-//! [`Costmap::footprint_collides`] scan. The pre-check only skips
-//! scans whose answer is already known, so scores, feasibility and
-//! the modelled `Work` are unchanged.
+//! scan; at the costmap's default inscribed radius `r = 0.11 m` on a
+//! 5 cm grid that is clearance above 3. Only the remaining poses pay
+//! for the full [`Costmap::footprint_collides`] scan. The pre-check
+//! only skips scans whose answer is already known, so scores,
+//! feasibility and the modelled `Work` are unchanged.
 //!
 //! A rollout's heading sequence depends only on its angular velocity
 //! ω, not on v, and the candidates form an `nv × nw` grid, so every ω
@@ -48,6 +48,7 @@
 //! `normalize_angle(θₖ)` as its next heading for the same reason.
 
 use crate::costmap::{ClearanceWindow, Costmap};
+use lgv_sim::vehicle::{MAX_ANGULAR, MAX_ANG_ACCEL, MAX_LINEAR, MAX_LIN_ACCEL};
 use lgv_slam::pool::ParallelExecutor;
 use lgv_types::prelude::*;
 
@@ -62,41 +63,37 @@ pub mod cost {
     pub const CYCLES_SERIAL_BASE: f64 = 2.0e6;
 }
 
-/// DWA configuration.
+/// Forward-simulation horizon (s).
+pub const SIM_HORIZON: f64 = 1.6;
+/// Forward-simulation step (s).
+pub const SIM_DT: f64 = 0.1;
+/// Score weight: distance to the global path.
+pub const W_PATH: f64 = 0.8;
+/// Score weight: progress towards the goal.
+pub const W_GOAL: f64 = 1.2;
+/// Score weight: obstacle clearance.
+pub const W_CLEAR: f64 = 0.4;
+/// Score weight: velocity magnitude (favours making progress).
+pub const W_SPEED: f64 = 0.3;
+/// Carrot lookahead distance along the global path (m). Progress is
+/// scored towards this local target, not the final goal — otherwise
+/// trajectories can "hover" beside the path at places where following
+/// it momentarily increases the Euclidean goal distance (doorways,
+/// switchbacks).
+pub const LOOKAHEAD: f64 = 0.9;
+
+/// DWA configuration. The angular-velocity and acceleration bounds are
+/// the vehicle's ([`MAX_ANGULAR`], [`MAX_LIN_ACCEL`],
+/// [`MAX_ANG_ACCEL`]), and the footprint radius is the costmap's
+/// inscribed radius.
 #[derive(Debug, Clone)]
 pub struct DwaConfig {
     /// Linear velocity bounds (m/s).
     pub max_linear: f64,
-    /// Angular velocity bound (rad/s).
-    pub max_angular: f64,
-    /// Linear acceleration bound (m/s²).
-    pub max_lin_accel: f64,
-    /// Angular acceleration bound (rad/s²).
-    pub max_ang_accel: f64,
     /// Number of sampled trajectories `M` (the paper sweeps
     /// 100–2000 in Fig. 10). Split ≈ 1:3 between linear and angular
     /// sample axes.
     pub samples: u32,
-    /// Forward-simulation horizon (s).
-    pub sim_horizon: f64,
-    /// Forward-simulation step (s).
-    pub sim_dt: f64,
-    /// Robot footprint radius (m).
-    pub footprint_radius: f64,
-    /// Score weight: distance to the global path.
-    pub w_path: f64,
-    /// Score weight: progress towards the goal.
-    pub w_goal: f64,
-    /// Score weight: obstacle clearance.
-    pub w_clear: f64,
-    /// Score weight: velocity magnitude (favours making progress).
-    pub w_speed: f64,
-    /// Carrot lookahead distance along the global path (m). Progress
-    /// is scored towards this local target, not the final goal —
-    /// otherwise trajectories can "hover" beside the path at places
-    /// where following it momentarily increases the Euclidean goal
-    /// distance (doorways, switchbacks).
-    pub lookahead: f64,
     /// Thread count `N` for parallel scoring.
     pub threads: usize,
 }
@@ -104,19 +101,8 @@ pub struct DwaConfig {
 impl Default for DwaConfig {
     fn default() -> Self {
         DwaConfig {
-            max_linear: 0.22,
-            max_angular: 2.84,
-            max_lin_accel: 2.5,
-            max_ang_accel: 3.2,
+            max_linear: MAX_LINEAR,
             samples: 400,
-            sim_horizon: 1.6,
-            sim_dt: 0.1,
-            footprint_radius: 0.11,
-            w_path: 0.8,
-            w_goal: 1.2,
-            w_clear: 0.4,
-            w_speed: 0.3,
-            lookahead: 0.9,
             threads: 1,
         }
     }
@@ -151,6 +137,9 @@ struct Candidate {
 #[derive(Debug)]
 pub struct DwaPlanner {
     cfg: DwaConfig,
+    /// Angular velocity bound (rad/s): [`MAX_ANGULAR`] until the
+    /// Controller caps it.
+    max_angular: f64,
     executor: ParallelExecutor,
     /// Previous command (dynamic-window centre).
     last: Twist,
@@ -162,6 +151,7 @@ impl DwaPlanner {
         let executor = ParallelExecutor::new(cfg.threads);
         DwaPlanner {
             cfg,
+            max_angular: MAX_ANGULAR,
             executor,
             last: Twist::STOP,
         }
@@ -182,7 +172,7 @@ impl DwaPlanner {
     /// Cap the linear velocity (the Controller applies Eq. 2c's
     /// `velocityOA` here).
     pub fn set_max_linear(&mut self, v: f64) {
-        self.cfg.max_linear = v.clamp(0.0, 0.22_f64.max(v));
+        self.cfg.max_linear = v.clamp(0.0, MAX_LINEAR.max(v));
     }
 
     /// Cap the angular velocity. The Controller scales this with the
@@ -191,7 +181,7 @@ impl DwaPlanner {
     /// past its heading-error budget (the rotational analogue of
     /// Eq. 2c).
     pub fn set_max_angular(&mut self, w: f64) {
-        self.cfg.max_angular = w.max(0.1);
+        self.max_angular = w.max(0.1);
     }
 
     /// Set the trajectory-sample budget `M` (clamped to ≥ 12 so the
@@ -224,10 +214,10 @@ impl DwaPlanner {
     ) -> DwaResult {
         let cfg = &self.cfg;
         let dt_cycle = 0.2; // command period the window opens over (5 Hz)
-        let v_lo = (self.last.linear - cfg.max_lin_accel * dt_cycle).max(0.0);
-        let v_hi = (self.last.linear + cfg.max_lin_accel * dt_cycle).min(cfg.max_linear);
-        let w_lo = (self.last.angular - cfg.max_ang_accel * dt_cycle).max(-cfg.max_angular);
-        let w_hi = (self.last.angular + cfg.max_ang_accel * dt_cycle).min(cfg.max_angular);
+        let v_lo = (self.last.linear - MAX_LIN_ACCEL * dt_cycle).max(0.0);
+        let v_hi = (self.last.linear + MAX_LIN_ACCEL * dt_cycle).min(cfg.max_linear);
+        let w_lo = (self.last.angular - MAX_ANG_ACCEL * dt_cycle).max(-self.max_angular);
+        let w_hi = (self.last.angular + MAX_ANG_ACCEL * dt_cycle).min(self.max_angular);
 
         // Sample grid: keep samples ≈ nv × nw with nw ≈ 3 nv.
         let nv = ((cfg.samples as f64 / 3.0).sqrt().round() as u32).max(2);
@@ -252,14 +242,15 @@ impl DwaPlanner {
 
         // Local target: a carrot on the global path ~lookahead ahead
         // of the robot's projection (falls back to the final goal).
-        let target = carrot_point(path, pose.position(), cfg.lookahead, goal);
+        let target = carrot_point(path, pose.position(), LOOKAHEAD, goal);
 
         // Clearance around every pose a rollout can reach, to skip the
         // footprint scan where it cannot find a collision.
-        let steps = (cfg.sim_horizon / cfg.sim_dt).round() as u32;
-        let reach = v_lo.abs().max(v_hi.abs()) * steps as f64 * cfg.sim_dt + cfg.footprint_radius;
-        let window = cm.clearance_window(pose.position(), reach, cfg.footprint_radius);
-        let headings = HeadingTable::new(pose.theta, &omegas, cfg.sim_dt, steps as usize);
+        let steps = (SIM_HORIZON / SIM_DT).round() as u32;
+        let radius = cm.config().inscribed_radius;
+        let reach = v_lo.abs().max(v_hi.abs()) * steps as f64 * SIM_DT + radius;
+        let window = cm.clearance_window(pose.position(), reach, radius);
+        let headings = HeadingTable::new(pose.theta, &omegas, SIM_DT, steps as usize);
 
         // Parallel scoring (paper Fig. 5): the threads claim chunks of
         // candidates.
@@ -283,7 +274,7 @@ impl DwaPlanner {
             Some(c) => Twist::new(c.v, omegas[c.wi]),
             None => {
                 // Nothing feasible: rotate in place towards the path.
-                Twist::new(0.0, cfg.max_angular * 0.3)
+                Twist::new(0.0, self.max_angular * 0.3)
             }
         };
         self.last = twist;
@@ -304,8 +295,8 @@ impl DwaPlanner {
 }
 
 /// Forward-simulate one candidate along its row of `headings` and
-/// score it. `window` answers the footprint check on `cm` for
-/// `cfg.footprint_radius`.
+/// score it. `window` answers the footprint check on `cm` for its
+/// inscribed radius.
 #[allow(clippy::too_many_arguments)]
 fn score_trajectory(
     cfg: &DwaConfig,
@@ -343,10 +334,10 @@ fn score_trajectory(
     let start_goal_dist = pose.position().distance(goal);
     let progress = start_goal_dist - goal_dist;
 
-    let score = -cfg.w_path * path_dist
-        + cfg.w_goal * progress
-        + cfg.w_clear * min_clearance.clamp(0.0, 1.0)
-        + cfg.w_speed * (v / cfg.max_linear.max(1e-9));
+    let score = -W_PATH * path_dist
+        + W_GOAL * progress
+        + W_CLEAR * min_clearance.clamp(0.0, 1.0)
+        + W_SPEED * (v / cfg.max_linear.max(1e-9));
     Candidate {
         score,
         feasible: true,

@@ -27,14 +27,15 @@ pub enum PlannerAlgorithm {
     AStar,
 }
 
+/// Weight of costmap values added to edge costs (metres of
+/// equivalent detour per full-scale cost).
+pub const COST_WEIGHT: f64 = 0.8;
+
 /// Planner configuration.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Search algorithm.
     pub algorithm: PlannerAlgorithm,
-    /// Weight of costmap values added to edge costs (metres of
-    /// equivalent detour per full-scale cost).
-    pub cost_weight: f64,
     /// Allow planning through unknown space (exploration needs this).
     pub allow_unknown: bool,
 }
@@ -43,7 +44,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             algorithm: PlannerAlgorithm::AStar,
-            cost_weight: 0.8,
             allow_unknown: false,
         }
     }
@@ -180,7 +180,7 @@ impl GlobalPlanner {
                 } else {
                     dims.resolution
                 };
-                let penalty = self.cfg.cost_weight * (cm.cost(nb) as f64 / 254.0) * dims.resolution;
+                let penalty = COST_WEIGHT * (cm.cost(nb) as f64 / 254.0) * dims.resolution;
                 let cand = best[flat] + step + penalty;
                 if cand < best[nf] {
                     best[nf] = cand;

@@ -50,4 +50,4 @@ pub use costmap::{Costmap, CostmapConfig, COST_LETHAL};
 pub use dwa::{DwaConfig, DwaPlanner, DwaResult};
 pub use frontier::{FrontierConfig, FrontierExplorer};
 pub use global_planner::{GlobalPlanner, PlannerAlgorithm, PlannerConfig};
-pub use velocity_mux::{MuxConfig, VelocityMux};
+pub use velocity_mux::VelocityMux;

@@ -10,33 +10,28 @@
 use lgv_types::prelude::*;
 use std::collections::HashMap;
 
-/// Multiplexer configuration.
-#[derive(Debug, Clone)]
-pub struct MuxConfig {
-    /// A source's command expires after this long without refresh.
-    pub timeout: Duration,
-}
-
-impl Default for MuxConfig {
-    fn default() -> Self {
-        MuxConfig {
-            timeout: Duration::from_millis(600),
-        }
-    }
-}
+/// A source's command expires after this long without refresh, until
+/// [`VelocityMux::set_timeout`] changes it.
+pub const BASE_TIMEOUT: Duration = Duration::from_millis(600);
 
 /// The multiplexer.
 #[derive(Debug, Clone)]
 pub struct VelocityMux {
-    cfg: MuxConfig,
+    timeout: Duration,
     latest: HashMap<VelocitySource, VelocityCmd>,
 }
 
+impl Default for VelocityMux {
+    fn default() -> Self {
+        VelocityMux::new()
+    }
+}
+
 impl VelocityMux {
-    /// Build with config.
-    pub fn new(cfg: MuxConfig) -> Self {
+    /// A multiplexer with no commands and the [`BASE_TIMEOUT`].
+    pub fn new() -> Self {
         VelocityMux {
-            cfg,
+            timeout: BASE_TIMEOUT,
             latest: HashMap::new(),
         }
     }
@@ -45,7 +40,7 @@ impl VelocityMux {
     /// tracks the VDP makespan: a slow pipeline legitimately delivers
     /// commands at a lower rate).
     pub fn set_timeout(&mut self, timeout: Duration) {
-        self.cfg.timeout = timeout;
+        self.timeout = timeout;
     }
 
     /// Accept a command from a source.
@@ -58,7 +53,7 @@ impl VelocityMux {
     /// (Navigation-sourced) when everything has expired.
     pub fn select(&mut self, now: SimTime) -> VelocityCmd {
         // Evict expired entries.
-        let timeout = self.cfg.timeout;
+        let timeout = self.timeout;
         self.latest
             .retain(|_, c| now.saturating_since(c.stamp) <= timeout);
 
@@ -90,7 +85,7 @@ mod tests {
 
     #[test]
     fn forwards_single_source() {
-        let mut mux = VelocityMux::new(MuxConfig::default());
+        let mut mux = VelocityMux::new();
         mux.submit(cmd(0, 0.2, VelocitySource::Navigation));
         let out = mux.select(SimTime::EPOCH + Duration::from_millis(100));
         assert_eq!(out.twist.linear, 0.2);
@@ -99,7 +94,7 @@ mod tests {
 
     #[test]
     fn higher_priority_wins() {
-        let mut mux = VelocityMux::new(MuxConfig::default());
+        let mut mux = VelocityMux::new();
         mux.submit(cmd(0, 0.2, VelocitySource::Navigation));
         mux.submit(cmd(10, 0.0, VelocitySource::SafetyController));
         mux.submit(cmd(5, 0.1, VelocitySource::Joystick));
@@ -110,7 +105,7 @@ mod tests {
 
     #[test]
     fn expired_source_falls_through() {
-        let mut mux = VelocityMux::new(MuxConfig::default());
+        let mut mux = VelocityMux::new();
         mux.submit(cmd(0, 0.0, VelocitySource::SafetyController));
         mux.submit(cmd(800, 0.2, VelocitySource::Navigation));
         // At t=1s the safety command (stamped t=0) has expired.
@@ -121,7 +116,7 @@ mod tests {
 
     #[test]
     fn all_expired_yields_stop() {
-        let mut mux = VelocityMux::new(MuxConfig::default());
+        let mut mux = VelocityMux::new();
         mux.submit(cmd(0, 0.2, VelocitySource::Navigation));
         let out = mux.select(SimTime::EPOCH + Duration::from_secs(5));
         assert!(out.twist.is_stop());
@@ -129,7 +124,7 @@ mod tests {
 
     #[test]
     fn refresh_keeps_source_alive() {
-        let mut mux = VelocityMux::new(MuxConfig::default());
+        let mut mux = VelocityMux::new();
         for k in 0..10 {
             mux.submit(cmd(k * 200, 0.15, VelocitySource::Navigation));
         }
@@ -139,7 +134,7 @@ mod tests {
 
     #[test]
     fn work_is_negligible() {
-        let mux = VelocityMux::new(MuxConfig::default());
+        let mux = VelocityMux::new();
         assert!(mux.work().total_cycles() < 1e5);
     }
 }

@@ -1,12 +1,15 @@
-//! Golden outputs of the two VDP kernels, pinned bit for bit.
+//! Golden outputs of the VDP kernels, pinned bit for bit.
 //!
-//! `DwaPlanner::compute` and `Costmap::update` feed every checksummed
-//! scenario, so any speed-up of them must leave their results exactly
-//! as they are. These tests pin the chosen twist, score, counts and
-//! modelled cycles of DWA activations on the lab map, and an FNV-1a
-//! fingerprint of the master grid and the modelled cycles after a run
-//! of costmap updates.
+//! `DwaPlanner::compute`, `Costmap::update` and `Amcl::process` feed
+//! every checksummed scenario, so any speed-up of them must leave their
+//! results exactly as they are. These tests pin the chosen twist,
+//! score, counts and modelled cycles of DWA activations on the lab
+//! map, an FNV-1a fingerprint of the master grid and the modelled
+//! cycles after a run of costmap updates, and a fingerprint of AMCL's
+//! pose, confidence, population and cycles over a drive through the
+//! lab.
 
+use lgv_nav::amcl::{Amcl, AmclConfig};
 use lgv_nav::costmap::{Costmap, CostmapConfig};
 use lgv_nav::dwa::{DwaConfig, DwaPlanner};
 use lgv_sim::lidar::{Lidar, LidarConfig};
@@ -239,5 +242,73 @@ fn seeded_costmap_master_grids_are_pinned() {
             (0xb4df_8a32_db9b_1a2a, 0x41ae_136d_7000_0000),
         ],
         "{got:#018x?}"
+    );
+}
+
+/// FNV-1a over the pose, confidence, particle count and cycle bits of
+/// every `Amcl::process` call along a 50-scan drive through the lab
+/// (noisy odometry, so the filter has to correct), and the last
+/// call's outputs.
+fn amcl_fingerprint() -> (u64, [u64; 5], usize) {
+    let world = presets::lab();
+    let map = world.to_map_msg(SimTime::EPOCH);
+    let start = Pose2D::new(1.5, 5.0, 0.0);
+    let mut rng = SimRng::seed_from_u64(21);
+    let mut amcl = Amcl::new(AmclConfig::default(), &map, start, rng.fork(1));
+    let mut lidar = Lidar::new(LidarConfig::default(), rng.fork(2));
+    let mut bytes = Vec::new();
+    let mut last = ([0; 5], 0);
+    for k in 0..50 {
+        let stamp = SimTime::from_secs_f64(0.2 * k as f64);
+        let truth = Pose2D::new(
+            1.5 + 0.06 * k as f64,
+            5.0 - 0.004 * k as f64,
+            -0.02 * k as f64,
+        );
+        let odom = OdometryMsg {
+            stamp,
+            pose: Pose2D::new(
+                truth.x + rng.gaussian(0.0, 0.01),
+                truth.y + rng.gaussian(0.0, 0.01),
+                truth.theta + rng.gaussian(0.0, 0.01),
+            ),
+            twist: Twist::STOP,
+        };
+        let out = amcl.process(&odom, &lidar.scan(&world, truth, stamp));
+        let p = out.pose.pose;
+        last = (
+            [
+                p.x.to_bits(),
+                p.y.to_bits(),
+                p.theta.to_bits(),
+                out.pose.confidence.to_bits(),
+                out.work.total_cycles().to_bits(),
+            ],
+            out.particles,
+        );
+        for word in last.0.into_iter().chain([last.1 as u64]) {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    (fnv1a(bytes), last.0, last.1)
+}
+
+#[test]
+fn lab_amcl_outputs_are_pinned() {
+    let got = amcl_fingerprint();
+    assert_eq!(
+        got,
+        (
+            0x4ac4_cf0c_9571_1ae0,
+            [
+                4616698942820797623,
+                4617121608815173984,
+                13830556824157152052,
+                4604803583339970868,
+                4707479336909799424,
+            ],
+            82,
+        ),
+        "{got:?}"
     );
 }

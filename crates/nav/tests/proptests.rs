@@ -5,7 +5,7 @@ use lgv_nav::costmap::{Costmap, CostmapConfig, COST_INSCRIBED, COST_LETHAL};
 use lgv_nav::dwa::{DwaConfig, DwaPlanner, HeadingTable};
 use lgv_nav::frontier::FrontierExplorer;
 use lgv_nav::global_planner::{GlobalPlanner, PlannerAlgorithm, PlannerConfig};
-use lgv_nav::velocity_mux::{MuxConfig, VelocityMux};
+use lgv_nav::velocity_mux::VelocityMux;
 use lgv_types::prelude::*;
 use proptest::prelude::*;
 use std::f64::consts::PI;
@@ -171,7 +171,7 @@ proptest! {
         cmds in proptest::collection::vec((0u64..5000, 0u8..3, -1.0f64..1.0), 0..30),
         query in 0u64..6000,
     ) {
-        let mut mux = VelocityMux::new(MuxConfig::default());
+        let mut mux = VelocityMux::new();
         let mut stamps: Vec<u64> = cmds.iter().map(|c| c.0).collect();
         stamps.sort_unstable();
         for (stamp, src, v) in &cmds {

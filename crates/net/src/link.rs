@@ -71,7 +71,7 @@ impl DuplexLink {
     pub fn new(cfg: LinkConfig, rng: &mut SimRng) -> Self {
         let wan = cfg.wan_latency.unwrap_or_else(|| cfg.site.wan_latency());
         let signal = SignalModel::new(cfg.wireless.clone(), cfg.wap);
-        let uplink_bps = cfg.wireless.bandwidth_bps;
+        let uplink_bps = crate::signal::BANDWIDTH_BPS;
         DuplexLink {
             uplink: UdpChannel::new(signal.clone(), wan, rng.fork(0xA1)),
             downlink: UdpChannel::new(signal, wan, rng.fork(0xB2)),

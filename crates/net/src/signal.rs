@@ -9,26 +9,28 @@
 use crate::fault::FaultSchedule;
 use lgv_types::prelude::*;
 
-/// Radio configuration for a 5 GHz WiFi link (paper §VIII-A).
+/// Transmit power (dBm).
+pub const TX_POWER_DBM: f64 = 15.0;
+/// Path-loss exponent `n` (2 free space, 2.5–4 indoors).
+pub const PATH_LOSS_EXP: f64 = 3.0;
+/// RSSI below which the driver considers the signal weak and blocks
+/// the kernel buffer (dBm).
+pub const WEAK_RSSI_DBM: f64 = -72.0;
+/// Steepness of the loss logistic (per dB).
+pub const LOSS_STEEPNESS: f64 = 0.8;
+/// Link bandwidth (bits/s).
+pub const BANDWIDTH_BPS: f64 = 20e6;
+/// Propagation + MAC base latency.
+pub const BASE_LATENCY: Duration = Duration::from_millis(2);
+
+/// Radio configuration for a 5 GHz WiFi link (paper §VIII-A). The
+/// settings no scenario varies are the constants above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WirelessConfig {
-    /// Transmit power (dBm).
-    pub tx_power_dbm: f64,
     /// Reference path loss at 1 m (dB). ~46 dB for 5 GHz.
     pub ref_loss_db: f64,
-    /// Path-loss exponent `n` (2 free space, 2.5–4 indoors).
-    pub path_loss_exp: f64,
-    /// RSSI below which the driver considers the signal weak and
-    /// blocks the kernel buffer (dBm).
-    pub weak_rssi_dbm: f64,
     /// RSSI at which packet loss reaches 50 % (dBm).
     pub loss_mid_dbm: f64,
-    /// Steepness of the loss logistic (per dB).
-    pub loss_steepness: f64,
-    /// Link bandwidth (bits/s).
-    pub bandwidth_bps: f64,
-    /// Propagation + MAC base latency.
-    pub base_latency: Duration,
     /// Uniform jitter bound added per packet.
     pub jitter: Duration,
 }
@@ -36,14 +38,8 @@ pub struct WirelessConfig {
 impl Default for WirelessConfig {
     fn default() -> Self {
         WirelessConfig {
-            tx_power_dbm: 15.0,
             ref_loss_db: 46.0,
-            path_loss_exp: 3.0,
-            weak_rssi_dbm: -72.0,
             loss_mid_dbm: -76.0,
-            loss_steepness: 0.8,
-            bandwidth_bps: 20e6,
-            base_latency: Duration::from_millis(2),
             jitter: Duration::from_millis(1),
         }
     }
@@ -55,9 +51,8 @@ impl WirelessConfig {
     /// experiment geometry.
     pub fn with_weak_radius(mut self, radius: f64) -> Self {
         // Solve RSSI(radius) = weak_rssi for ref_loss.
-        self.ref_loss_db = self.tx_power_dbm
-            - self.weak_rssi_dbm
-            - 10.0 * self.path_loss_exp * radius.max(0.1).log10();
+        self.ref_loss_db =
+            TX_POWER_DBM - WEAK_RSSI_DBM - 10.0 * PATH_LOSS_EXP * radius.max(0.1).log10();
         self
     }
 }
@@ -104,25 +99,25 @@ impl SignalModel {
     /// RSSI (dBm) at a robot position.
     pub fn rssi_at(&self, robot: Point2) -> f64 {
         let d = robot.distance(self.wap).max(0.1);
-        self.cfg.tx_power_dbm - self.cfg.ref_loss_db - 10.0 * self.cfg.path_loss_exp * d.log10()
+        TX_POWER_DBM - self.cfg.ref_loss_db - 10.0 * PATH_LOSS_EXP * d.log10()
     }
 
     /// Is the driver in the weak-signal (buffer-blocking) regime here?
     pub fn is_weak(&self, robot: Point2) -> bool {
-        self.rssi_at(robot) < self.cfg.weak_rssi_dbm
+        self.rssi_at(robot) < WEAK_RSSI_DBM
     }
 
     /// Per-packet loss probability at a robot position (logistic in
     /// RSSI; ~0 near the WAP, →1 far outside range).
     pub fn loss_prob(&self, robot: Point2) -> f64 {
         let rssi = self.rssi_at(robot);
-        1.0 / (1.0 + ((rssi - self.cfg.loss_mid_dbm) * self.cfg.loss_steepness).exp())
+        1.0 / (1.0 + ((rssi - self.cfg.loss_mid_dbm) * LOSS_STEEPNESS).exp())
     }
 
     /// Transmission delay for a packet of `bytes` at this position
     /// (base latency + serialization; jitter is added by the channel).
     pub fn tx_delay(&self, bytes: usize) -> Duration {
-        self.cfg.base_latency + self.serialization_delay(bytes)
+        BASE_LATENCY + self.serialization_delay(bytes)
     }
 
     /// The airtime a packet of `bytes` occupies on the medium
@@ -130,7 +125,7 @@ impl SignalModel {
     /// senders share one access point
     /// ([`crate::shared::SharedMedium`]).
     pub fn serialization_delay(&self, bytes: usize) -> Duration {
-        Duration::from_secs_f64(bytes as f64 * 8.0 / self.cfg.bandwidth_bps)
+        Duration::from_secs_f64(bytes as f64 * 8.0 / BANDWIDTH_BPS)
     }
 
     /// Distance from a robot position to the WAP.

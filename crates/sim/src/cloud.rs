@@ -329,12 +329,12 @@ struct SchedulerInner {
     window: Duration,
     hw_threads: u32,
     cfg: ElasticConfig,
-    /// Requested threads per tenant per window index. Old windows are
+    /// Requested threads per (stage, tenant) per window index: the one
+    /// census. A tenant's threads in a window are the sum of its
+    /// entries; utilization, the per-window peak, the foreign census
+    /// and the same-stage census batching charges against all read
+    /// it, and it is the batch-formation record. Old windows are
     /// pruned; only `w−1` and `w` are ever consulted.
-    requested: BTreeMap<u64, BTreeMap<u64, u64>>,
-    /// Requested threads per (stage, tenant) per window index, pruned
-    /// in lockstep with `requested` — the same-stage census batching
-    /// charges against, and the batch-formation record.
     stage_req: BTreeMap<u64, BTreeMap<(NodeKind, u64), u64>>,
     /// Ready time of every provisioned replica, non-decreasing: the
     /// initial `min_replicas` are ready at the epoch, a scale-up
@@ -392,7 +392,7 @@ impl SchedulerInner {
             let start = SimTime::from_nanos(ew.saturating_mul(self.window.as_nanos()));
             let dead = self.faults.schedule().crashed_at(start).min(provisioned);
             self.wasted_replica_secs += dead as f64 * self.window.as_secs_f64();
-            let total: u64 = self.requested.get(&ew).map_or(0, |m| m.values().sum());
+            let total: u64 = self.stage_req.get(&ew).map_or(0, |m| m.values().sum());
             let util = total as f64 / (self.hw_threads as u64 * provisioned as u64).max(1) as f64;
             let boundary = SimTime::from_nanos((ew + 1).saturating_mul(self.window.as_nanos()));
             if util > self.cfg.scale_up_util && provisioned < self.cfg.max_replicas {
@@ -498,7 +498,6 @@ impl CloudScheduler {
                 replicas: vec![SimTime::EPOCH; cfg.min_replicas as usize],
                 peak_replicas: cfg.min_replicas,
                 cfg,
-                requested: BTreeMap::new(),
                 stage_req: BTreeMap::new(),
                 eval_window: None,
                 admissions: 0,
@@ -571,15 +570,6 @@ impl CloudScheduler {
         let scales = inner.advance_to(w);
         let faults = inner.observe_fault_edges(now);
 
-        *inner
-            .requested
-            .entry(w)
-            .or_default()
-            .entry(tenant)
-            .or_insert(0) += threads as u64;
-        let here: u64 = inner.requested[&w].values().sum();
-        inner.peak_window_threads = inner.peak_window_threads.max(here);
-
         // Batch formation in the *current* window: lockstep makes
         // co-tenant admissions within one window concurrent, so the
         // first same-stage admission from a second distinct tenant
@@ -588,6 +578,8 @@ impl CloudScheduler {
         let first_for_tenant = !stage_slot.contains_key(&(stage, tenant));
         *stage_slot.entry((stage, tenant)).or_insert(0) += threads as u64;
         let occupancy = stage_slot.keys().filter(|(s, _)| *s == stage).count() as u64;
+        let here: u64 = stage_slot.values().sum();
+        inner.peak_window_threads = inner.peak_window_threads.max(here);
         let batch = if inner.cfg.batching && first_for_tenant && occupancy >= 2 {
             if occupancy == 2 {
                 inner.batches += 1;
@@ -607,21 +599,15 @@ impl CloudScheduler {
 
         // Keep only the windows the model can still consult.
         let keep = w.saturating_sub(1);
-        inner.requested = inner.requested.split_off(&keep);
         inner.stage_req = inner.stage_req.split_off(&keep);
 
         let prev = w.wrapping_sub(1);
-        let others: u64 = inner.requested.get(&prev).map_or(0, |m| {
+        let (others, same_stage) = inner.stage_req.get(&prev).map_or((0, 0), |m| {
             m.iter()
-                .filter(|(&t, _)| t != tenant)
-                .map(|(_, &n)| n)
-                .sum()
-        });
-        let same_stage: u64 = inner.stage_req.get(&prev).map_or(0, |m| {
-            m.iter()
-                .filter(|(&(s, t), _)| s == stage && t != tenant)
-                .map(|(_, &n)| n)
-                .sum()
+                .filter(|(&(_, t), _)| t != tenant)
+                .fold((0u64, 0u64), |(all, same), (&(s, _), &n)| {
+                    (all + n, if s == stage { same + n } else { same })
+                })
         });
 
         inner.admissions += 1;

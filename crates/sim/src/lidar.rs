@@ -9,6 +9,9 @@ use crate::world::World;
 use lgv_types::prelude::*;
 use std::f64::consts::PI;
 
+/// Scan rate (Hz). LDS-01: 5.
+pub const SCAN_RATE: f64 = 5.0;
+
 /// Sensor configuration.
 #[derive(Debug, Clone)]
 pub struct LidarConfig {
@@ -20,8 +23,6 @@ pub struct LidarConfig {
     pub range_noise: f64,
     /// Probability an individual beam returns nothing.
     pub dropout: f64,
-    /// Scan rate (Hz). LDS-01: 5.
-    pub rate: f64,
 }
 
 impl Default for LidarConfig {
@@ -31,7 +32,6 @@ impl Default for LidarConfig {
             range_max: 3.5,
             range_noise: 0.01,
             dropout: 0.002,
-            rate: 5.0,
         }
     }
 }
@@ -71,7 +71,7 @@ impl Lidar {
 
     /// Scan period.
     pub fn period(&self) -> Duration {
-        Rate::hz(self.cfg.rate).period()
+        Rate::hz(SCAN_RATE).period()
     }
 
     /// Produce one full sweep from the given sensor pose.

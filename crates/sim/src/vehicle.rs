@@ -9,36 +9,36 @@
 use crate::world::World;
 use lgv_types::prelude::*;
 
-/// Mechanical configuration of the vehicle.
+// Turtlebot3 burger limits from the ROBOTIS e-manual.
+
+/// Body radius for collision checks (m).
+pub const RADIUS: f64 = 0.105;
+/// Hard linear velocity limit (m/s). Turtlebot3 burger: 0.22. The
+/// default of [`VehicleConfig::max_linear`] and of the DWA planner's.
+pub const MAX_LINEAR: f64 = 0.22;
+/// Hard angular velocity limit (rad/s). Turtlebot3 burger: 2.84.
+pub const MAX_ANGULAR: f64 = 2.84;
+/// Maximum linear acceleration (m/s²).
+pub const MAX_LIN_ACCEL: f64 = 2.5;
+/// Maximum angular acceleration (rad/s²).
+pub const MAX_ANG_ACCEL: f64 = 3.2;
+/// Odometry translation noise: std-dev per metre travelled.
+pub const ODOM_TRANS_NOISE: f64 = 0.01;
+/// Odometry rotation noise: std-dev per radian turned.
+pub const ODOM_ROT_NOISE: f64 = 0.02;
+
+/// Mechanical configuration of the vehicle. The other limits are the
+/// constants above.
 #[derive(Debug, Clone)]
 pub struct VehicleConfig {
-    /// Body radius for collision checks (m).
-    pub radius: f64,
-    /// Hard linear velocity limit (m/s). Turtlebot3 burger: 0.22.
+    /// Hard linear velocity limit (m/s).
     pub max_linear: f64,
-    /// Hard angular velocity limit (rad/s). Turtlebot3 burger: 2.84.
-    pub max_angular: f64,
-    /// Maximum linear acceleration (m/s²).
-    pub max_lin_accel: f64,
-    /// Maximum angular acceleration (rad/s²).
-    pub max_ang_accel: f64,
-    /// Odometry translation noise: std-dev per metre travelled.
-    pub odom_trans_noise: f64,
-    /// Odometry rotation noise: std-dev per radian turned.
-    pub odom_rot_noise: f64,
 }
 
 impl Default for VehicleConfig {
     fn default() -> Self {
-        // Turtlebot3 burger limits from the ROBOTIS e-manual.
         VehicleConfig {
-            radius: 0.105,
-            max_linear: 0.22,
-            max_angular: 2.84,
-            max_lin_accel: 2.5,
-            max_ang_accel: 3.2,
-            odom_trans_noise: 0.01,
-            odom_rot_noise: 0.02,
+            max_linear: MAX_LINEAR,
         }
     }
 }
@@ -106,7 +106,7 @@ impl Vehicle {
     /// Latch a velocity command; takes effect over subsequent steps
     /// subject to acceleration limits.
     pub fn command(&mut self, twist: Twist) {
-        self.command = twist.clamped(self.cfg.max_linear, self.cfg.max_angular);
+        self.command = twist.clamped(self.cfg.max_linear, MAX_ANGULAR);
     }
 
     /// Advance the simulation by `dt`, colliding against `world`.
@@ -118,13 +118,13 @@ impl Vehicle {
         }
 
         // Rate-limit towards the command.
-        let dv = self.cfg.max_lin_accel * dt_s;
-        let dw = self.cfg.max_ang_accel * dt_s;
+        let dv = MAX_LIN_ACCEL * dt_s;
+        let dw = MAX_ANG_ACCEL * dt_s;
         self.twist.linear += (self.command.linear - self.twist.linear).clamp(-dv, dv);
         self.twist.angular += (self.command.angular - self.twist.angular).clamp(-dw, dw);
 
         let proposed = self.pose.integrate(self.twist, dt_s);
-        self.bumped = world.collides_disc(proposed.position(), self.cfg.radius);
+        self.bumped = world.collides_disc(proposed.position(), RADIUS);
         if self.bumped {
             // Blocked: kill linear motion, allow rotation in place.
             self.twist.linear = 0.0;
@@ -139,11 +139,11 @@ impl Vehicle {
 
             // Odometry integrates the same motion plus drift noise.
             let delta = self.pose.between(proposed);
-            let nx = self.rng.gaussian(0.0, self.cfg.odom_trans_noise * moved);
-            let ny = self.rng.gaussian(0.0, self.cfg.odom_trans_noise * moved);
+            let nx = self.rng.gaussian(0.0, ODOM_TRANS_NOISE * moved);
+            let ny = self.rng.gaussian(0.0, ODOM_TRANS_NOISE * moved);
             let nth = self.rng.gaussian(
                 0.0,
-                self.cfg.odom_rot_noise * turned + 0.2 * self.cfg.odom_trans_noise * moved,
+                ODOM_ROT_NOISE * turned + 0.2 * ODOM_TRANS_NOISE * moved,
             );
             self.odom =
                 self.odom
@@ -167,7 +167,7 @@ impl Vehicle {
     pub fn accel_demand(&self) -> f64 {
         (self.command.linear - self.twist.linear)
             .abs()
-            .min(self.cfg.max_lin_accel)
+            .min(MAX_LIN_ACCEL)
     }
 }
 
@@ -235,7 +235,7 @@ mod tests {
             v.step(&w, Duration::from_millis(50));
         }
         // Never passes through the wall at x = 10.
-        assert!(v.true_pose().x < 10.0 - v.config().radius + 0.1);
+        assert!(v.true_pose().x < 10.0 - RADIUS + 0.1);
         assert!(v.bumped());
         assert_eq!(v.twist().linear, 0.0);
     }

@@ -10,6 +10,13 @@
 use super::{World, WorldBuilder};
 use lgv_types::prelude::*;
 
+/// Wall thickness (m).
+pub const WALL: f64 = 0.15;
+/// Furniture pieces per room (discs/rects).
+pub const CLUTTER_PER_ROOM: u32 = 2;
+/// Grid resolution (m/cell).
+pub const RESOLUTION: f64 = 0.05;
+
 /// Generator parameters.
 #[derive(Debug, Clone)]
 pub struct FloorplanConfig {
@@ -19,17 +26,11 @@ pub struct FloorplanConfig {
     pub rooms_y: u32,
     /// Room size (m), square rooms.
     pub room_size: f64,
-    /// Wall thickness (m).
-    pub wall: f64,
     /// Doorway width (m).
     pub door: f64,
     /// Probability of an *extra* door between adjacent rooms beyond
     /// the spanning tree (0 = tree only, 1 = every wall has a door).
     pub extra_door_prob: f64,
-    /// Furniture pieces per room (discs/rects).
-    pub clutter_per_room: u32,
-    /// Grid resolution (m/cell).
-    pub resolution: f64,
 }
 
 impl Default for FloorplanConfig {
@@ -38,11 +39,8 @@ impl Default for FloorplanConfig {
             rooms_x: 3,
             rooms_y: 2,
             room_size: 5.0,
-            wall: 0.15,
             door: 1.1,
             extra_door_prob: 0.25,
-            clutter_per_room: 2,
-            resolution: 0.05,
         }
     }
 }
@@ -73,21 +71,21 @@ pub fn generate(cfg: &FloorplanConfig, seed: u64) -> Floorplan {
     let w_m = cfg.rooms_x as f64 * cfg.room_size;
     let h_m = cfg.rooms_y as f64 * cfg.room_size;
 
-    let mut b = WorldBuilder::new(w_m, h_m, cfg.resolution).walls();
+    let mut b = WorldBuilder::new(w_m, h_m, RESOLUTION).walls();
 
     // Interior walls between every pair of adjacent rooms.
     for i in 1..nx {
         let x = i as f64 * cfg.room_size;
         b = b.rect(
-            Point2::new(x - cfg.wall / 2.0, 0.0),
-            Point2::new(x + cfg.wall / 2.0, h_m),
+            Point2::new(x - WALL / 2.0, 0.0),
+            Point2::new(x + WALL / 2.0, h_m),
         );
     }
     for j in 1..ny {
         let y = j as f64 * cfg.room_size;
         b = b.rect(
-            Point2::new(0.0, y - cfg.wall / 2.0),
-            Point2::new(w_m, y + cfg.wall / 2.0),
+            Point2::new(0.0, y - WALL / 2.0),
+            Point2::new(w_m, y + WALL / 2.0),
         );
     }
 
@@ -154,16 +152,16 @@ pub fn generate(cfg: &FloorplanConfig, seed: u64) -> Floorplan {
             let x = ax.max(cx2) as f64 * cfg.room_size;
             let yc = ay as f64 * cfg.room_size + rng.uniform_range(margin, cfg.room_size - margin);
             b = b.carve(
-                Point2::new(x - cfg.wall, yc - cfg.door / 2.0),
-                Point2::new(x + cfg.wall, yc + cfg.door / 2.0),
+                Point2::new(x - WALL, yc - cfg.door / 2.0),
+                Point2::new(x + WALL, yc + cfg.door / 2.0),
             );
         } else {
             // Horizontal wall between vertically adjacent rooms.
             let y = ay.max(cy2) as f64 * cfg.room_size;
             let xc = ax as f64 * cfg.room_size + rng.uniform_range(margin, cfg.room_size - margin);
             b = b.carve(
-                Point2::new(xc - cfg.door / 2.0, y - cfg.wall),
-                Point2::new(xc + cfg.door / 2.0, y + cfg.wall),
+                Point2::new(xc - cfg.door / 2.0, y - WALL),
+                Point2::new(xc + cfg.door / 2.0, y + WALL),
             );
         }
     }
@@ -178,7 +176,7 @@ pub fn generate(cfg: &FloorplanConfig, seed: u64) -> Floorplan {
                 (j as f64 + 0.5) * cfg.room_size,
             );
             room_centres.push(centre);
-            for _ in 0..cfg.clutter_per_room {
+            for _ in 0..CLUTTER_PER_ROOM {
                 let r = rng.uniform_range(0.15, 0.35);
                 // Rejection-sample a spot away from the centre and walls.
                 for _ in 0..10 {

@@ -43,7 +43,7 @@ proptest! {
         for _ in 0..400 {
             v.step(&w, Duration::from_millis(50));
             let p = v.true_pose().position();
-            prop_assert!(!w.collides_disc(p, v.config().radius * 0.9),
+            prop_assert!(!w.collides_disc(p, lgv_sim::vehicle::RADIUS * 0.9),
                 "vehicle inside wall at {p:?}");
         }
     }
@@ -54,7 +54,7 @@ proptest! {
     ) {
         let w = WorldBuilder::new(6.0, 6.0, 0.05).walls().build();
         let cfg = VehicleConfig::default();
-        let (ml, ma) = (cfg.max_linear, cfg.max_angular);
+        let (ml, ma) = (cfg.max_linear, lgv_sim::vehicle::MAX_ANGULAR);
         let mut v = Vehicle::new(cfg, Pose2D::new(3.0, 3.0, 0.0), SimRng::seed_from_u64(1));
         v.command(Twist::new(vx, wz));
         for _ in 0..100 {

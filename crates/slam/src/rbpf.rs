@@ -19,7 +19,7 @@
 use crate::map::OccupancyGrid;
 use crate::motion::{MotionModel, MotionNoise};
 use crate::pool::ParallelExecutor;
-use crate::scan_match::{ScanCache, ScanMatcher, ScanMatcherConfig};
+use crate::scan_match::{ScanCache, ScanMatcher};
 use lgv_trace::prof;
 use lgv_types::prelude::*;
 use lgv_types::rng::low_variance_resample;
@@ -48,7 +48,13 @@ pub mod cost {
     pub const CYCLES_PER_CELL_COPY: f64 = 1.0;
 }
 
-/// Filter configuration.
+/// Resample when `N_eff < RESAMPLE_NEFF_FRAC · M`. AMCL's default
+/// threshold too.
+pub const RESAMPLE_NEFF_FRAC: f64 = 0.5;
+
+/// Filter configuration. The scan matcher runs at
+/// [`ScanMatcherConfig::default`](crate::scan_match::ScanMatcherConfig)
+/// and the motion model at [`MotionNoise::default`].
 #[derive(Debug, Clone)]
 pub struct SlamConfig {
     /// Particle count `M` (the paper sweeps 10–100 in Fig. 9).
@@ -57,12 +63,6 @@ pub struct SlamConfig {
     pub threads: usize,
     /// Geometry of each particle's map.
     pub map_dims: GridDims,
-    /// Scan-matcher tuning.
-    pub matcher: ScanMatcherConfig,
-    /// Motion-model noise.
-    pub motion: MotionNoise,
-    /// Resample when `N_eff < frac · M`.
-    pub resample_neff_frac: f64,
     /// Weight-update gain applied to match scores.
     pub score_gain: f64,
 }
@@ -73,9 +73,6 @@ impl Default for SlamConfig {
             num_particles: 30,
             threads: 1,
             map_dims: GridDims::new(400, 400, 0.05, Point2::ORIGIN),
-            matcher: ScanMatcherConfig::default(),
-            motion: MotionNoise::default(),
-            resample_neff_frac: 0.5,
             score_gain: 0.05,
         }
     }
@@ -138,8 +135,8 @@ impl GMapping {
                 rng: rng.fork(i as u64),
             })
             .collect();
-        let matcher = ScanMatcher::new(cfg.matcher.clone());
-        let motion = MotionModel::new(cfg.motion);
+        let matcher = ScanMatcher::default();
+        let motion = MotionModel::new(MotionNoise::default());
         let executor = ParallelExecutor::new(cfg.threads);
         let active = cfg.num_particles;
         GMapping {
@@ -247,7 +244,7 @@ impl GMapping {
         let matcher = &self.matcher;
         let cache = {
             let _prof = prof::scope("slam/scan_cache");
-            ScanCache::new(scan, self.cfg.matcher.beam_skip)
+            ScanCache::new(scan, self.matcher.config().beam_skip)
         };
         let cache = &cache;
         let gain = self.cfg.score_gain;
@@ -293,7 +290,7 @@ impl GMapping {
         meter.serial_ops(m as u64, cost::CYCLES_PER_WEIGHT_UPDATE);
 
         // 4. Resample (serial, main thread).
-        let resampled = neff < self.cfg.resample_neff_frac * m as f64;
+        let resampled = neff < RESAMPLE_NEFF_FRAC * m as f64;
         if resampled {
             let _prof = prof::scope("slam/resample");
             let copied_cells = self.resample(&weights);

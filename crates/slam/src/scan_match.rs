@@ -18,15 +18,16 @@
 use crate::map::{OccupancyGrid, L_FREE_THRESHOLD, L_OCC_THRESHOLD};
 use lgv_types::prelude::*;
 
+/// Initial translational step of the hill climb (m).
+pub const STEP_TRANS: f64 = 0.05;
+/// Initial rotational step of the hill climb (rad).
+pub const STEP_ROT: f64 = 0.035;
+/// Number of step-halving refinement levels.
+pub const STEP_LEVELS: u32 = 3;
+
 /// Scan-matcher tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ScanMatcherConfig {
-    /// Initial translational step (m).
-    pub step_trans: f64,
-    /// Initial rotational step (rad).
-    pub step_rot: f64,
-    /// Number of step-halving refinement levels.
-    pub levels: u32,
     /// Use every `beam_skip`-th beam (1 = all beams).
     pub beam_skip: usize,
     /// Score a pose must reach (per used beam) for the match to count
@@ -37,9 +38,6 @@ pub struct ScanMatcherConfig {
 impl Default for ScanMatcherConfig {
     fn default() -> Self {
         ScanMatcherConfig {
-            step_trans: 0.05,
-            step_rot: 0.035,
-            levels: 3,
             beam_skip: 2,
             min_score: 0.15,
         }
@@ -115,13 +113,8 @@ impl ScanMatcher {
         &self.cfg
     }
 
-    /// Likelihood of `scan` observed from `pose` against `map`.
-    /// Returns (score, beams_used).
-    pub fn score(&self, map: &OccupancyGrid, pose: Pose2D, scan: &LaserScan) -> (f64, u64) {
-        self.score_cached(map, pose, &ScanCache::new(scan, self.cfg.beam_skip))
-    }
-
-    /// [`ScanMatcher::score`] against a prebuilt [`ScanCache`].
+    /// Likelihood of the scan `cache` was built from, observed from
+    /// `pose` against `map`. Returns (score, beams_used).
     ///
     /// This is the 98 %-of-SLAM-time inner loop (§V): each cached
     /// robot-frame offset is rotated by the candidate heading (one
@@ -132,20 +125,10 @@ impl ScanMatcher {
         (total, cache.used_beams())
     }
 
-    /// Refine `prediction` against `map`. The returned
-    /// [`MatchResult::beam_evals`] feeds the SLAM work meter.
-    pub fn optimize(
-        &self,
-        map: &OccupancyGrid,
-        prediction: Pose2D,
-        scan: &LaserScan,
-    ) -> MatchResult {
-        self.optimize_cached(map, prediction, &ScanCache::new(scan, self.cfg.beam_skip))
-    }
-
-    /// [`ScanMatcher::optimize`] against a prebuilt [`ScanCache`] —
-    /// the form the particle filter uses so the cache is built once
-    /// per scan and shared across all particle threads.
+    /// Refine `prediction` against `map` for the scan `cache` was
+    /// built from. The returned [`MatchResult::beam_evals`] feeds the
+    /// SLAM work meter. The particle filter builds the cache once per
+    /// scan and shares it across all particle threads.
     ///
     /// Returns bit for bit what a hill climb that scores every beam of
     /// every candidate returns, but does less host work in two exact
@@ -188,9 +171,9 @@ impl ScanMatcher {
         let mut seen = SeenPoses::default();
         seen.insert(prediction);
 
-        let mut dt = self.cfg.step_trans;
-        let mut dr = self.cfg.step_rot;
-        for _ in 0..self.cfg.levels {
+        let mut dt = STEP_TRANS;
+        let mut dr = STEP_ROT;
+        for _ in 0..STEP_LEVELS {
             let mut improved = true;
             while improved {
                 improved = false;
@@ -397,11 +380,15 @@ mod tests {
         (map, scan, true_pose)
     }
 
+    fn cache(sm: &ScanMatcher, scan: &LaserScan) -> ScanCache {
+        ScanCache::new(scan, sm.config().beam_skip)
+    }
+
     #[test]
     fn true_pose_scores_high() {
         let (map, scan, pose) = room_map_and_scan();
         let sm = ScanMatcher::default();
-        let (s, used) = sm.score(&map, pose, &scan);
+        let (s, used) = sm.score_cached(&map, pose, &cache(&sm, &scan));
         assert!(used > 0);
         assert!(s / used as f64 > 0.8, "per-beam score {}", s / used as f64);
     }
@@ -410,9 +397,9 @@ mod tests {
     fn offset_pose_scores_lower() {
         let (map, scan, pose) = room_map_and_scan();
         let sm = ScanMatcher::default();
-        let (s_true, _) = sm.score(&map, pose, &scan);
+        let (s_true, _) = sm.score_cached(&map, pose, &cache(&sm, &scan));
         let off = Pose2D::new(pose.x + 0.3, pose.y - 0.2, pose.theta + 0.1);
-        let (s_off, _) = sm.score(&map, off, &scan);
+        let (s_off, _) = sm.score_cached(&map, off, &cache(&sm, &scan));
         assert!(s_off < s_true, "true {s_true} vs offset {s_off}");
     }
 
@@ -421,7 +408,7 @@ mod tests {
         let (map, scan, pose) = room_map_and_scan();
         let sm = ScanMatcher::default();
         let prediction = Pose2D::new(pose.x + 0.08, pose.y - 0.06, pose.theta + 0.05);
-        let r = sm.optimize(&map, prediction, &scan);
+        let r = sm.optimize_cached(&map, prediction, &cache(&sm, &scan));
         assert!(r.converged);
         let err = r.pose.distance(pose);
         let pred_err = prediction.distance(pose);
@@ -446,7 +433,7 @@ mod tests {
         };
         let sm = ScanMatcher::default();
         let pred = Pose2D::new(1.25, 1.25, 0.0);
-        let r = sm.optimize(&map, pred, &scan);
+        let r = sm.optimize_cached(&map, pred, &cache(&sm, &scan));
         assert!(!r.converged);
         assert_eq!(r.pose, pred, "failed match keeps the prediction");
     }
@@ -462,7 +449,7 @@ mod tests {
             range_max: 3.5,
             ranges: vec![3.5; 60], // nothing but max-range returns
         };
-        let r = sm.optimize(&map, pose, &scan);
+        let r = sm.optimize_cached(&map, pose, &cache(&sm, &scan));
         assert!(!r.converged);
         assert_eq!(r.beam_evals, 0);
     }
@@ -493,8 +480,8 @@ mod tests {
             beam_skip: 2,
             ..Default::default()
         });
-        let (_, used_all) = all.score(&map, pose, &scan);
-        let (_, used_half) = half.score(&map, pose, &scan);
+        let (_, used_all) = all.score_cached(&map, pose, &cache(&all, &scan));
+        let (_, used_half) = half.score_cached(&map, pose, &cache(&half, &scan));
         assert!(used_half * 2 <= used_all + 1);
     }
 }

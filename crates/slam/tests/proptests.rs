@@ -4,7 +4,9 @@
 use lgv_slam::map::OccupancyGrid;
 use lgv_slam::motion::{MotionModel, MotionNoise};
 use lgv_slam::pool::ParallelExecutor;
-use lgv_slam::scan_match::{MatchResult, ScanCache, ScanMatcher, ScanMatcherConfig};
+use lgv_slam::scan_match::{
+    MatchResult, ScanCache, ScanMatcher, ScanMatcherConfig, STEP_LEVELS, STEP_ROT, STEP_TRANS,
+};
 use lgv_slam::{GMapping, SlamConfig};
 use lgv_types::prelude::*;
 use proptest::prelude::*;
@@ -95,9 +97,10 @@ proptest! {
             map.integrate_scan(truth, &scan, &mut meter);
         }
         let sm = ScanMatcher::default();
-        let (s_true, _) = sm.score(&map, truth, &scan);
+        let cache = ScanCache::new(&scan, sm.config().beam_skip);
+        let (s_true, _) = sm.score_cached(&map, truth, &cache);
         let (s_off, _) =
-            sm.score(&map, Pose2D::new(truth.x + dx, truth.y + dy, 0.0), &scan);
+            sm.score_cached(&map, Pose2D::new(truth.x + dx, truth.y + dy, 0.0), &cache);
         prop_assert!(s_true >= s_off, "true {s_true} vs offset {s_off}");
     }
 
@@ -239,7 +242,8 @@ proptest! {
         let scan = random_scan(&mut rng);
         let sm = ScanMatcher::default();
         let pose = Pose2D::new(x, y, th);
-        let (got, _) = sm.score(&map, pose, &scan);
+        let cache = ScanCache::new(&scan, sm.config().beam_skip);
+        let (got, _) = sm.score_cached(&map, pose, &cache);
         let want = reference_score(&map, pose, &scan, sm.config().beam_skip);
         prop_assert_eq!(got.to_bits(), want.to_bits());
     }
@@ -268,8 +272,8 @@ fn reference_optimize(
             beam_evals: evals,
         };
     }
-    let (mut dt, mut dr) = (cfg.step_trans, cfg.step_rot);
-    for _ in 0..cfg.levels {
+    let (mut dt, mut dr) = (STEP_TRANS, STEP_ROT);
+    for _ in 0..STEP_LEVELS {
         let mut improved = true;
         while improved {
             improved = false;
@@ -348,9 +352,9 @@ proptest! {
             }
             _ => {}
         }
-        let cfg = ScanMatcherConfig { beam_skip: skip, min_score, ..Default::default() };
+        let cfg = ScanMatcherConfig { beam_skip: skip, min_score };
         let sm = ScanMatcher::new(cfg.clone());
-        let got = sm.optimize(&map, prediction, &scan);
+        let got = sm.optimize_cached(&map, prediction, &ScanCache::new(&scan, skip));
         let want = reference_optimize(&cfg, &map, prediction, &scan);
         prop_assert_eq!(got.pose.x.to_bits(), want.pose.x.to_bits());
         prop_assert_eq!(got.pose.y.to_bits(), want.pose.y.to_bits());
