@@ -346,7 +346,7 @@ fn shim_set_matches_readme_and_workspace_dependencies() {
 /// *Config` under `crates/*/src`. A value with one setting in use is a
 /// constant beside the code that reads it, not a field; adding a knob
 /// means raising this ceiling in the same change.
-const CONFIG_FIELD_CEILING: usize = 82;
+const CONFIG_FIELD_CEILING: usize = 81;
 
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {

@@ -53,7 +53,7 @@
 //! sessions in vehicle order — byte-identical to the unsharded path.
 
 use crate::mission::{MissionConfig, MissionReport};
-use crate::session::{VehicleSession, CONTROL_PERIOD};
+use crate::session::{SharedLayers, VehicleSession, CONTROL_PERIOD};
 use lgv_net::fault::CloudFaultSchedule;
 use lgv_net::shared::{MediumStats, SharedMedium};
 pub use lgv_sim::cloud::ElasticConfig;
@@ -359,48 +359,23 @@ impl PoolGroup {
     }
 }
 
-/// Run a fleet without tracing.
-pub fn run_fleet(cfg: FleetConfig) -> FleetReport {
-    run_fleet_traced(cfg, Tracer::disabled())
-}
-
-/// Run a fleet with every session's events tagged by vehicle id
-/// through a [`Tracer::for_vehicle`] clone per session, all sharing
-/// `tracer`'s sink and virtual clock.
-pub fn run_fleet_traced(cfg: FleetConfig, tracer: Tracer) -> FleetReport {
+/// Create and enrol every vehicle's session, grouped by scheduler pool.
+///
+/// Sessions are created and enrolled in vehicle order on the calling
+/// thread, so RNG forking matches the unsharded path exactly. Every
+/// vehicle runs the base mission but for its seed, so each gets a
+/// clone of `layers` and all of them share its read-only grids.
+fn enrol(
+    cfg: &FleetConfig,
+    tracer: &Tracer,
+    schedulers: &[CloudScheduler],
+    media: &[SharedMedium],
+    layers: &SharedLayers,
+) -> Vec<PoolGroup> {
     let n = cfg.size.max(1) as u64;
     let (regions, pools) = cfg.topology.effective(n);
     let offloaded = cfg.base.deployment.offloaded();
     let wan_hop = cfg.topology.wan_hop;
-
-    // One scheduler per pool, one WAP per region. A 1-region topology
-    // builds exactly what the unsharded path did: one of each.
-    let schedulers: Vec<CloudScheduler> = if offloaded {
-        let hw = cfg.base.deployment.remote_platform().hw_threads;
-        (0..pools)
-            .map(|_| {
-                let sched = match cfg.cloud {
-                    CloudPolicy::Fixed => CloudScheduler::new(hw, CONTROL_PERIOD),
-                    CloudPolicy::Elastic(ec) => CloudScheduler::elastic(hw, CONTROL_PERIOD, ec),
-                };
-                sched.set_faults(cfg.cloud_faults.clone());
-                sched
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let media: Vec<SharedMedium> = if offloaded {
-        (0..regions)
-            .map(|_| SharedMedium::new(CONTROL_PERIOD))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Sessions are created, enrolled, and begun in vehicle order on
-    // the calling thread, so RNG forking and mission_start emission
-    // order match the unsharded path exactly.
     let mut groups: Vec<PoolGroup> = (0..pools)
         .map(|_| PoolGroup {
             regions: Vec::new(),
@@ -428,7 +403,7 @@ pub fn run_fleet_traced(cfg: FleetConfig, tracer: Tracer) -> FleetReport {
                 },
             );
         }
-        let mut s = VehicleSession::new(cfg.vehicle_config(v), vt);
+        let mut s = VehicleSession::with_layers(cfg.vehicle_config(v), vt, layers.clone());
         s.join_fleet(
             VehicleId(v),
             schedulers.get(pool as usize).cloned(),
@@ -446,6 +421,56 @@ pub fn run_fleet_traced(cfg: FleetConfig, tracer: Tracer) -> FleetReport {
         rt.sessions.push((v, s));
         rt.running.push(true);
     }
+    groups
+}
+
+/// Run a fleet without tracing.
+pub fn run_fleet(cfg: FleetConfig) -> FleetReport {
+    run_fleet_traced(cfg, Tracer::disabled())
+}
+
+/// Run a fleet with every session's events tagged by vehicle id
+/// through a [`Tracer::for_vehicle`] clone per session, all sharing
+/// `tracer`'s sink and virtual clock.
+pub fn run_fleet_traced(cfg: FleetConfig, tracer: Tracer) -> FleetReport {
+    let n = cfg.size.max(1) as u64;
+    let (regions, pools) = cfg.topology.effective(n);
+    let offloaded = cfg.base.deployment.offloaded();
+
+    // One scheduler per pool, one WAP per region. A 1-region topology
+    // builds exactly what the unsharded path did: one of each.
+    let schedulers: Vec<CloudScheduler> = if offloaded {
+        let hw = cfg.base.deployment.remote_platform().hw_threads;
+        (0..pools)
+            .map(|_| {
+                let sched = match cfg.cloud {
+                    CloudPolicy::Fixed => CloudScheduler::new(hw, CONTROL_PERIOD),
+                    CloudPolicy::Elastic(ec) => CloudScheduler::elastic(hw, CONTROL_PERIOD, ec),
+                };
+                sched.set_faults(cfg.cloud_faults.clone());
+                sched
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let media: Vec<SharedMedium> = if offloaded {
+        (0..regions)
+            .map(|_| SharedMedium::new(CONTROL_PERIOD))
+            .collect()
+    } else {
+        Vec::new()
+    };
+
+    let mut groups = enrol(
+        &cfg,
+        &tracer,
+        &schedulers,
+        &media,
+        &SharedLayers::build(&cfg.base),
+    );
+    // Sessions begin in vehicle order on the calling thread, so
+    // mission_start emission order matches the unsharded path exactly.
     for g in groups.iter_mut() {
         for region in &mut g.regions {
             for (_, s) in region.sessions.iter_mut() {
@@ -582,6 +607,31 @@ mod tests {
         assert!(uplink.contended_sends > 0, "two uplinks should contend");
         assert!(report.mean_mission_secs() > 0.0);
         assert!(report.mean_energy_j() > 0.0);
+    }
+
+    #[test]
+    fn fleet_sessions_share_one_copy_of_each_read_only_layer() {
+        let base = MissionConfig::compact_lab(Deployment::edge_8t(), Workload::Navigation);
+        let cfg = FleetConfig::new(base, 5).with_topology(RegionTopology::sharded(2));
+        let layers = SharedLayers::build(&cfg.base);
+        let groups = enrol(&cfg, &Tracer::disabled(), &[], &[], &layers);
+        let sessions: Vec<&VehicleSession> = groups
+            .iter()
+            .flat_map(|g| &g.regions)
+            .flat_map(|rt| &rt.sessions)
+            .map(|(_, s)| s)
+            .collect();
+        assert_eq!(sessions.len(), 5);
+        for s in &sessions {
+            assert!(std::sync::Arc::ptr_eq(s.known_map(), &layers.known_map));
+        }
+        // The fleet's handle plus exactly one per session: the map in
+        // the session, the grid in its AMCL, the table in its lidar. A
+        // session that built its own copy would not count here.
+        let amcl_grid = layers.amcl_grid.as_ref().expect("a Navigation fleet");
+        assert_eq!(std::sync::Arc::strong_count(&layers.known_map), 6);
+        assert_eq!(std::sync::Arc::strong_count(amcl_grid), 6);
+        assert_eq!(std::sync::Arc::strong_count(&layers.beams), 6);
     }
 
     #[test]

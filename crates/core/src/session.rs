@@ -53,10 +53,12 @@ use lgv_sim::energy::{Component, EnergyLedger};
 use lgv_sim::platform::Platform;
 use lgv_sim::power::{LgvProfile, TransmitModel};
 use lgv_sim::{Battery, Lidar, Vehicle, VehicleConfig};
+use lgv_slam::map::OccupancyGrid;
 use lgv_slam::{GMapping, SlamConfig};
 use lgv_trace::{MsgId, TraceEvent, Tracer};
 use lgv_types::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Length of one control cycle — also the contention window of the
 /// fleet's shared cloud scheduler and shared wireless medium, so
@@ -64,6 +66,60 @@ use std::collections::HashMap;
 pub const CONTROL_PERIOD: Duration = Duration::from_millis(200);
 pub(crate) const SUBSTEP: Duration = Duration::from_millis(10);
 pub(crate) const GOAL_TOLERANCE: f64 = 0.35;
+
+/// The grids a session derives from its world and then only reads.
+/// A fleet builds one set from its base mission and hands every
+/// session a clone, which shares them by `Arc`;
+/// [`VehicleSession::new`] builds a set of its own. Either way the
+/// session goes through [`VehicleSession::with_layers`], so the two
+/// paths cannot drift.
+#[derive(Clone)]
+pub(crate) struct SharedLayers {
+    /// The map planning starts from: the truth for Navigation, all
+    /// unknown for Exploration (SLAM replaces it from the first scan).
+    pub(crate) known_map: Arc<MapMsg>,
+    /// AMCL's likelihood grid over the truth (Navigation only).
+    pub(crate) amcl_grid: Option<Arc<OccupancyGrid>>,
+    /// The costmap before its first update. Each session takes a clone,
+    /// which shares the static layer and master grid until it writes
+    /// them, and owns its obstacle marks.
+    costmap: Costmap,
+    /// The lidar's per-beam directions.
+    pub(crate) beams: Arc<[(f64, f64)]>,
+}
+
+impl SharedLayers {
+    /// The layers of a session running `cfg`. They depend on its world,
+    /// workload and lidar only, never on its seed, so every vehicle of
+    /// a fleet can share its base mission's set.
+    pub(crate) fn build(cfg: &MissionConfig) -> Self {
+        let beams = Lidar::beam_table(&cfg.lidar);
+        match cfg.workload {
+            Workload::Navigation => {
+                let truth = cfg.world.to_map_msg(SimTime::EPOCH);
+                SharedLayers {
+                    amcl_grid: Some(Arc::new(OccupancyGrid::from_map_msg(&truth))),
+                    costmap: Costmap::from_map(CostmapConfig::default(), &truth),
+                    known_map: Arc::new(truth),
+                    beams,
+                }
+            }
+            Workload::Exploration => {
+                let dims = *cfg.world.dims();
+                SharedLayers {
+                    known_map: Arc::new(MapMsg {
+                        stamp: SimTime::EPOCH,
+                        dims,
+                        cells: vec![MapMsg::UNKNOWN; dims.len()],
+                    }),
+                    amcl_grid: None,
+                    costmap: Costmap::empty(CostmapConfig::default(), dims),
+                    beams,
+                }
+            }
+        }
+    }
+}
 
 /// One vehicle's complete runtime wiring: simulated hardware, the real
 /// algorithm stack, middleware over the radio, Algorithms 1 + 2, and
@@ -74,7 +130,9 @@ pub struct VehicleSession {
     now: SimTime,
     vehicle: Vehicle,
     lidar: Lidar,
-    known_map: MapMsg,
+    /// The map the costmap and frontier search read: the shared truth
+    /// for Navigation, SLAM's latest best map for Exploration.
+    known_map: Arc<MapMsg>,
     amcl: Option<Amcl>,
     slam: Option<GMapping>,
     costmap: Costmap,
@@ -190,58 +248,48 @@ impl VehicleSession {
     /// forked from `cfg.seed`; the tracer is wired into every
     /// subsystem that emits events.
     pub fn new(cfg: MissionConfig, tracer: Tracer) -> Self {
+        let layers = SharedLayers::build(&cfg);
+        Self::with_layers(cfg, tracer, layers)
+    }
+
+    /// [`VehicleSession::new`] on layers built by
+    /// [`SharedLayers::build`] for a mission with the same world,
+    /// workload and lidar as `cfg`.
+    pub(crate) fn with_layers(cfg: MissionConfig, tracer: Tracer, layers: SharedLayers) -> Self {
+        debug_assert_eq!(layers.known_map.dims, *cfg.world.dims());
         let mut rng = SimRng::seed_from_u64(cfg.seed);
         let vehicle_cfg = VehicleConfig {
             max_linear: cfg.velocity.hw_cap,
         };
         let vehicle = Vehicle::new(vehicle_cfg, cfg.start, rng.fork(1));
-        let lidar = Lidar::new(cfg.lidar.clone(), rng.fork(2));
+        let lidar = Lidar::with_beam_table(cfg.lidar.clone(), layers.beams, rng.fork(2));
 
-        let dims = *cfg.world.dims();
-        let truth_map = cfg.world.to_map_msg(SimTime::EPOCH);
-
-        let (amcl, slam, known_map, costmap, planner, table2) = match cfg.workload {
+        let (amcl, slam, planner, table2) = match cfg.workload {
             Workload::Navigation => {
-                let amcl = Amcl::new(AmclConfig::default(), &truth_map, cfg.start, rng.fork(3));
-                let costmap = Costmap::from_map(CostmapConfig::default(), &truth_map);
+                let grid = layers
+                    .amcl_grid
+                    .expect("Navigation layers carry AMCL's grid");
+                let amcl = Amcl::on_grid(AmclConfig::default(), grid, cfg.start, rng.fork(3));
                 let planner = GlobalPlanner::new(PlannerConfig::default());
-                (
-                    Some(amcl),
-                    None,
-                    truth_map,
-                    costmap,
-                    planner,
-                    table2_with_map(),
-                )
+                (Some(amcl), None, planner, table2_with_map())
             }
             Workload::Exploration => {
                 let slam_cfg = SlamConfig {
                     num_particles: cfg.slam_particles,
                     threads: 1,
-                    map_dims: dims,
+                    map_dims: *cfg.world.dims(),
                     ..SlamConfig::default()
                 };
                 let slam = GMapping::new(slam_cfg, cfg.start, rng.fork(4));
-                let empty = MapMsg {
-                    stamp: SimTime::EPOCH,
-                    dims,
-                    cells: vec![MapMsg::UNKNOWN; dims.len()],
-                };
-                let costmap = Costmap::empty(CostmapConfig::default(), dims);
                 let planner = GlobalPlanner::new(PlannerConfig {
                     allow_unknown: true,
                     ..PlannerConfig::default()
                 });
-                (
-                    None,
-                    Some(slam),
-                    empty,
-                    costmap,
-                    planner,
-                    table2_without_map(),
-                )
+                (None, Some(slam), planner, table2_without_map())
             }
         };
+        let known_map = layers.known_map;
+        let costmap = layers.costmap;
 
         let dwa = DwaPlanner::new(DwaConfig {
             samples: cfg.dwa_samples,
@@ -404,6 +452,12 @@ impl VehicleSession {
             outcome: None,
             cfg,
         }
+    }
+
+    /// The map the costmap and frontier search read.
+    #[cfg(test)]
+    pub(crate) fn known_map(&self) -> &Arc<MapMsg> {
+        &self.known_map
     }
 
     /// Enrol this session in a fleet as `vehicle`: stamp the tenant id
@@ -653,11 +707,12 @@ impl VehicleSession {
                 self.pose_est = out.pose.pose;
                 self.pose_conf = out.pose.confidence;
                 self.odom_at_fix = Some(odom.pose);
-                self.known_map = self
-                    .slam
-                    .as_ref()
-                    .expect("Exploration sessions always build SLAM")
-                    .best_map(self.now);
+                self.known_map = Arc::new(
+                    self.slam
+                        .as_ref()
+                        .expect("Exploration sessions always build SLAM")
+                        .best_map(self.now),
+                );
                 self.costmap.set_static_map(&self.known_map);
             }
         }

@@ -16,6 +16,7 @@ use lgv_slam::rbpf::RESAMPLE_NEFF_FRAC;
 use lgv_slam::scan_match::{ScanCache, ScanMatcher, ScanMatcherConfig};
 use lgv_types::prelude::*;
 use lgv_types::rng::low_variance_resample;
+use std::sync::Arc;
 
 /// AMCL configuration.
 #[derive(Debug, Clone)]
@@ -75,7 +76,9 @@ pub struct AmclOutput {
 #[derive(Debug)]
 pub struct Amcl {
     cfg: AmclConfig,
-    map: OccupancyGrid,
+    /// The known map as a likelihood grid. AMCL only reads it, so
+    /// localizers on the same map can share one.
+    map: Arc<OccupancyGrid>,
     matcher: ScanMatcher,
     motion: MotionModel,
     particles: Vec<AParticle>,
@@ -85,7 +88,18 @@ pub struct Amcl {
 
 impl Amcl {
     /// Build a localizer on a known map, initialized around `start`.
-    pub fn new(cfg: AmclConfig, map: &MapMsg, start: Pose2D, mut rng: SimRng) -> Self {
+    pub fn new(cfg: AmclConfig, map: &MapMsg, start: Pose2D, rng: SimRng) -> Self {
+        Self::on_grid(cfg, Arc::new(OccupancyGrid::from_map_msg(map)), start, rng)
+    }
+
+    /// [`Amcl::new`] on a grid already built with
+    /// [`OccupancyGrid::from_map_msg`], shared with whoever else holds it.
+    pub fn on_grid(
+        cfg: AmclConfig,
+        map: Arc<OccupancyGrid>,
+        start: Pose2D,
+        mut rng: SimRng,
+    ) -> Self {
         let n0 = cfg.max_particles;
         let (sp, sr) = cfg.init_spread;
         let particles = (0..n0)
@@ -105,7 +119,7 @@ impl Amcl {
         let motion = MotionModel::new(cfg.motion);
         Amcl {
             cfg,
-            map: OccupancyGrid::from_map_msg(map),
+            map,
             matcher,
             motion,
             particles,

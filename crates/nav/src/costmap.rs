@@ -28,6 +28,22 @@
 //! expression, so the costs are unchanged. The table lives only for
 //! the pass: `Costmap` itself keeps no distance state.
 //!
+//! The obstacle layer keeps one byte per cell: the age of its mark in
+//! updates. A ray clearing a cell writes 0 (never marked, or cleared);
+//! a hit writes 1. Each refresh treats ages `1..=MARK_TTL_UPDATES` as
+//! lethal and then moves every non-zero age up by one, saturating at
+//! `MARK_TTL_UPDATES + 1`, so a mark stays lethal for exactly
+//! [`MARK_TTL_UPDATES`] refreshes and a cell marked long ago still
+//! reads as observed rather than [`COST_UNKNOWN`]. A byte is enough
+//! because those are the only states a mark has: never marked, live
+//! for its first `MARK_TTL_UPDATES` refreshes, and expired.
+//!
+//! The static layer and the master grid sit behind [`Arc`]s. Cloning a
+//! costmap shares them (a fleet builds one costmap from its world and
+//! gives each vehicle a clone), and the first write to either gives the
+//! writer a private copy; a costmap that already owns its grid writes
+//! it in place.
+//!
 //! Trajectory checks ask [`Costmap::footprint_collides`] whether a disc
 //! overlaps a blocked cell. A `ClearanceWindow` answers most of those
 //! questions up front: it holds the exact Chebyshev clearance of every
@@ -37,6 +53,7 @@
 
 use lgv_types::prelude::*;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Cost of a lethal (obstacle) cell.
 pub const COST_LETHAL: u8 = 254;
@@ -46,6 +63,12 @@ pub const COST_INSCRIBED: u8 = 253;
 pub const COST_FREE_MAX: u8 = 127;
 /// Cost assigned to completely unknown cells.
 pub const COST_UNKNOWN: u8 = 128;
+
+/// Obstacle persistence: a mark stays lethal for this many updates,
+/// the one that made it included, unless a ray clears it first.
+pub const MARK_TTL_UPDATES: u8 = 25;
+// Mark ages saturate at `MARK_TTL_UPDATES + 1`, which must fit a `u8`.
+const _: () = assert!(MARK_TTL_UPDATES < u8::MAX);
 
 /// Cycle-cost constants for the costmap work model, calibrated so the
 /// lab-map navigation workload draws ≈ 0.86 Gcycles/s (Table II,
@@ -66,8 +89,6 @@ pub struct CostmapConfig {
     pub inflation_radius: f64,
     /// Exponential decay rate of inflated cost.
     pub cost_scaling: f64,
-    /// Obstacle persistence: marks older than this many updates decay.
-    pub mark_ttl_updates: u32,
 }
 
 impl Default for CostmapConfig {
@@ -76,24 +97,23 @@ impl Default for CostmapConfig {
             inscribed_radius: 0.11,
             inflation_radius: 0.45,
             cost_scaling: 8.0,
-            mark_ttl_updates: 25,
         }
     }
 }
 
-/// The multi-layer costmap.
+/// The multi-layer costmap. Clones share the static layer and the
+/// master grid until one of them writes it.
 #[derive(Debug, Clone)]
 pub struct Costmap {
     cfg: CostmapConfig,
     dims: GridDims,
     /// Static layer: lethal where the a-priori map is occupied.
-    static_lethal: Vec<bool>,
-    /// Obstacle layer: update index when each cell was last marked
-    /// (0 = never).
-    marked_at: Vec<u32>,
+    static_lethal: Arc<[bool]>,
+    /// Obstacle layer: the age of each cell's mark in updates, 0 for
+    /// never marked or cleared (see the module docs).
+    mark_age: Vec<u8>,
     /// Combined + inflated master grid.
-    master: Vec<u8>,
-    updates: u32,
+    master: Arc<[u8]>,
 }
 
 impl Costmap {
@@ -106,9 +126,8 @@ impl Costmap {
             cfg,
             dims,
             static_lethal,
-            marked_at: vec![0; dims.len()],
-            master: vec![COST_UNKNOWN; dims.len()],
-            updates: 0,
+            mark_age: vec![0; dims.len()],
+            master: std::iter::repeat_n(COST_UNKNOWN, dims.len()).collect(),
         };
         let mut meter = WorkMeter::new();
         cm.refresh(map, None, &mut meter);
@@ -121,10 +140,9 @@ impl Costmap {
         Costmap {
             cfg,
             dims,
-            static_lethal: vec![false; dims.len()],
-            marked_at: vec![0; dims.len()],
-            master: vec![COST_UNKNOWN; dims.len()],
-            updates: 0,
+            static_lethal: std::iter::repeat_n(false, dims.len()).collect(),
+            mark_age: vec![0; dims.len()],
+            master: std::iter::repeat_n(COST_UNKNOWN, dims.len()).collect(),
         }
     }
 
@@ -173,10 +191,13 @@ impl Costmap {
     }
 
     /// Replace the static layer (exploration: SLAM publishes a fresh
-    /// map).
+    /// map). A costmap that owns its layer overwrites it in place.
     pub fn set_static_map(&mut self, map: &MapMsg) {
         assert_eq!(map.dims, self.dims, "map geometry must match");
-        for (dst, &c) in self.static_lethal.iter_mut().zip(&map.cells) {
+        for (dst, &c) in Arc::make_mut(&mut self.static_lethal)
+            .iter_mut()
+            .zip(&map.cells)
+        {
             *dst = c == MapMsg::OCCUPIED;
         }
     }
@@ -186,7 +207,6 @@ impl Costmap {
     /// one CostmapGen activation; `map` is the current known map used
     /// to distinguish free from unknown.
     pub fn update(&mut self, map: &MapMsg, pose: Pose2D, scan: &LaserScan, meter: &mut WorkMeter) {
-        self.updates += 1;
         let origin = pose.position();
         let mut ray_cells = 0u64;
         for i in 0..scan.len() {
@@ -197,7 +217,7 @@ impl Costmap {
             let walked = RayWalk::new(&self.dims, origin, endpoint).walk(|cell| {
                 ray_cells += 1;
                 if let Some(flat) = cell.flat {
-                    self.marked_at[flat] = 0;
+                    self.mark_age[flat] = 0;
                 }
                 ControlFlow::<()>::Continue(())
             });
@@ -207,7 +227,7 @@ impl Costmap {
             // Mark the hit.
             if scan.is_hit(i) && self.dims.contains(end_cell) {
                 let flat = self.dims.flat(end_cell);
-                self.marked_at[flat] = self.updates;
+                self.mark_age[flat] = 1;
             }
         }
         meter.serial_ops(ray_cells, cost::CYCLES_PER_RAY_CELL);
@@ -227,15 +247,18 @@ impl Costmap {
 
         // Distance (in metres) to the nearest lethal cell, via a
         // two-pass chamfer transform. The seed pass is one branch-free
-        // select per cell (non-short-circuit `|`/`&`), so the compiler
-        // can vectorize it; marks are never newer than `updates`.
-        let (updates, ttl) = (self.updates, self.cfg.mark_ttl_updates);
+        // select per cell (non-short-circuit `|`), so the compiler can
+        // vectorize it. It also ages the marks: a live age
+        // (`1..=MARK_TTL_UPDATES`, one wrapping compare) moves up by
+        // one, and 0 and the saturated `MARK_TTL_UPDATES + 1` stay.
         let mut dist: Vec<f32> = self
             .static_lethal
             .iter()
-            .zip(&self.marked_at)
-            .map(|(&s, &m)| {
-                if s | ((m != 0) & (updates.wrapping_sub(m) < ttl)) {
+            .zip(self.mark_age.iter_mut())
+            .map(|(&s, age)| {
+                let live = age.wrapping_sub(1) < MARK_TTL_UPDATES;
+                *age += u8::from(live);
+                if s | live {
                     0.0
                 } else {
                     CHAMFER_FAR
@@ -249,10 +272,11 @@ impl Costmap {
         let inflate = self.cfg.inflation_radius as f32;
         let scaling = self.cfg.cost_scaling as f32;
         let mut memo = InflationMemo::new();
+        let master = Arc::make_mut(&mut self.master);
         #[allow(clippy::needless_range_loop)] // reads dist, writes master
         for i in 0..n {
             let d = dist[i];
-            self.master[i] = if d <= 0.0 {
+            master[i] = if d <= 0.0 {
                 COST_LETHAL
             } else if d <= inscribed {
                 COST_INSCRIBED
@@ -261,7 +285,7 @@ impl Costmap {
                     let factor = (-scaling * (d - inscribed)).exp().clamp(0.0, 1.0);
                     (factor * COST_FREE_MAX as f32) as u8
                 })
-            } else if map.cells[i] == MapMsg::UNKNOWN && self.marked_at[i] == 0 {
+            } else if map.cells[i] == MapMsg::UNKNOWN && self.mark_age[i] == 0 {
                 COST_UNKNOWN
             } else {
                 0
@@ -283,8 +307,8 @@ impl Costmap {
                         && self.dims.grid_to_world(idx).distance(p) <= clear_r
                     {
                         let flat = self.dims.flat(idx);
-                        self.master[flat] = self.master[flat].min(COST_FREE_MAX);
-                        self.marked_at[flat] = 0;
+                        master[flat] = master[flat].min(COST_FREE_MAX);
+                        self.mark_age[flat] = 0;
                     }
                 }
             }
@@ -664,6 +688,74 @@ mod tests {
         // Next scan sees through that cell: it must clear.
         cm.update(&m, pose, &clear_scan, &mut meter);
         assert!(cm.cost(old_hit) < COST_INSCRIBED, "stale mark should clear");
+    }
+
+    #[test]
+    fn a_mark_is_lethal_for_exactly_the_ttl_and_observed_for_ever() {
+        let mut m = empty_map(100, 100);
+        m.cells.iter_mut().for_each(|c| *c = MapMsg::UNKNOWN);
+        let mut cm = Costmap::from_map(CostmapConfig::default(), &m);
+        let pose = Pose2D::new(1.0, 2.5, 0.0);
+        // One beam hitting at 1 m, then scans with no beams, which
+        // refresh without clearing anything.
+        let hit_scan = LaserScan {
+            stamp: SimTime::EPOCH,
+            angle_min: 0.0,
+            angle_increment: 2.0 * PI,
+            range_max: 3.5,
+            ranges: vec![1.0],
+        };
+        let idle = LaserScan {
+            ranges: vec![],
+            ..hit_scan.clone()
+        };
+        let hit = cm.dims().world_to_grid(Point2::new(2.0, 2.5));
+        let never = GridIndex::new(90, 90);
+        let mut meter = WorkMeter::new();
+        cm.update(&m, pose, &hit_scan, &mut meter);
+        for refresh in 1..=MARK_TTL_UPDATES {
+            assert_eq!(cm.cost(hit), COST_LETHAL, "refresh {refresh}");
+            cm.update(&m, pose, &idle, &mut meter);
+        }
+        assert_eq!(cm.cost(hit), 0, "expired after the TTL");
+        for _ in 0..300 {
+            cm.update(&m, pose, &idle, &mut meter);
+        }
+        // Marked 300 updates ago: the age saturated, still observed.
+        assert_eq!(cm.mark_age[cm.dims().flat(hit)], MARK_TTL_UPDATES + 1);
+        assert_eq!(cm.cost(hit), 0);
+        assert_eq!(cm.cost(never), COST_UNKNOWN);
+    }
+
+    #[test]
+    fn clones_share_grids_until_they_write_them() {
+        let m = map_with_block(60, 60);
+        let template = Costmap::from_map(CostmapConfig::default(), &m);
+        let mut cm = template.clone();
+        assert!(Arc::ptr_eq(&cm.static_lethal, &template.static_lethal));
+        assert!(Arc::ptr_eq(&cm.master, &template.master));
+        let scan = LaserScan {
+            stamp: SimTime::EPOCH,
+            angle_min: 0.0,
+            angle_increment: 2.0 * PI / 4.0,
+            range_max: 3.5,
+            ranges: vec![1.0, 3.5, 3.5, 3.5],
+        };
+        cm.update(&m, Pose2D::new(1.0, 1.5, 0.0), &scan, &mut WorkMeter::new());
+        // The update wrote only the master grid; the template is intact.
+        assert!(Arc::ptr_eq(&cm.static_lethal, &template.static_lethal));
+        assert!(!Arc::ptr_eq(&cm.master, &template.master));
+        assert_eq!(template.cost(GridIndex::new(40, 30)), 0);
+        assert_eq!(cm.cost(GridIndex::new(40, 30)), COST_LETHAL);
+        // A costmap that owns its layers rewrites them in place.
+        let mut own = Costmap::from_map(CostmapConfig::default(), &m);
+        let (layer, master) = (own.static_lethal.as_ptr(), own.master.as_ptr());
+        own.set_static_map(&m);
+        own.update(&m, Pose2D::new(1.0, 1.5, 0.0), &scan, &mut WorkMeter::new());
+        assert_eq!(
+            (own.static_lethal.as_ptr(), own.master.as_ptr()),
+            (layer, master)
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::world::World;
 use lgv_types::prelude::*;
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 /// Scan rate (Hz). LDS-01: 5.
 pub const SCAN_RATE: f64 = 5.0;
@@ -44,19 +45,36 @@ pub struct Lidar {
     /// Per-beam `(cos, sin)` of the sensor-frame beam angle `i * inc`.
     /// Rotating this fixed table by the pose heading replaces the two
     /// trig calls per beam per scan — with 360 beams at 5 Hz, the trig
-    /// dominated the scan kernel.
-    beam_dirs: Vec<(f64, f64)>,
+    /// dominated the scan kernel. It depends only on the beam count, so
+    /// scanners built from one [`Lidar::beam_table`] share it.
+    beam_dirs: Arc<[(f64, f64)]>,
 }
 
 impl Lidar {
-    /// Build a scanner.
+    /// Build a scanner with its own beam table.
     pub fn new(cfg: LidarConfig, rng: SimRng) -> Self {
+        let beam_dirs = Self::beam_table(&cfg);
+        Self::with_beam_table(cfg, beam_dirs, rng)
+    }
+
+    /// The per-beam directions of a scanner configured by `cfg`.
+    pub fn beam_table(cfg: &LidarConfig) -> Arc<[(f64, f64)]> {
         assert!(cfg.beams > 0, "lidar needs at least one beam");
         let inc = 2.0 * PI / cfg.beams as f64;
-        let beam_dirs = (0..cfg.beams)
+        (0..cfg.beams)
             .map(|i| (i as f64 * inc).sin_cos())
             .map(|(s, c)| (c, s))
-            .collect();
+            .collect()
+    }
+
+    /// Build a scanner on a table from [`Lidar::beam_table`] of the
+    /// same configuration.
+    pub fn with_beam_table(cfg: LidarConfig, beam_dirs: Arc<[(f64, f64)]>, rng: SimRng) -> Self {
+        assert_eq!(
+            beam_dirs.len(),
+            cfg.beams,
+            "beam table of another beam count"
+        );
         Lidar {
             cfg,
             rng,
@@ -86,7 +104,7 @@ impl Lidar {
         // identity instead of evaluating cos/sin per beam.
         let (sin_th, cos_th) = pose.theta.sin_cos();
         let mut ranges = Vec::with_capacity(self.cfg.beams);
-        for &(cos_b, sin_b) in &self.beam_dirs {
+        for &(cos_b, sin_b) in self.beam_dirs.iter() {
             let dir_x = cos_b * cos_th - sin_b * sin_th;
             let dir_y = sin_b * cos_th + cos_b * sin_th;
             let true_range = world.raycast_dir(origin, dir_x, dir_y, self.cfg.range_max);

@@ -5,19 +5,24 @@
 //! for the laser sensor and collision queries for the vehicle. The
 //! [`presets`] module ships deterministic floorplans that stand in for
 //! the paper's lab environment and the Intel Research Lab dataset.
+//!
+//! The cells sit behind an [`Arc`], so cloning a world (every fleet
+//! vehicle's `MissionConfig` holds one) shares them instead of copying
+//! them.
 
 use lgv_types::prelude::*;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 pub mod generator;
 pub mod presets;
 
-/// Immutable ground-truth occupancy world.
+/// Immutable ground-truth occupancy world. Clones share the cells.
 #[derive(Debug, Clone)]
 pub struct World {
     dims: GridDims,
     /// Row-major occupancy; `true` = solid.
-    occ: Vec<bool>,
+    occ: Arc<[bool]>,
 }
 
 impl World {
@@ -122,11 +127,12 @@ impl World {
     }
 }
 
-/// Builder assembling a world from geometric primitives.
+/// Builder assembling a world from geometric primitives. It draws into
+/// the cells the finished [`World`] keeps, so building copies nothing.
 #[derive(Debug, Clone)]
 pub struct WorldBuilder {
     dims: GridDims,
-    occ: Vec<bool>,
+    occ: Arc<[bool]>,
 }
 
 impl WorldBuilder {
@@ -138,74 +144,62 @@ impl WorldBuilder {
         let dims = GridDims::new(w, h, resolution, Point2::ORIGIN);
         WorldBuilder {
             dims,
-            occ: vec![false; dims.len()],
+            occ: std::iter::repeat_n(false, dims.len()).collect(),
         }
     }
 
     /// Surround the world with solid boundary walls.
-    pub fn walls(mut self) -> Self {
-        let (w, h) = (self.dims.width as i32, self.dims.height as i32);
-        for col in 0..w {
-            self.set(GridIndex::new(col, 0), true);
-            self.set(GridIndex::new(col, h - 1), true);
-        }
-        for row in 0..h {
-            self.set(GridIndex::new(0, row), true);
-            self.set(GridIndex::new(w - 1, row), true);
-        }
-        self
+    pub fn walls(self) -> Self {
+        let (w, h) = (self.dims.width as i32 - 1, self.dims.height as i32 - 1);
+        let all = |_| true;
+        self.paint(GridIndex::new(0, 0), GridIndex::new(w, 0), true, all)
+            .paint(GridIndex::new(0, h), GridIndex::new(w, h), true, all)
+            .paint(GridIndex::new(0, 0), GridIndex::new(0, h), true, all)
+            .paint(GridIndex::new(w, 0), GridIndex::new(w, h), true, all)
     }
 
     /// Fill an axis-aligned rectangle (world metres) with solid cells.
-    pub fn rect(mut self, min: Point2, max: Point2) -> Self {
-        let lo = self.dims.world_to_grid(min);
-        let hi = self.dims.world_to_grid(max);
-        for row in lo.row..=hi.row {
-            for col in lo.col..=hi.col {
-                self.set(GridIndex::new(col, row), true);
-            }
-        }
-        self
+    pub fn rect(self, min: Point2, max: Point2) -> Self {
+        let (lo, hi) = (self.dims.world_to_grid(min), self.dims.world_to_grid(max));
+        self.paint(lo, hi, true, |_| true)
     }
 
     /// Fill a disc (world metres) with solid cells.
-    pub fn disc(mut self, centre: Point2, radius: f64) -> Self {
-        let lo = self
-            .dims
-            .world_to_grid(Point2::new(centre.x - radius, centre.y - radius));
-        let hi = self
-            .dims
-            .world_to_grid(Point2::new(centre.x + radius, centre.y + radius));
+    pub fn disc(self, centre: Point2, radius: f64) -> Self {
+        let dims = self.dims;
+        let lo = dims.world_to_grid(Point2::new(centre.x - radius, centre.y - radius));
+        let hi = dims.world_to_grid(Point2::new(centre.x + radius, centre.y + radius));
+        self.paint(lo, hi, true, |idx| {
+            dims.grid_to_world(idx).distance(centre) <= radius
+        })
+    }
+
+    /// Carve a free rectangle (e.g. a doorway through a wall).
+    pub fn carve(self, min: Point2, max: Point2) -> Self {
+        let (lo, hi) = (self.dims.world_to_grid(min), self.dims.world_to_grid(max));
+        self.paint(lo, hi, false, |_| true)
+    }
+
+    /// Set to `v` every in-bounds cell of the box `lo..=hi` that `pick`
+    /// selects.
+    fn paint(
+        mut self,
+        lo: GridIndex,
+        hi: GridIndex,
+        v: bool,
+        pick: impl Fn(GridIndex) -> bool,
+    ) -> Self {
+        let dims = self.dims;
+        let occ = Arc::make_mut(&mut self.occ);
         for row in lo.row..=hi.row {
             for col in lo.col..=hi.col {
                 let idx = GridIndex::new(col, row);
-                if self.dims.contains(idx)
-                    && self.dims.grid_to_world(idx).distance(centre) <= radius
-                {
-                    self.set(idx, true);
+                if dims.contains(idx) && pick(idx) {
+                    occ[dims.flat(idx)] = v;
                 }
             }
         }
         self
-    }
-
-    /// Carve a free rectangle (e.g. a doorway through a wall).
-    pub fn carve(mut self, min: Point2, max: Point2) -> Self {
-        let lo = self.dims.world_to_grid(min);
-        let hi = self.dims.world_to_grid(max);
-        for row in lo.row..=hi.row {
-            for col in lo.col..=hi.col {
-                self.set(GridIndex::new(col, row), false);
-            }
-        }
-        self
-    }
-
-    fn set(&mut self, idx: GridIndex, v: bool) {
-        if self.dims.contains(idx) {
-            let flat = self.dims.flat(idx);
-            self.occ[flat] = v;
-        }
     }
 
     /// Finish building.
@@ -289,6 +283,12 @@ mod tests {
         // Touching the +x wall (wall occupies x ≥ 9.9).
         assert!(w.collides_disc(Point2::new(9.8, 4.0), 0.2));
         assert!(w.collides_disc(Point2::new(0.3, 0.3), 0.25));
+    }
+
+    #[test]
+    fn clones_share_the_cells() {
+        let w = empty_room();
+        assert!(Arc::ptr_eq(&w.occ, &w.clone().occ));
     }
 
     #[test]

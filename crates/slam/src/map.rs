@@ -22,12 +22,30 @@ pub(crate) const L_OCC_THRESHOLD: f32 = 0.7;
 pub(crate) const L_FREE_THRESHOLD: f32 = -0.7;
 
 /// A mutable occupancy-grid map with log-odds cells.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OccupancyGrid {
     dims: GridDims,
     logodds: Vec<f32>,
     /// Count of cells ever touched by an observation.
     observed: usize,
+}
+
+impl Clone for OccupancyGrid {
+    fn clone(&self) -> Self {
+        OccupancyGrid {
+            dims: self.dims,
+            logodds: self.logodds.clone(),
+            observed: self.observed,
+        }
+    }
+
+    /// Copies into `self`'s cell buffer, which allocates nothing when
+    /// the two grids have the same size (SLAM resampling relies on it).
+    fn clone_from(&mut self, source: &Self) {
+        self.dims = source.dims;
+        self.logodds.clone_from(&source.logodds);
+        self.observed = source.observed;
+    }
 }
 
 impl OccupancyGrid {

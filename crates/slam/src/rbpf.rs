@@ -10,7 +10,8 @@
 //! 3. **updateTreeWeights** — normalize weights, compute `N_eff`
 //!    (serial, main thread);
 //! 4. **resample** with the low-variance sampler when `N_eff` drops
-//!    below the threshold (serial; clones particle maps).
+//!    below the threshold (serial; copies particle maps into the
+//!    buffers of the particles it drops, see `GMapping::resample`).
 //!
 //! Every phase tallies cycles into a [`Work`] record with the correct
 //! serial/parallel split, which is what the platform model in
@@ -343,28 +344,65 @@ impl GMapping {
         (weights, neff)
     }
 
-    /// Low-variance resampling; returns the number of map cells copied
-    /// (the dominant resampling cost in real gmapping).
+    /// Low-variance resampling of the active prefix; returns the number
+    /// of map cells charged as copied, one full map per pick (the
+    /// dominant resampling cost in real gmapping).
+    ///
+    /// Slot `s` of the new generation is old particle `picks[s]` with
+    /// its log-weight reset and `fork(s)` as its RNG, exactly as if
+    /// every pick were cloned. The maps are not cloned: a picked
+    /// particle moves into the first slot that picks it, and each
+    /// further pick of it is copied into the map buffer of a particle
+    /// nobody picked. There are as many of those as repeated picks, so
+    /// the filter allocates no map and never holds two generations of
+    /// them at once. Inactive particles sit out the resample untouched.
     fn resample(&mut self, weights: &[f64]) -> u64 {
         let m = self.active;
-        // Inactive particles sit out the resample untouched.
-        let tail = self.particles.split_off(m);
         let picks = low_variance_resample(&mut self.rng, weights, m);
-        let mut copied = 0u64;
-        let mut new_particles: Vec<Particle> = picks
-            .iter()
-            .enumerate()
-            .map(|(slot, &i)| {
-                copied += self.particles[i].map.dims().len() as u64;
-                let mut p = self.particles[i].clone();
-                p.log_weight = 0.0;
-                // Re-fork the RNG so duplicated particles diverge.
-                p.rng = self.rng.fork(slot as u64);
-                p
-            })
+        let mut old: Vec<Option<Particle>> = self.particles.drain(..m).map(Some).collect();
+        let mut picked = vec![false; m];
+        for &i in &picks {
+            picked[i] = true;
+        }
+        let mut spare_maps: Vec<OccupancyGrid> = old
+            .iter_mut()
+            .zip(&picked)
+            .filter(|(_, &picked)| !picked)
+            .filter_map(|(p, _)| p.take().map(|p| p.map))
             .collect();
-        new_particles.extend(tail);
-        self.particles = new_particles;
+        let mut first_slot = vec![0; m];
+        let mut next: Vec<Particle> = Vec::with_capacity(m + self.particles.len());
+        let mut copied = 0u64;
+        for (slot, &i) in picks.iter().enumerate() {
+            let rng = self.rng.fork(slot as u64);
+            let p = match old[i].take() {
+                Some(p) => {
+                    first_slot[i] = slot;
+                    Particle {
+                        log_weight: 0.0,
+                        rng,
+                        ..p
+                    }
+                }
+                None => {
+                    let src = &next[first_slot[i]];
+                    let mut map = spare_maps
+                        .pop()
+                        .expect("each repeated pick has an unpicked particle's map");
+                    map.clone_from(&src.map);
+                    Particle {
+                        pose: src.pose,
+                        log_weight: 0.0,
+                        map,
+                        rng,
+                    }
+                }
+            };
+            copied += p.map.dims().len() as u64;
+            next.push(p);
+        }
+        next.append(&mut self.particles);
+        self.particles = next;
         copied
     }
 }
@@ -625,5 +663,107 @@ mod tests {
         // Still functions after the switch.
         let out = slam.process(&odom_at(0, Pose2D::new(4.0, 4.0, 0.0)), &scan_at(0, 2.0));
         assert!(out.work.total_cycles() > 0.0);
+    }
+
+    /// The clone-based resample that `GMapping::resample` replaced:
+    /// every pick clones its particle while the old generation lives.
+    fn resample_by_cloning(slam: &mut GMapping, weights: &[f64]) -> u64 {
+        let m = slam.active;
+        let tail = slam.particles.split_off(m);
+        let picks = low_variance_resample(&mut slam.rng, weights, m);
+        let mut copied = 0u64;
+        let mut new_particles: Vec<Particle> = picks
+            .iter()
+            .enumerate()
+            .map(|(slot, &i)| {
+                copied += slam.particles[i].map.dims().len() as u64;
+                let mut p = slam.particles[i].clone();
+                p.log_weight = 0.0;
+                p.rng = slam.rng.fork(slot as u64);
+                p
+            })
+            .collect();
+        new_particles.extend(tail);
+        slam.particles = new_particles;
+        copied
+    }
+
+    /// A filter of 1–12 particles on a 30×30 grid, `active` of them in
+    /// play, each with its own pose, log-weight, map and RNG position:
+    /// the same filter for the same `seed`.
+    fn scrambled_filter(seed: u64) -> GMapping {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let n = 1 + rng.index(12);
+        let cfg = SlamConfig {
+            num_particles: n,
+            threads: 1,
+            map_dims: GridDims::new(30, 30, 0.1, Point2::ORIGIN),
+            ..Default::default()
+        };
+        let mut slam = GMapping::new(cfg, Pose2D::new(1.5, 1.5, 0.0), rng.fork(1));
+        slam.set_active_particles(1 + rng.index(n));
+        for p in &mut slam.particles {
+            p.pose = Pose2D::new(
+                rng.uniform_range(0.2, 2.8),
+                rng.uniform_range(0.2, 2.8),
+                rng.uniform_range(-PI, PI),
+            );
+            p.log_weight = rng.uniform_range(-5.0, 0.0);
+            for _ in 0..rng.index(3) {
+                let scan = LaserScan {
+                    angle_increment: 2.0 * PI / 24.0,
+                    ranges: (0..24).map(|_| rng.uniform_range(0.1, 3.5)).collect(),
+                    ..scan_at(0, 1.0)
+                };
+                p.map.integrate_scan(p.pose, &scan, &mut WorkMeter::new());
+            }
+            for _ in 0..rng.index(4) {
+                p.rng.uniform();
+            }
+        }
+        slam
+    }
+
+    /// Everything a particle carries, as comparable bits; the RNG as its
+    /// next draw.
+    fn particle_bits(p: &Particle) -> (Pose2D, u64, Vec<u32>, usize, u64) {
+        (
+            p.pose,
+            p.log_weight.to_bits(),
+            p.map.logodds_cells().iter().map(|l| l.to_bits()).collect(),
+            p.map.observed_cells(),
+            p.rng.clone().uniform().to_bits(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        fn in_place_resample_matches_cloning(seed in 0u64..1_000_000, shape in 0usize..4) {
+            let (mut fast, mut slow) = (scrambled_filter(seed), scrambled_filter(seed));
+            let m = fast.active;
+            let mut rng = SimRng::seed_from_u64(seed ^ 0x5eed);
+            // Random weights, all-zero (the uniform fallback), one
+            // particle taking every pick, or a few heavy ones repeating.
+            let weights: Vec<f64> = match shape {
+                0 => (0..m).map(|_| rng.uniform()).collect(),
+                1 => vec![0.0; m],
+                2 => {
+                    let hot = rng.index(m);
+                    (0..m).map(|i| if i == hot { 1.0 } else { 0.0 }).collect()
+                }
+                _ => (0..m).map(|_| if rng.chance(0.3) { rng.uniform_range(1.0, 9.0) } else { 1e-3 }).collect(),
+            };
+            let tail: Vec<_> = fast.particles[m..].iter().map(particle_bits).collect();
+            let copied = fast.resample(&weights);
+            proptest::prop_assert_eq!(copied, resample_by_cloning(&mut slow, &weights));
+            proptest::prop_assert_eq!(fast.particles.len(), slow.particles.len());
+            for (slot, (a, b)) in fast.particles.iter().zip(&slow.particles).enumerate() {
+                proptest::prop_assert_eq!(particle_bits(a), particle_bits(b), "slot {} of {} active", slot, m);
+            }
+            let tail_after: Vec<_> = fast.particles[m..].iter().map(particle_bits).collect();
+            proptest::prop_assert_eq!(tail, tail_after);
+            proptest::prop_assert_eq!(fast.rng.uniform().to_bits(), slow.rng.uniform().to_bits());
+        }
     }
 }
