@@ -15,6 +15,12 @@
 //! Rows present in only one file (new or dropped scenarios and arms)
 //! are reported without failing: registry drift is the freshness
 //! test's concern.
+//!
+//! The perf gate also prints the median current/baseline wall ratio
+//! over the scenarios it times, and warns, without failing, when every
+//! one of them ran more than [`STALE_BASELINE_SPEEDUP`] faster than
+//! its baseline: a baseline taken on a slower host leaves the
+//! tolerance unable to see a regression smaller than that gap.
 
 use crate::scenarios::chaos_fleet::Slo;
 use crate::suite::Artifact;
@@ -24,6 +30,9 @@ pub const PERF_TOLERANCE: f64 = 0.15;
 /// Baseline wall time below which the perf gate checks only the
 /// checksum.
 pub const PERF_FLOOR_MS: f64 = 100.0;
+/// Speed-up over the baseline, on every scenario the wall-time check
+/// covers, at which the perf gate warns that the baseline looks stale.
+pub const STALE_BASELINE_SPEEDUP: f64 = 0.35;
 /// Fractional regression the recovery gate allows on `ttr_s` and
 /// `degraded_frac`.
 pub const RECOVERY_TOLERANCE: f64 = 0.10;
@@ -68,6 +77,9 @@ pub fn check_perf(current: &str, baseline: &str, checksums_only: bool) -> Result
     };
     let (cur, base) = (read("current", current)?, read("baseline", baseline)?);
     let mut v = Verdict::default();
+    // current/baseline wall ratios of the rows the wall-time check
+    // covers.
+    let mut timed = Vec::new();
     for row in &cur.rows {
         let Some(b) = base.rows.iter().find(|b| b.name == row.name) else {
             v.note(format!(
@@ -95,6 +107,9 @@ pub fn check_perf(current: &str, baseline: &str, checksums_only: bool) -> Result
             row.wall_ms,
             (ratio - 1.0) * 100.0
         );
+        if b.wall_ms >= PERF_FLOOR_MS {
+            timed.push(ratio);
+        }
         if !checksums_only && b.wall_ms >= PERF_FLOOR_MS && ratio > 1.0 + PERF_TOLERANCE {
             v.fail(format!("  PERF REGRESSION: {change}"));
         } else {
@@ -104,6 +119,28 @@ pub fn check_perf(current: &str, baseline: &str, checksums_only: bool) -> Result
     for b in &base.rows {
         if !cur.rows.iter().any(|r| r.name == b.name) {
             v.note(format!("  scenario dropped from current run: {}", b.name));
+        }
+    }
+    if !timed.is_empty() {
+        timed.sort_by(f64::total_cmp);
+        let mid = timed.len() / 2;
+        let median = if timed.len() % 2 == 1 {
+            timed[mid]
+        } else {
+            (timed[mid - 1] + timed[mid]) / 2.0
+        };
+        v.note(format!(
+            "  median wall ratio (current/baseline) over {} timed scenarios: {median:.2}",
+            timed.len()
+        ));
+        if timed.iter().all(|&r| r < 1.0 - STALE_BASELINE_SPEEDUP) {
+            v.note(format!(
+                "  WARNING: stale baseline? every timed scenario ran more than {:.0}% faster \
+                 than the baseline, so the {:.0}% gate cannot see regressions below that gap; \
+                 re-take the baseline on this host",
+                STALE_BASELINE_SPEEDUP * 100.0,
+                PERF_TOLERANCE * 100.0
+            ));
         }
     }
     Ok(v)
@@ -277,6 +314,61 @@ mod tests {
             &[("slow", 1149.0, "fnv1a:1"), ("fast", 500.0, "fnv1a:2")],
         );
         assert!(!fails(check_perf(&fast, &base, false)));
+    }
+
+    #[test]
+    fn perf_gate_prints_the_median_ratio_and_warns_on_a_stale_baseline() {
+        let base = artifact(
+            true,
+            &[
+                ("a", 1000.0, "fnv1a:1"),
+                ("b", 2000.0, "fnv1a:2"),
+                ("c", 400.0, "fnv1a:3"),
+                ("tiny", 50.0, "fnv1a:4"),
+            ],
+        );
+        let median = |v: &Verdict| {
+            v.lines
+                .iter()
+                .find(|l| l.contains("median wall ratio"))
+                .cloned()
+                .unwrap_or_default()
+        };
+        let stale = |v: &Verdict| v.lines.iter().any(|l| l.contains("stale baseline"));
+        // Every timed row more than 35% faster (the sub-floor row does
+        // not count): a warning, not a failure, in both modes.
+        let fast = artifact(
+            true,
+            &[
+                ("a", 300.0, "fnv1a:1"),
+                ("b", 1200.0, "fnv1a:2"),
+                ("c", 200.0, "fnv1a:3"),
+                ("tiny", 50.0, "fnv1a:4"),
+            ],
+        );
+        for checksums_only in [false, true] {
+            let v = check_perf(&fast, &base, checksums_only).unwrap();
+            assert!(!v.failed, "{:?}", v.lines);
+            assert!(stale(&v), "{:?}", v.lines);
+            assert!(
+                median(&v).ends_with("over 3 timed scenarios: 0.50"),
+                "{:?}",
+                v.lines
+            );
+        }
+        // One timed row only 30% faster: no warning.
+        let mixed = fast.replace("\"wall_ms\": 200.0", "\"wall_ms\": 280.0");
+        assert_ne!(mixed, fast);
+        let v = check_perf(&mixed, &base, false).unwrap();
+        assert!(!stale(&v), "{:?}", v.lines);
+        assert!(median(&v).ends_with(": 0.60"), "{:?}", v.lines);
+        // An identical run: ratio 1, no warning.
+        let v = check_perf(&base, &base, false).unwrap();
+        assert!(
+            !stale(&v) && median(&v).ends_with(": 1.00"),
+            "{:?}",
+            v.lines
+        );
     }
 
     const SLO_BASE: &str = "\

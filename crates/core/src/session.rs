@@ -1177,7 +1177,10 @@ impl VehicleSession {
 
         // Network relay.
         if let Some(sw) = self.switcher.as_mut() {
-            sw.tick(t, pos);
+            {
+                let _prof = lgv_trace::prof::scope("net/switcher");
+                sw.tick(t, pos);
+            }
             // Eq. 1b: transmission energy for new uplink bytes.
             let sent = sw.uplink_bytes_sent;
             let delta = (sent - self.prev_uplink_bytes) as usize;

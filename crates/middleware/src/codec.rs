@@ -18,6 +18,16 @@
 //! the message type — which the topic name guarantees, as in ROS.
 //! Encoded sizes feed the bandwidth, UDP-buffer and energy models, so
 //! the golden-byte tests in `tests/golden.rs` pin the format.
+//!
+//! A `Vec<T>` encodes its elements through [`Wire::encode_all`] and
+//! [`Wire::decode_all`], which default to one element at a time. The
+//! fixed-width scalars override them with bulk paths: `u8`s are copied
+//! as one slice (an envelope's payload), and the others are converted
+//! through a stack buffer and read with `chunks_exact` (a map's `i8`
+//! cells, a scan's `f64` ranges). The bytes are the same, and so is
+//! the error on truncated input: the run is cut at the last whole
+//! value and the error names the width the next value needed and the
+//! bytes left, as the element-by-element decode reports them.
 
 pub use bytes::BytesMut;
 
@@ -45,6 +55,27 @@ pub trait Wire: Sized {
     /// Decode one value from the front of `input`, advancing it past
     /// the bytes consumed.
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError>;
+
+    /// Append the encodings of `items` back to back: the body of a
+    /// `Vec<Self>`. Fixed-width scalars override it with bulk copies
+    /// of the same bytes.
+    fn encode_all(items: &[Self], out: &mut BytesMut) {
+        for x in items {
+            x.encode(out);
+        }
+    }
+
+    /// Decode `n` values back to back from the front of `input`: the
+    /// body of a `Vec<Self>`. Fixed-width scalars override it with
+    /// bulk reads that give the same values, and on truncated input
+    /// the same error, as `n` calls to [`Wire::decode`].
+    fn decode_all(input: &mut &[u8], n: usize) -> Result<Vec<Self>, CodecError> {
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(Self::decode(input)?);
+        }
+        Ok(v)
+    }
 }
 
 /// Encode a value into bytes.
@@ -112,12 +143,13 @@ macro_rules! wire_struct {
 
 fn need(input: &[u8], n: usize) -> Result<(), CodecError> {
     if input.len() < n {
-        return Err(CodecError(format!(
-            "unexpected EOF: need {n}, have {}",
-            input.len()
-        )));
+        return Err(eof(n, input.len()));
     }
     Ok(())
+}
+
+fn eof(need: usize, have: usize) -> CodecError {
+    CodecError(format!("unexpected EOF: need {need}, have {have}"))
 }
 
 /// A `u64` length prefix, rejected when it claims more elements than
@@ -145,16 +177,83 @@ macro_rules! wire_scalar {
                 need(input, std::mem::size_of::<$ty>())?;
                 Ok(input.$get())
             }
+
+            fn encode_all(items: &[Self], out: &mut BytesMut) {
+                put_all(items, out, <$ty>::to_le_bytes);
+            }
+
+            fn decode_all(input: &mut &[u8], n: usize) -> Result<Vec<Self>, CodecError> {
+                take_all(input, n, <$ty>::from_le_bytes)
+            }
         }
     )+};
 }
 
 wire_scalar! {
-    u8 => put_u8, get_u8;
     i8 => put_i8, get_i8;
     u32 => put_u32_le, get_u32_le;
     u64 => put_u64_le, get_u64_le;
     f64 => put_f64_le, get_f64_le;
+}
+
+/// Bytes need no conversion: the bulk paths copy the slice itself.
+impl Wire for u8 {
+    fn encode(&self, out: &mut BytesMut) {
+        out.put_u8(*self);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        need(input, 1)?;
+        Ok(input.get_u8())
+    }
+
+    fn encode_all(items: &[Self], out: &mut BytesMut) {
+        out.put_slice(items);
+    }
+
+    fn decode_all(input: &mut &[u8], n: usize) -> Result<Vec<Self>, CodecError> {
+        take_run(input, n, 1).map(<[u8]>::to_vec)
+    }
+}
+
+/// Append fixed-width values `N` bytes each, converted through a stack
+/// buffer so that each `put_slice` copies up to 512 bytes.
+fn put_all<T: Copy, const N: usize>(items: &[T], out: &mut BytesMut, le: fn(T) -> [u8; N]) {
+    let mut buf = [0u8; 512];
+    for chunk in items.chunks(buf.len() / N) {
+        let len = chunk.len() * N;
+        for (dst, &x) in buf[..len].chunks_exact_mut(N).zip(chunk) {
+            dst.copy_from_slice(&le(x));
+        }
+        out.put_slice(&buf[..len]);
+    }
+}
+
+/// Read `n` fixed-width values `N` bytes each.
+fn take_all<T, const N: usize>(
+    input: &mut &[u8],
+    n: usize,
+    le: fn([u8; N]) -> T,
+) -> Result<Vec<T>, CodecError> {
+    let run = take_run(input, n, N)?;
+    Ok(run
+        .chunks_exact(N)
+        .map(|c| le(c.try_into().expect("chunks_exact yields N bytes")))
+        .collect())
+}
+
+/// The bytes of `n` values `width` bytes each from the front of
+/// `input`. Input that holds fewer gives the error the first scalar
+/// decode to run short would, with `input` advanced past the whole
+/// values before it.
+fn take_run<'a>(input: &mut &'a [u8], n: usize, width: usize) -> Result<&'a [u8], CodecError> {
+    let whole = n.min(input.len() / width);
+    let (run, rest) = input.split_at(whole * width);
+    *input = rest;
+    if whole < n {
+        return Err(eof(width, input.len()));
+    }
+    Ok(run)
 }
 
 impl Wire for String {
@@ -176,18 +275,12 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut BytesMut) {
         encode_len(self.len(), out);
-        for x in self {
-            x.encode(out);
-        }
+        T::encode_all(self, out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let n = decode_len(input)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(T::decode(input)?);
-        }
-        Ok(v)
+        T::decode_all(input, n)
     }
 }
 
@@ -420,6 +513,76 @@ mod tests {
         b.push(b'x');
         let r: Result<String, _> = from_bytes(&b);
         assert!(r.is_err());
+    }
+
+    /// The element-by-element `Vec<T>` codec the bulk paths replace.
+    fn reference_encode<T: Wire>(items: &[T]) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        encode_len(items.len(), &mut out);
+        for x in items {
+            x.encode(&mut out);
+        }
+        out.to_vec()
+    }
+
+    fn reference_decode<T: Wire>(input: &mut &[u8]) -> Result<Vec<T>, CodecError> {
+        let n = decode_len(input)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::decode(input)?);
+        }
+        Ok(v)
+    }
+
+    /// Bulk and reference encodings of `items` are the same bytes, and
+    /// every prefix of them decodes to the same values (compared by
+    /// `key`), the same error and the same unread rest.
+    fn bulk_matches_reference<T: Wire + Clone>(items: &[T], key: fn(&T) -> u64) {
+        let wire = to_bytes(&items.to_vec()).unwrap();
+        assert_eq!(wire[..], reference_encode(items)[..]);
+        let keys = |r: Result<Vec<T>, CodecError>| r.map(|v| v.iter().map(key).collect::<Vec<_>>());
+        for len in 0..=wire.len() {
+            let (mut bulk, mut reference) = (&wire[..len], &wire[..len]);
+            assert_eq!(
+                keys(Vec::<T>::decode(&mut bulk)),
+                keys(reference_decode(&mut reference)),
+                "prefix of {len} bytes"
+            );
+            assert_eq!(bulk, reference, "unread rest of a {len}-byte prefix");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        fn bulk_vec_codec_matches_the_element_by_element_codec(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+            cells in proptest::collection::vec(proptest::prelude::any::<i8>(), 0..80),
+            // Any bit pattern, NaNs and signed zeros included.
+            ranges in proptest::collection::vec(proptest::prelude::any::<f64>(), 0..80),
+            counts in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..80),
+        ) {
+            bulk_matches_reference(&bytes, |&b| u64::from(b));
+            bulk_matches_reference(&cells, |&c| c as u64);
+            bulk_matches_reference(&ranges, |r| r.to_bits());
+            bulk_matches_reference(&counts, |&c| u64::from(c));
+        }
+    }
+
+    #[test]
+    fn bulk_decode_of_a_short_run_reports_the_next_value() {
+        // Three f64s claimed, 20 bytes left: two decode, the third
+        // finds 4 of its 8 bytes.
+        let mut b = 3u64.to_le_bytes().to_vec();
+        b.extend_from_slice(&[0; 20]);
+        let e = from_bytes::<Vec<f64>>(&b).unwrap_err();
+        assert_eq!(e.0, "unexpected EOF: need 8, have 4");
+        let mut short: &[u8] = &[1, 2, 3];
+        assert_eq!(
+            u8::decode_all(&mut short, 5).unwrap_err().0,
+            "unexpected EOF: need 1, have 0"
+        );
+        assert!(short.is_empty());
     }
 
     #[test]

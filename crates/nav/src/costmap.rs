@@ -46,10 +46,11 @@
 //!
 //! Trajectory checks ask [`Costmap::footprint_collides`] whether a disc
 //! overlaps a blocked cell. A `ClearanceWindow` answers most of those
-//! questions up front: it holds the exact Chebyshev clearance of every
-//! cell near the robot, and a disc centred in a cell with enough
-//! clearance cannot collide. `Costmap` owns the rule for what counts as
-//! blocked in both places.
+//! questions up front: it holds the exact Chebyshev clearance and the
+//! cost of every cell near the robot, a disc centred in a cell with
+//! enough clearance cannot collide, and where the scan still runs it
+//! skips the cells the clearance proves unblocked. `Costmap` owns the
+//! rule for what counts as blocked in both places.
 
 use lgv_types::prelude::*;
 use std::ops::ControlFlow;
@@ -174,20 +175,33 @@ impl Costmap {
     /// Is the disc of radius `r` centred at `p` in collision with a
     /// lethal cell (used for trajectory feasibility)?
     pub fn footprint_collides(&self, p: Point2, r: f64) -> bool {
+        self.footprint_collides_beyond(p, r, GridIndex::new(0, 0), 0)
+    }
+
+    /// [`Costmap::footprint_collides`] without looking at the box cells
+    /// less than `k` cells (Chebyshev) from `centre`, which the caller
+    /// knows are unblocked. The answer is the same: the scan only asks
+    /// whether *some* blocked cell is close enough, and the skipped
+    /// cells are not blocked.
+    fn footprint_collides_beyond(&self, p: Point2, r: f64, centre: GridIndex, k: i32) -> bool {
         let lo = self.dims.world_to_grid(Point2::new(p.x - r, p.y - r));
         let hi = self.dims.world_to_grid(Point2::new(p.x + r, p.y + r));
-        for row in lo.row..=hi.row {
-            for col in lo.col..=hi.col {
+        let hits = |row: i32, cols: std::ops::RangeInclusive<i32>| {
+            cols.into_iter().any(|col| {
                 let idx = GridIndex::new(col, row);
-                if self.blocked(idx) {
-                    let c = self.dims.grid_to_world(idx);
-                    if c.distance(p) <= r + self.dims.resolution * 0.71 {
-                        return true;
-                    }
-                }
+                self.blocked(idx)
+                    && self.dims.grid_to_world(idx).distance(p) <= r + self.dims.resolution * 0.71
+            })
+        };
+        (lo.row..=hi.row).any(|row| {
+            if k > 0 && (i64::from(row) - i64::from(centre.row)).abs() < i64::from(k) {
+                // The row crosses the hole: scan its two ends.
+                hits(row, lo.col..=hi.col.min(centre.col.saturating_sub(k)))
+                    || hits(row, lo.col.max(centre.col.saturating_add(k))..=hi.col)
+            } else {
+                hits(row, lo.col..=hi.col)
             }
-        }
-        false
+        })
     }
 
     /// Replace the static layer (exploration: SLAM publishes a fresh
@@ -273,10 +287,13 @@ impl Costmap {
         let scaling = self.cfg.cost_scaling as f32;
         let mut memo = InflationMemo::new();
         let master = Arc::make_mut(&mut self.master);
-        #[allow(clippy::needless_range_loop)] // reads dist, writes master
-        for i in 0..n {
-            let d = dist[i];
-            master[i] = if d <= 0.0 {
+        let cells = master
+            .iter_mut()
+            .zip(&dist)
+            .zip(&map.cells)
+            .zip(&self.mark_age);
+        for (((m, &d), &cell), &age) in cells {
+            *m = if d <= 0.0 {
                 COST_LETHAL
             } else if d <= inscribed {
                 COST_INSCRIBED
@@ -285,7 +302,7 @@ impl Costmap {
                     let factor = (-scaling * (d - inscribed)).exp().clamp(0.0, 1.0);
                     (factor * COST_FREE_MAX as f32) as u8
                 })
-            } else if map.cells[i] == MapMsg::UNKNOWN && self.mark_age[i] == 0 {
+            } else if cell == MapMsg::UNKNOWN && age == 0 {
                 COST_UNKNOWN
             } else {
                 0
@@ -356,39 +373,34 @@ impl Costmap {
         let cols = (hi_col - lo_col + 1).max(0) as usize;
         let rows = (hi_row - lo_row + 1).max(0) as usize;
 
-        // Chessboard distance transform over the window plus a one-cell
-        // blocked border, two passes with the 3×3 mask (exact for the
-        // Chebyshev metric).
+        // The window's costs, copied row by row from the master grid,
+        // and their chessboard distance transform over the window plus
+        // a one-cell blocked border: two passes with the 3×3 mask
+        // (exact for the Chebyshev metric), each run the way `chamfer`
+        // runs its passes. Saturating `u8` `min`s are exact in any
+        // order.
         let stride = cols + 2;
+        let mut cost = vec![COST_LETHAL; stride * (rows + 2)];
         let mut clear = vec![0u8; stride * (rows + 2)];
-        for r in 0..rows {
-            for col in 0..cols {
-                let idx = GridIndex::new((lo_col + col as i64) as i32, (lo_row + r as i64) as i32);
-                if !self.blocked(idx) {
-                    clear[(r + 1) * stride + col + 1] = u8::MAX;
+        if cols > 0 {
+            let width = self.dims.width as usize;
+            for r in 0..rows {
+                let from = (lo_row as usize + r) * width + lo_col as usize;
+                let src = &self.master[from..from + cols];
+                let at = (r + 1) * stride + 1;
+                cost[at..at + cols].copy_from_slice(src);
+                for (d, &c) in clear[at..at + cols].iter_mut().zip(src) {
+                    *d = if c >= COST_INSCRIBED { 0 } else { u8::MAX };
                 }
             }
         }
-        let step = |d: u8| d.saturating_add(1);
         for r in 1..=rows {
-            for col in 1..=cols {
-                let i = r * stride + col;
-                clear[i] = clear[i]
-                    .min(step(clear[i - 1]))
-                    .min(step(clear[i - stride - 1]))
-                    .min(step(clear[i - stride]))
-                    .min(step(clear[i - stride + 1]));
-            }
+            let (done, rest) = clear.split_at_mut(r * stride);
+            chessboard_row(&mut rest[..stride], &done[(r - 1) * stride..], false);
         }
         for r in (1..=rows).rev() {
-            for col in (1..=cols).rev() {
-                let i = r * stride + col;
-                clear[i] = clear[i]
-                    .min(step(clear[i + 1]))
-                    .min(step(clear[i + stride - 1]))
-                    .min(step(clear[i + stride]))
-                    .min(step(clear[i + stride + 1]));
-            }
+            let (head, done) = clear.split_at_mut((r + 1) * stride);
+            chessboard_row(&mut head[r * stride..], &done[..stride], true);
         }
         ClearanceWindow {
             cm: self,
@@ -397,16 +409,43 @@ impl Costmap {
             stride,
             rows: rows + 2,
             clear,
+            cost,
             free_above,
         }
     }
 }
 
-/// Chebyshev clearance of the cells around a point: the chessboard
-/// distance, in cells, from each cell to the nearest blocked one
-/// (`cost >= COST_INSCRIBED`, which includes cells off the map). Every
-/// cell outside the window counts as blocked, so a clearance never
-/// over-estimates.
+/// One row of a chessboard pass over a bordered window: fold in the
+/// three neighbours from the adjacent row `adj` already swept, then
+/// chain along the row, left to right or (`backward`) right to left.
+/// The border cells at either end stay as they are.
+fn chessboard_row(cur: &mut [u8], adj: &[u8], backward: bool) {
+    let n = cur.len() - 2;
+    let inner = cur[1..=n].iter_mut();
+    for (((d, &a), &b), &c) in inner.zip(&adj[..n]).zip(&adj[1..=n]).zip(&adj[2..]) {
+        *d = (*d).min(a.min(b).min(c).saturating_add(1));
+    }
+    let chain = |run: &mut u8, d: &mut u8| {
+        *run = (*d).min(run.saturating_add(1));
+        *d = *run;
+    };
+    if backward {
+        let mut run = cur[n + 1];
+        cur[1..=n].iter_mut().rev().for_each(|d| chain(&mut run, d));
+    } else {
+        let mut run = cur[0];
+        cur[1..=n].iter_mut().for_each(|d| chain(&mut run, d));
+    }
+}
+
+/// Chebyshev clearance and cost of the cells around a point. The
+/// clearance is the chessboard distance, in cells, from each cell to
+/// the nearest blocked one (`cost >= COST_INSCRIBED`, which includes
+/// cells off the map). Every cell outside the window counts as
+/// blocked, so a clearance never over-estimates. The window also keeps
+/// a copy of each cell's cost, so one index answers both questions the
+/// DWA asks of a pose; only the window's border and cells beyond it
+/// fall back to the [`Costmap`].
 ///
 /// **The box's reach.** [`Costmap::footprint_collides`] for a disc of
 /// radius `r` at `p` scans the box `[world_to_grid(p − r),
@@ -425,8 +464,19 @@ impl Costmap {
 /// `k` is 3, not the 4 of the looser `⌈q⌉ + 1`.
 ///
 /// A centre cell whose clearance exceeds `k` therefore cannot collide,
-/// and [`ClearanceWindow::footprint_collides`] skips the scan there;
-/// every other cell still gets it.
+/// and [`ClearanceWindow::probe`] skips the scan there.
+///
+/// **The ring skip.** Where the centre cell's clearance `c` is at most
+/// `k`, the scan still runs, but every cell less than `c` cells
+/// (Chebyshev) from the centre is unblocked: were one blocked, the
+/// centre's clearance would be below `c`. The scan asks only whether
+/// some blocked cell of the box is near enough to the pose, so leaving
+/// out cells known to be unblocked cannot change its answer, and it
+/// looks only at the ring of the box at distance `c` or more. At the
+/// default radius (`q = 2.2`) the box is 5 or 6 cells a side, reaching
+/// 3 cells from the centre on at most one side per axis, so at
+/// clearance 3, where most scanned poses sit, at most 11 of its up to
+/// 36 cells are left to look at, and often none.
 #[derive(Debug, Clone)]
 pub(crate) struct ClearanceWindow<'a> {
     cm: &'a Costmap,
@@ -438,32 +488,51 @@ pub(crate) struct ClearanceWindow<'a> {
     rows: usize,
     /// Row-major clearances, saturating at `u8::MAX`.
     clear: Vec<u8>,
+    /// Row-major master-grid costs; the border's entries are unused.
+    cost: Vec<u8>,
     /// `k`: clearances above this rule out a collision.
     free_above: u32,
 }
 
 impl ClearanceWindow<'_> {
-    /// Same answer as [`Costmap::footprint_collides`] with the window's
-    /// radius, without the scan when the clearance of `cell` rules a
-    /// collision out. `cell` must be `world_to_grid(p)`, which the
-    /// caller has already computed.
-    pub(crate) fn footprint_collides(&self, p: Point2, cell: GridIndex) -> bool {
+    /// `None` when a disc of the window's radius at `p` collides (the
+    /// answer of [`Costmap::footprint_collides`]), else the cost of
+    /// `cell` ([`Costmap::cost`]). `cell` must be `world_to_grid(p)`,
+    /// which the caller has already computed.
+    pub(crate) fn probe(&self, p: Point2, cell: GridIndex) -> Option<u8> {
         debug_assert_eq!(cell, self.cm.dims.world_to_grid(p));
-        !self.rules_out_collision(cell) && self.cm.footprint_collides(p, self.radius)
+        let Some(i) = self.inner_index(cell) else {
+            let collides = self.cm.footprint_collides(p, self.radius);
+            return (!collides).then(|| self.cm.cost(cell));
+        };
+        let k = self.clear[i];
+        let collides = u32::from(k) <= self.free_above
+            && self
+                .cm
+                .footprint_collides_beyond(p, self.radius, cell, i32::from(k));
+        (!collides).then_some(self.cost[i])
+    }
+
+    /// Flat index of `idx` when it lies inside the window's border.
+    fn inner_index(&self, idx: GridIndex) -> Option<usize> {
+        // Offsets from the first inner cell; a cell before it wraps
+        // round to a huge value.
+        let col = (i64::from(idx.col) - i64::from(self.origin.col) - 1) as u64;
+        let row = (i64::from(idx.row) - i64::from(self.origin.row) - 1) as u64;
+        let inside = col < (self.stride - 2) as u64 && row < (self.rows - 2) as u64;
+        inside.then(|| (row as usize + 1) * self.stride + col as usize + 1)
     }
 
     /// Chebyshev clearance of `idx` in cells; 0 outside the window.
+    #[cfg(test)]
     fn clearance(&self, idx: GridIndex) -> u8 {
-        let col = idx.col as i64 - self.origin.col as i64;
-        let row = idx.row as i64 - self.origin.row as i64;
-        if col < 0 || row < 0 || col >= self.stride as i64 || row >= self.rows as i64 {
-            return 0;
-        }
-        self.clear[row as usize * self.stride + col as usize]
+        // The border's clearances are 0 too.
+        self.inner_index(idx).map_or(0, |i| self.clear[i])
     }
 
     /// Is `footprint_collides` certainly `false` for every disc centred
     /// in cell `idx`?
+    #[cfg(test)]
     fn rules_out_collision(&self, idx: GridIndex) -> bool {
         self.clearance(idx) as u32 > self.free_above
     }
@@ -924,11 +993,8 @@ mod tests {
             for _ in 0..300 {
                 let p = random_point(&mut rng, &dims, centre, reach + 0.5);
                 let c = dims.world_to_grid(p);
-                proptest::prop_assert_eq!(
-                    window.footprint_collides(p, c),
-                    cm.footprint_collides(p, r),
-                    "at {:?} r={}", p, r
-                );
+                let expected = (!cm.footprint_collides(p, r)).then(|| cm.cost(c));
+                proptest::prop_assert_eq!(window.probe(p, c), expected, "at {:?} r={}", p, r);
                 // The box's reach bound itself, blocked cells or not,
                 // for every pose whose cell the window covers.
                 let (col, row) = (c.col - window.origin.col, c.row - window.origin.row);
@@ -943,6 +1009,48 @@ mod tests {
                         reach as u32 <= window.free_above,
                         "box at {:?} r={} reaches {} cells", p, r, reach
                     );
+                }
+            }
+        }
+
+        fn probe_matches_the_costmap_inside_on_and_beyond_the_border(seed in 0u64..1_000_000) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let cm = random_costmap(&mut rng);
+            let dims = *cm.dims();
+            let centre = dims.grid_to_world(GridIndex::new(
+                rng.index(dims.width as usize) as i32,
+                rng.index(dims.height as usize) as i32,
+            ));
+            let r = (1 + rng.index(3)) as f64 * dims.resolution;
+            let r = [r.next_down(), r, r.next_up(), rng.uniform_range(0.05, 0.2)][rng.index(4)];
+            let window = cm.clearance_window(centre, rng.uniform_range(0.0, 0.6), r);
+            let o = window.origin;
+            // Every cell of the bordered window and one ring beyond it,
+            // each at its centre and at a random point inside it.
+            for row in o.row - 1..=o.row + window.rows as i32 {
+                for col in o.col - 1..=o.col + window.stride as i32 {
+                    let corner = dims.grid_to_world(GridIndex::new(col, row));
+                    let half = dims.resolution * 0.5;
+                    let jitter = Point2::new(
+                        corner.x + rng.uniform_range(-half, half),
+                        corner.y + rng.uniform_range(-half, half),
+                    );
+                    for p in [corner, jitter] {
+                        let c = dims.world_to_grid(p);
+                        let expected = (!cm.footprint_collides(p, r)).then(|| cm.cost(c));
+                        proptest::prop_assert_eq!(window.probe(p, c), expected, "at {:?} r={}", p, r);
+                        // Every hole the clearance licenses leaves the
+                        // scan's answer as it is.
+                        if let Some(i) = window.inner_index(c) {
+                            for k in 0..=window.clear[i].min(window.free_above as u8) {
+                                proptest::prop_assert_eq!(
+                                    cm.footprint_collides_beyond(p, r, c, i32::from(k)),
+                                    cm.footprint_collides(p, r),
+                                    "at {:?} r={} hole {}", p, r, k
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -19,16 +19,32 @@
 //! own slot and the reduction runs serially over all of them, so the
 //! twist, score and `Work` are the same at every thread count.
 //!
-//! **Footprint pre-check.** Each activation first builds one
+//! **Footprint probe.** Each activation first builds one
 //! `ClearanceWindow` around the robot, sized to the farthest pose any
-//! rollout can reach. The footprint box of radius `r` reaches at most
+//! rollout can reach. It holds a copy of the costs there and each
+//! cell's Chebyshev clearance, so one lookup per rollout pose answers
+//! both "does the footprint collide?" and "what does the pose's cell
+//! cost?". The footprint box of radius `r` reaches at most
 //! `⌊r / res⌋ + 1` cells from the pose's cell, so a pose whose cell has
-//! more Chebyshev clearance than that cannot collide and skips the
-//! scan; at the costmap's default inscribed radius `r = 0.11 m` on a
-//! 5 cm grid that is clearance above 3. Only the remaining poses pay
-//! for the full [`Costmap::footprint_collides`] scan. The pre-check
-//! only skips scans whose answer is already known, so scores,
-//! feasibility and the modelled `Work` are unchanged.
+//! more clearance than that cannot collide and skips the scan; at the
+//! costmap's default inscribed radius `r = 0.11 m` on a 5 cm grid that
+//! is clearance above 3. The remaining poses pay for the
+//! [`Costmap::footprint_collides`] scan, less the cells within their
+//! clearance, which cannot be blocked. The probe only skips work whose
+//! answer is already known, so scores, feasibility and the modelled
+//! `Work` are unchanged.
+//!
+//! **Clearance term.** The score's clearance term is the minimum over
+//! a rollout's poses of `f(c) = 1 − min(c, 253) / 253` for each pose's
+//! cost `c`, clamped to `[0, 1]`. IEEE division by a positive constant
+//! and subtraction from a constant are monotone, so `f` never increases
+//! with `c`, and the minimum of the `f(cᵢ)` is `f(max cᵢ)`: the same
+//! value, bit for bit, since it is one of the values the minimum
+//! chooses from. The rollout therefore folds the integer
+//! `max(min(c, 253))` and evaluates `f` once per candidate. The fold
+//! starts at 0; every feasible candidate runs at least one step, and
+//! even with none `f(0) = 1` is what the clamp makes of an empty
+//! minimum (`+∞`).
 //!
 //! A rollout's heading sequence depends only on its angular velocity
 //! ω, not on v, and the candidates form an `nv × nw` grid, so every ω
@@ -47,7 +63,7 @@
 //! `sin(θₖ + ω·dt)`. A straight step (|ω| < 1e-9) stores
 //! `normalize_angle(θₖ)` as its next heading for the same reason.
 
-use crate::costmap::{ClearanceWindow, Costmap};
+use crate::costmap::{ClearanceWindow, Costmap, COST_INSCRIBED};
 use lgv_sim::vehicle::{MAX_ANGULAR, MAX_ANG_ACCEL, MAX_LINEAR, MAX_LIN_ACCEL};
 use lgv_slam::pool::ParallelExecutor;
 use lgv_types::prelude::*;
@@ -212,6 +228,18 @@ impl DwaPlanner {
         path: &PathMsg,
         goal: Point2,
     ) -> DwaResult {
+        self.compute_scored_by(cm, pose, path, goal, score_trajectory)
+    }
+
+    /// [`DwaPlanner::compute`] with each candidate scored by `score`.
+    fn compute_scored_by(
+        &mut self,
+        cm: &Costmap,
+        pose: Pose2D,
+        path: &PathMsg,
+        goal: Point2,
+        score: impl Fn(&Activation, Candidate) -> Candidate + Sync,
+    ) -> DwaResult {
         let cfg = &self.cfg;
         let dt_cycle = 0.2; // command period the window opens over (5 Hz)
         let v_lo = (self.last.linear - MAX_LIN_ACCEL * dt_cycle).max(0.0);
@@ -249,15 +277,21 @@ impl DwaPlanner {
         let steps = (SIM_HORIZON / SIM_DT).round() as u32;
         let radius = cm.config().inscribed_radius;
         let reach = v_lo.abs().max(v_hi.abs()) * steps as f64 * SIM_DT + radius;
-        let window = cm.clearance_window(pose.position(), reach, radius);
-        let headings = HeadingTable::new(pose.theta, &omegas, SIM_DT, steps as usize);
+        let activation = Activation {
+            max_linear: cfg.max_linear,
+            cm,
+            window: cm.clearance_window(pose.position(), reach, radius),
+            headings: HeadingTable::new(pose.theta, &omegas, SIM_DT, steps as usize),
+            pose,
+            path,
+            target,
+        };
 
         // Parallel scoring (paper Fig. 5): the threads claim chunks of
         // candidates.
-        let cfg_ref = &self.cfg;
         self.executor.run_chunks(&mut candidates, |chunk| {
             for c in chunk.iter_mut() {
-                *c = score_trajectory(cfg_ref, cm, &window, &headings, pose, path, target, *c);
+                *c = score(&activation, *c);
             }
         });
 
@@ -294,50 +328,53 @@ impl DwaPlanner {
     }
 }
 
-/// Forward-simulate one candidate along its row of `headings` and
-/// score it. `window` answers the footprint check on `cm` for its
-/// inscribed radius.
-#[allow(clippy::too_many_arguments)]
-fn score_trajectory(
-    cfg: &DwaConfig,
-    cm: &Costmap,
-    window: &ClearanceWindow,
-    headings: &HeadingTable,
+/// What every candidate of one activation is scored against.
+struct Activation<'a> {
+    /// The linear velocity cap the speed term is scaled by.
+    max_linear: f64,
+    cm: &'a Costmap,
+    /// Footprint checks and costs on `cm`, for its inscribed radius.
+    window: ClearanceWindow<'a>,
+    headings: HeadingTable,
     pose: Pose2D,
-    path: &PathMsg,
-    goal: Point2,
-    candidate: Candidate,
-) -> Candidate {
+    path: &'a PathMsg,
+    /// The carrot the progress term measures towards.
+    target: Point2,
+}
+
+/// Forward-simulate one candidate along its row of headings and score
+/// it. The clearance term is `1 − c / 253` for the largest cost `c`
+/// (capped at 253) the rollout passes; see the [module docs](self).
+fn score_trajectory(a: &Activation, candidate: Candidate) -> Candidate {
     let v = candidate.v;
-    let dims = cm.dims();
-    let mut end = pose.position();
-    let mut min_clearance = f64::INFINITY;
+    let dims = a.cm.dims();
+    let mut end = a.pose.position();
+    let mut worst = 0u8;
     let mut executed = 0u32;
-    for p in headings.rollout(pose.position(), v, candidate.wi) {
+    for p in a.headings.rollout(a.pose.position(), v, candidate.wi) {
         executed += 1;
         end = p.position();
-        let cell = dims.world_to_grid(end);
-        if window.footprint_collides(end, cell) {
+        let Some(cost) = a.window.probe(end, dims.world_to_grid(end)) else {
             return Candidate {
                 score: f64::NEG_INFINITY,
                 feasible: false,
                 steps: executed,
                 ..candidate
             };
-        }
-        let c = cm.cost(cell);
-        min_clearance = min_clearance.min(1.0 - c.min(253) as f64 / 253.0);
+        };
+        worst = worst.max(cost.min(COST_INSCRIBED));
     }
+    let clearance = 1.0 - worst as f64 / COST_INSCRIBED as f64;
 
-    let path_dist = nearest_path_distance(path, end);
-    let goal_dist = end.distance(goal);
-    let start_goal_dist = pose.position().distance(goal);
+    let path_dist = nearest_path_distance(a.path, end);
+    let goal_dist = end.distance(a.target);
+    let start_goal_dist = a.pose.position().distance(a.target);
     let progress = start_goal_dist - goal_dist;
 
     let score = -W_PATH * path_dist
         + W_GOAL * progress
-        + W_CLEAR * min_clearance.clamp(0.0, 1.0)
-        + W_SPEED * (v / cfg.max_linear.max(1e-9));
+        + W_CLEAR * clearance.clamp(0.0, 1.0)
+        + W_SPEED * (v / a.max_linear.max(1e-9));
     Candidate {
         score,
         feasible: true,
@@ -712,6 +749,114 @@ mod tests {
         let r = dwa.compute(&cm, pose, &straight_path(2.0), Point2::new(5.0, 2.0));
         let g = r.work.total_cycles() / 1e9;
         assert!((0.15..0.45).contains(&g), "per-activation Gcycles {g}");
+    }
+
+    /// The per-candidate scorer `score_trajectory` replaced: a full
+    /// footprint scan and a second cost lookup at every pose, and a
+    /// floating-point minimum of the clearance term.
+    fn reference_score(a: &Activation, candidate: Candidate) -> Candidate {
+        let v = candidate.v;
+        let dims = a.cm.dims();
+        let radius = a.cm.config().inscribed_radius;
+        let mut end = a.pose.position();
+        let mut min_clearance = f64::INFINITY;
+        let mut executed = 0u32;
+        for p in a.headings.rollout(a.pose.position(), v, candidate.wi) {
+            executed += 1;
+            end = p.position();
+            let cell = dims.world_to_grid(end);
+            if a.cm.footprint_collides(end, radius) {
+                return Candidate {
+                    score: f64::NEG_INFINITY,
+                    feasible: false,
+                    steps: executed,
+                    ..candidate
+                };
+            }
+            let c = a.cm.cost(cell);
+            min_clearance = min_clearance.min(1.0 - c.min(253) as f64 / 253.0);
+        }
+        let path_dist = nearest_path_distance(a.path, end);
+        let progress = a.pose.position().distance(a.target) - end.distance(a.target);
+        let score = -W_PATH * path_dist
+            + W_GOAL * progress
+            + W_CLEAR * min_clearance.clamp(0.0, 1.0)
+            + W_SPEED * (v / a.max_linear.max(1e-9));
+        Candidate {
+            score,
+            feasible: true,
+            steps: executed,
+            ..candidate
+        }
+    }
+
+    /// A 60 × 50 map with random clutter, unknown patches and a wall
+    /// through it, so rollouts meet collisions and every cost band.
+    fn cluttered_map(rng: &mut SimRng) -> MapMsg {
+        let (w, h) = (60usize, 50usize);
+        let mut m = open_map(w as u32, h as u32);
+        let density = rng.uniform_range(0.0, 0.06);
+        let wall = rng.index(w);
+        for (i, c) in m.cells.iter_mut().enumerate() {
+            let (col, row) = (i % w, i / w);
+            if rng.chance(density) || (col == wall && row % 17 > 4) {
+                *c = MapMsg::OCCUPIED;
+            } else if rng.chance(0.03) {
+                *c = MapMsg::UNKNOWN;
+            }
+        }
+        m
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        fn probe_scoring_matches_the_reference_scorer(seed in 0u64..1_000_000) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let cm = Costmap::from_map(CostmapConfig::default(), &cluttered_map(&mut rng));
+            // Poses anywhere on the map and a little beyond its edges.
+            let pose = Pose2D::new(
+                rng.uniform_range(-0.2, 3.2),
+                rng.uniform_range(-0.2, 2.7),
+                rng.uniform_range(-std::f64::consts::PI, std::f64::consts::PI),
+            );
+            let point = |rng: &mut SimRng| {
+                Point2::new(rng.uniform_range(0.0, 3.0), rng.uniform_range(0.0, 2.5))
+            };
+            let path = PathMsg {
+                stamp: SimTime::EPOCH,
+                waypoints: (0..rng.index(4)).map(|_| point(&mut rng)).collect(),
+            };
+            let goal = point(&mut rng);
+            let samples = 12 + rng.index(600) as u32;
+            let cap = [0.0, 0.1, MAX_LINEAR, 0.6, 1.2][rng.index(5)];
+            let max_angular = rng.uniform_range(0.0, MAX_ANGULAR);
+            let last = Twist::new(rng.uniform_range(0.0, 1.2), rng.uniform_range(-2.0, 2.0));
+            let run = |threads: usize, score: fn(&Activation, Candidate) -> Candidate| {
+                let mut dwa = DwaPlanner::new(DwaConfig {
+                    samples,
+                    ..Default::default()
+                });
+                dwa.set_threads(threads);
+                dwa.set_max_linear(cap);
+                dwa.set_max_angular(max_angular);
+                dwa.last = last;
+                // Two activations, the second from the first's command.
+                [(); 2].map(|_| {
+                    let r = dwa.compute_scored_by(&cm, pose, &path, goal, score);
+                    (
+                        [r.twist.linear, r.twist.angular, r.score].map(f64::to_bits),
+                        (r.evaluated, r.discarded),
+                        [r.work.serial_cycles, r.work.parallel_cycles].map(f64::to_bits),
+                        r.work.parallel_items,
+                    )
+                })
+            };
+            let want = run(1, reference_score);
+            for threads in [1, 2, 8] {
+                proptest::prop_assert_eq!(run(threads, score_trajectory), want, "{} threads", threads);
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! ## Naming convention
 //!
 //! `subsystem/kernel`, lowercase, `_`-separated words: `sim/raycast`,
-//! `slam/scan_match`, `net/channel_tick`, `fleet/round`,
+//! `slam/scan_match`, `net/switcher`, `net/channel_tick`, `fleet/round`,
 //! `mission/cycle`. Scenario roots use the bare scenario name
 //! (`fig13`). Semicolons are reserved (folded-stack separator) and are
 //! replaced with `_` on export.
