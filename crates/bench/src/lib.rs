@@ -250,4 +250,33 @@ mod tests {
             let _ = std::fs::remove_file(path);
         }
     }
+
+    #[test]
+    fn rows_wider_than_the_header_still_align() {
+        let mut t = TablePrinter::new(vec!["a", "b"]);
+        t.row(vec!["1", "2", "xyz"]);
+        let mut out = Vec::new();
+        t.write_to(&mut out).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "a  b\n-----------\n1  2  xyz\n"
+        );
+    }
+
+    #[test]
+    fn csv_quotes_embedded_line_breaks() {
+        let mut t = TablePrinter::new(vec!["note"]);
+        t.row(vec!["two\nlines"]);
+        assert_eq!(t.to_csv(), "note\n\"two\nlines\"\n");
+    }
+
+    #[test]
+    fn banner_frames_the_title_and_the_claim() {
+        let mut out = Vec::new();
+        write_banner(&mut out, "Fig. 12", "4-5x faster").unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "\n==== Fig. 12 ====\npaper: 4-5x faster\n\n"
+        );
+    }
 }

@@ -258,4 +258,41 @@ mod tests {
             "without-map total {total_nomap}"
         );
     }
+
+    fn profile(kind: NodeKind, cycles: f64) -> NodeProfile {
+        NodeProfile {
+            kind,
+            work: Work::serial(cycles),
+            rate_hz: 1.0,
+        }
+    }
+
+    #[test]
+    fn the_ecn_share_threshold_is_inclusive() {
+        let c = classify(&[
+            profile(NodeKind::Exploration, 10.0),
+            profile(NodeKind::Slam, 90.0),
+        ]);
+        assert_eq!(
+            c.ecn,
+            NodeSet::from_iter([NodeKind::Exploration, NodeKind::Slam])
+        );
+        let c = classify(&[
+            profile(NodeKind::Exploration, 9.9),
+            profile(NodeKind::Slam, 90.1),
+        ]);
+        assert_eq!(c.ecn, NodeSet::single(NodeKind::Slam));
+    }
+
+    #[test]
+    fn idle_nodes_are_never_ecn_but_keep_their_vdp_quadrant() {
+        let c = classify(&[
+            profile(NodeKind::CostmapGen, 0.0),
+            profile(NodeKind::PathPlanning, 0.0),
+        ]);
+        assert!(c.ecn.is_empty());
+        assert_eq!(c.t2, NodeSet::single(NodeKind::CostmapGen));
+        assert_eq!(c.t4, NodeSet::single(NodeKind::PathPlanning));
+        assert!(c.t1.is_empty() && c.t3.is_empty());
+    }
 }

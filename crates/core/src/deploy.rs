@@ -91,13 +91,6 @@ impl Deployment {
         Platform::preset(PlatformKind::Turtlebot3)
     }
 
-    /// All three Table III platform tiers, in `PlatformKind::ALL`
-    /// order (Turtlebot3, edge gateway, cloud server) — the single
-    /// construction point for benches that sweep the tiers.
-    pub fn tiers() -> [Platform; 3] {
-        PlatformKind::ALL.map(Platform::preset)
-    }
-
     /// Whether any offloading happens at all.
     pub fn offloaded(&self) -> bool {
         self.site.is_some()
@@ -117,15 +110,6 @@ mod tests {
         assert_eq!(set[2].threads, 8);
         assert_eq!(set[4].threads, 12);
         assert_eq!(set[4].site, Some(RemoteSite::CloudServer));
-    }
-
-    #[test]
-    fn tiers_cover_table_three_in_order() {
-        let tiers = Deployment::tiers();
-        assert_eq!(tiers.len(), PlatformKind::ALL.len());
-        for (t, k) in tiers.iter().zip(PlatformKind::ALL) {
-            assert_eq!(t.kind, k);
-        }
         assert_eq!(Deployment::local_platform().kind, PlatformKind::Turtlebot3);
     }
 
@@ -142,6 +126,21 @@ mod tests {
         assert_eq!(
             Deployment::cloud().remote_platform().kind,
             PlatformKind::CloudServer
+        );
+    }
+
+    #[test]
+    fn labels_are_unique_and_only_the_robot_runs_on_board() {
+        let set = Deployment::evaluation_set();
+        let labels: std::collections::BTreeSet<_> = set.iter().map(|d| d.label).collect();
+        assert_eq!(labels.len(), set.len());
+        for d in set {
+            assert_eq!(d.offloaded(), d.label != "LGV", "{}", d.label);
+            assert_eq!(d.remote_platform().kind, d.platform_kind());
+        }
+        assert_eq!(
+            Deployment::local_platform(),
+            Deployment::local().remote_platform()
         );
     }
 }

@@ -141,12 +141,6 @@ impl RegionTopology {
         self
     }
 
-    /// Override the per-admission WAN surcharge.
-    pub fn with_wan_hop(mut self, hop: Duration) -> Self {
-        self.wan_hop = hop;
-        self
-    }
-
     /// Effective `(regions, pools)` for a fleet of `size` vehicles:
     /// regions clamp to `[1, size]`, pools to `[1, regions]`.
     fn effective(&self, size: u64) -> (u32, u32) {
@@ -558,6 +552,7 @@ mod tests {
     use super::*;
     use crate::deploy::Deployment;
     use crate::mission::Workload;
+    use crate::session::Localizer;
 
     #[test]
     fn derived_seeds_are_stable_and_distinct() {
@@ -628,7 +623,9 @@ mod tests {
         // The fleet's handle plus exactly one per session: the map in
         // the session, the grid in its AMCL, the table in its lidar. A
         // session that built its own copy would not count here.
-        let amcl_grid = layers.amcl_grid.as_ref().expect("a Navigation fleet");
+        let Localizer::Amcl(amcl_grid) = &layers.localizer else {
+            panic!("a Navigation fleet localizes with AMCL");
+        };
         assert_eq!(std::sync::Arc::strong_count(&layers.known_map), 6);
         assert_eq!(std::sync::Arc::strong_count(amcl_grid), 6);
         assert_eq!(std::sync::Arc::strong_count(&layers.beams), 6);
@@ -654,13 +651,13 @@ mod tests {
         assert_eq!(topo.effective(4), (4, 4));
         let scarce = RegionTopology::sharded(6).with_cloud_pools(2);
         assert_eq!(scarce.effective(100), (6, 2));
-        // Scarce pools imply a WAN hop unless explicitly overridden.
+        // Scarce pools imply a WAN hop unless one is already set.
         assert_eq!(scarce.wan_hop, RegionTopology::DEFAULT_WAN_HOP);
-        assert_eq!(
-            RegionTopology::sharded(4)
-                .with_wan_hop(Duration::ZERO)
-                .wan_hop,
-            Duration::ZERO
-        );
+        let hop = Duration::from_millis(3);
+        let set = RegionTopology {
+            wan_hop: hop,
+            ..RegionTopology::sharded(6)
+        };
+        assert_eq!(set.with_cloud_pools(2).wan_hop, hop);
     }
 }

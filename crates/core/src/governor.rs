@@ -16,7 +16,6 @@
 //! constraint.
 
 use lgv_trace::{TraceEvent, Tracer};
-use lgv_types::prelude::*;
 use std::collections::VecDeque;
 
 /// Sliding window of velocity samples considered.
@@ -102,40 +101,6 @@ impl ThreadGovernor {
             (MIN_THREADS as f64 + t * span).round() as u32
         }
     }
-
-    /// Estimated relative compute-resource saving vs always running at
-    /// the deployment maximum (0 = none, 1 = everything).
-    pub fn resource_saving(&self) -> f64 {
-        1.0 - self.recommend() as f64 / self.max_threads as f64
-    }
-}
-
-/// Summarize per-phase velocity gaps from a mission trace — the data
-/// behind Fig. 14's analysis.
-pub fn gap_by_phase<F>(
-    samples: &[(f64, f64, Point2)],
-    classify: F,
-) -> Vec<(&'static str, f64, f64, usize)>
-where
-    F: Fn(Point2) -> &'static str,
-{
-    let mut acc: Vec<(&'static str, f64, f64, usize)> = Vec::new();
-    for &(vmax, real, pos) in samples {
-        let phase = classify(pos);
-        match acc.iter_mut().find(|(p, ..)| *p == phase) {
-            Some(entry) => {
-                entry.1 += vmax;
-                entry.2 += real;
-                entry.3 += 1;
-            }
-            None => acc.push((phase, vmax, real, 1)),
-        }
-    }
-    for entry in &mut acc {
-        entry.1 /= entry.3 as f64;
-        entry.2 /= entry.3 as f64;
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -153,7 +118,6 @@ mod tests {
             g.observe(0.6, 0.58);
         }
         assert_eq!(g.recommend(), 12);
-        assert_eq!(g.resource_saving(), 0.0);
     }
 
     #[test]
@@ -163,7 +127,6 @@ mod tests {
             g.observe(0.6, 0.1);
         }
         assert_eq!(g.recommend(), 1);
-        assert!(g.resource_saving() > 0.9);
     }
 
     #[test]
@@ -208,17 +171,49 @@ mod tests {
     }
 
     #[test]
-    fn gap_by_phase_averages() {
-        let samples = vec![
-            (0.6, 0.6, Point2::new(1.0, 0.0)),
-            (0.6, 0.2, Point2::new(11.0, 0.0)),
-            (0.6, 0.4, Point2::new(11.0, 0.0)),
-        ];
-        let phases = gap_by_phase(&samples, |p| if p.x < 10.0 { "open" } else { "dense" });
-        assert_eq!(phases.len(), 2);
-        let dense = phases.iter().find(|(p, ..)| *p == "dense").unwrap();
-        assert!((dense.1 - 0.6).abs() < 1e-12);
-        assert!((dense.2 - 0.3).abs() < 1e-12);
-        assert_eq!(dense.3, 2);
+    fn only_the_latest_window_of_samples_counts() {
+        let mut g = governor();
+        for _ in 0..WINDOW {
+            g.observe(0.5, 0.0);
+        }
+        assert_eq!(g.mean_gap(), 1.0);
+        for _ in 0..WINDOW {
+            g.observe(0.5, 0.5);
+        }
+        assert_eq!(g.mean_gap(), 0.0);
+        assert_eq!(g.recommend(), 12);
+    }
+
+    #[test]
+    fn gaps_are_clamped_to_the_unit_interval() {
+        let mut g = governor();
+        g.observe(0.5, 0.8);
+        assert_eq!(g.mean_gap(), 0.0);
+        g.observe(0.5, -0.5);
+        assert_eq!(g.mean_gap(), 0.5);
+    }
+
+    #[test]
+    fn recommendations_are_traced() {
+        let tracer = Tracer::enabled();
+        let ring = tracer.attach(lgv_trace::RingBufferSink::new(4));
+        let mut g = governor();
+        g.set_tracer(tracer);
+        assert_eq!(g.recommend(), 12);
+        let ring = ring.lock().unwrap();
+        let rec = ring.records().next().unwrap();
+        assert_eq!(
+            rec.event,
+            TraceEvent::GovernorDecision {
+                mean_gap: 0.0,
+                threads: 12
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_governor_needs_at_least_one_thread() {
+        let _ = ThreadGovernor::new(0);
     }
 }

@@ -614,4 +614,15 @@ mod tests {
             "without a deadline the transfer keeps trying"
         );
     }
+
+    #[test]
+    fn an_idle_manager_has_nothing_to_abort_or_resume() {
+        let mut m = manager();
+        assert!(!m.in_progress());
+        assert_eq!(m.abort(), 0);
+        assert!(!m.abort_checkpoint());
+        assert_eq!(m.last_checkpoint(), None);
+        assert_eq!(m.take_checkpoint(), None);
+        assert_eq!(m.tick(SimTime::EPOCH, Point2::new(1.0, 0.0)), None);
+    }
 }

@@ -162,4 +162,24 @@ mod tests {
         };
         assert_eq!(t.total(), Duration::from_secs(45));
     }
+
+    #[test]
+    fn vmax_stops_exactly_at_the_stop_distance() {
+        // Eq. 2c: travel blind for tp at v, then brake at a_max; the
+        // two distances together use up d exactly.
+        let (a, d) = (3.0, 0.12);
+        for tp in [0.0, 0.01, 0.04, 0.2, 0.6, 2.0] {
+            let v = max_velocity_oa(tp, a, d);
+            assert!(v > 0.0);
+            let used = v * tp + v * v / (2.0 * a);
+            assert!((used - d).abs() < 1e-12, "tp {tp}: {used}");
+        }
+    }
+
+    #[test]
+    fn negative_processing_time_counts_as_zero() {
+        let at_zero = max_velocity_oa(0.0, 3.0, 0.12);
+        assert_eq!(max_velocity_oa(-1.0, 3.0, 0.12), at_zero);
+        assert!((at_zero - (2.0f64 * 3.0 * 0.12).sqrt()).abs() < 1e-12);
+    }
 }

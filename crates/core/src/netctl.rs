@@ -618,4 +618,32 @@ mod tests {
             NetDecision::InvokeLocal
         );
     }
+
+    #[test]
+    fn latency_only_control_reacts_only_to_slow_survivors() {
+        let c = LatencyOnlyControl {
+            latency_threshold: Duration::from_millis(100),
+        };
+        let slow = Some(Duration::from_millis(150));
+        assert_eq!(c.decide(slow, true), NetDecision::InvokeLocal);
+        assert_eq!(c.decide(slow, false), NetDecision::Keep);
+        assert_eq!(
+            c.decide(Some(Duration::from_millis(100)), true),
+            NetDecision::Keep
+        );
+        // Silence reads as health: the failure mode of Fig. 7.
+        assert_eq!(c.decide(None, true), NetDecision::Keep);
+    }
+
+    #[test]
+    fn switch_cause_labels_are_distinct() {
+        let labels = [
+            SwitchCause::Rule.as_str(),
+            SwitchCause::OutageWatchdog.as_str(),
+            SwitchCause::HeartbeatMiss.as_str(),
+        ];
+        let unique: std::collections::BTreeSet<_> = labels.iter().collect();
+        assert_eq!(unique.len(), labels.len());
+        assert_eq!(NetControl::new().failure_count(), 0);
+    }
 }

@@ -1057,4 +1057,29 @@ mod tests {
             + c.nodes.local(NodeKind::VelocityMux).as_secs_f64();
         assert!((t3_cycle - (remote_sum + 0.05)).abs() < 1e-9);
     }
+
+    #[test]
+    fn node_estimates_keep_every_kind_apart() {
+        let mut e = NodeEstimates::default();
+        for (i, k) in NodeKind::ALL.into_iter().enumerate() {
+            let i = i as u64 + 1;
+            e.set_local(k, ms(i));
+            e.set_remote(k, ms(10 * i));
+            e.set_demand(k, i as f64 / 2.0);
+        }
+        for (i, k) in NodeKind::ALL.into_iter().enumerate() {
+            let i = i as u64 + 1;
+            assert_eq!(e.local(k), ms(i));
+            assert_eq!(e.remote(k), ms(10 * i));
+            assert_eq!(e.demand_gcps(k), i as f64 / 2.0);
+        }
+    }
+
+    #[test]
+    fn policy_labels_are_distinct_and_algorithm1_is_the_default() {
+        assert_eq!(PolicyKind::default(), PolicyKind::Algorithm1);
+        let labels: std::collections::BTreeSet<_> =
+            PolicyKind::ALL.into_iter().map(PolicyKind::label).collect();
+        assert_eq!(labels.len(), PolicyKind::ALL.len());
+    }
 }

@@ -244,4 +244,51 @@ mod tests {
         assert_eq!(p.bandwidth(), 4.7);
         assert_eq!(p.signal_direction(), -0.3);
     }
+
+    #[test]
+    fn samples_are_traced_with_placement_and_lineage() {
+        let tracer = Tracer::enabled();
+        let ring = tracer.attach(lgv_trace::RingBufferSink::new(4));
+        let mut p = Profiler::new();
+        p.set_tracer(tracer);
+        p.record_local_msg(NodeKind::Slam, ms(3), MsgId(4));
+        p.record_remote(NodeKind::CostmapGen, ms(1));
+        let ring = ring.lock().unwrap();
+        let events: Vec<_> = ring.records().map(|r| r.event.clone()).collect();
+        assert_eq!(
+            events,
+            vec![
+                TraceEvent::ProfileSample {
+                    node: "Slam".into(),
+                    remote: false,
+                    nanos: 3_000_000,
+                    msg: MsgId(4),
+                },
+                TraceEvent::ProfileSample {
+                    node: "CostmapGen".into(),
+                    remote: true,
+                    nanos: 1_000_000,
+                    msg: MsgId::NONE,
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn the_latest_sample_per_placement_wins() {
+        let mut p = Profiler::new();
+        assert_eq!(p.rtt(), Duration::ZERO);
+        p.record_local(NodeKind::PathTracking, ms(9));
+        p.record_local(NodeKind::PathTracking, ms(4));
+        p.record_remote(NodeKind::PathTracking, ms(2));
+        assert_eq!(
+            p.node_time(NodeKind::PathTracking, Placement::Local),
+            Some(ms(4))
+        );
+        assert_eq!(
+            p.node_time(NodeKind::PathTracking, Placement::Remote),
+            Some(ms(2))
+        );
+        assert_eq!(p.node_time(NodeKind::Slam, Placement::Local), None);
+    }
 }

@@ -124,4 +124,13 @@ mod tests {
         assert_eq!(CHECKPOINT_INTERVAL, Duration::from_secs(2));
         assert!(cfg.degraded);
     }
+
+    #[test]
+    fn each_builder_enables_only_its_own_mechanism() {
+        let c = RecoveryConfig::default().with_checkpoints();
+        assert!(c.checkpoints && !c.degraded);
+        let d = RecoveryConfig::default().with_degraded();
+        assert!(d.degraded && !d.checkpoints);
+        assert_eq!(c.with_degraded(), RecoveryConfig::resilient());
+    }
 }

@@ -78,8 +78,9 @@ pub(crate) struct SharedLayers {
     /// The map planning starts from: the truth for Navigation, all
     /// unknown for Exploration (SLAM replaces it from the first scan).
     pub(crate) known_map: Arc<MapMsg>,
-    /// AMCL's likelihood grid over the truth (Navigation only).
-    pub(crate) amcl_grid: Option<Arc<OccupancyGrid>>,
+    /// What the workload localizes from: AMCL's likelihood grid over
+    /// the truth (Navigation), nothing for SLAM (Exploration).
+    pub(crate) localizer: Localizer<Arc<OccupancyGrid>, ()>,
     /// The costmap before its first update. Each session takes a clone,
     /// which shares the static layer and master grid until it writes
     /// them, and owns its obstacle marks.
@@ -98,7 +99,7 @@ impl SharedLayers {
             Workload::Navigation => {
                 let truth = cfg.world.to_map_msg(SimTime::EPOCH);
                 SharedLayers {
-                    amcl_grid: Some(Arc::new(OccupancyGrid::from_map_msg(&truth))),
+                    localizer: Localizer::Amcl(Arc::new(OccupancyGrid::from_map_msg(&truth))),
                     costmap: Costmap::from_map(CostmapConfig::default(), &truth),
                     known_map: Arc::new(truth),
                     beams,
@@ -112,13 +113,25 @@ impl SharedLayers {
                         dims,
                         cells: vec![MapMsg::UNKNOWN; dims.len()],
                     }),
-                    amcl_grid: None,
+                    localizer: Localizer::Slam(()),
                     costmap: Costmap::empty(CostmapConfig::default(), dims),
                     beams,
                 }
             }
         }
     }
+}
+
+/// A session's localizer, chosen by its workload: AMCL on the known
+/// map (Navigation) or SLAM building the map as it goes (Exploration).
+/// [`SharedLayers`] holds what the localizer reads (`A`, `S`); a
+/// session holds the running filter.
+#[derive(Clone)]
+pub(crate) enum Localizer<A = Amcl, S = GMapping> {
+    /// Navigation: Monte-Carlo localization on the known map.
+    Amcl(A),
+    /// Exploration: GMapping's particle filter.
+    Slam(S),
 }
 
 /// One vehicle's complete runtime wiring: simulated hardware, the real
@@ -133,8 +146,7 @@ pub struct VehicleSession {
     /// The map the costmap and frontier search read: the shared truth
     /// for Navigation, SLAM's latest best map for Exploration.
     known_map: Arc<MapMsg>,
-    amcl: Option<Amcl>,
-    slam: Option<GMapping>,
+    localizer: Localizer,
     costmap: Costmap,
     planner: GlobalPlanner,
     dwa: DwaPlanner,
@@ -264,16 +276,13 @@ impl VehicleSession {
         let vehicle = Vehicle::new(vehicle_cfg, cfg.start, rng.fork(1));
         let lidar = Lidar::with_beam_table(cfg.lidar.clone(), layers.beams, rng.fork(2));
 
-        let (amcl, slam, planner, table2) = match cfg.workload {
-            Workload::Navigation => {
-                let grid = layers
-                    .amcl_grid
-                    .expect("Navigation layers carry AMCL's grid");
+        let (localizer, planner, table2) = match layers.localizer {
+            Localizer::Amcl(grid) => {
                 let amcl = Amcl::on_grid(AmclConfig::default(), grid, cfg.start, rng.fork(3));
                 let planner = GlobalPlanner::new(PlannerConfig::default());
-                (Some(amcl), None, planner, table2_with_map())
+                (Localizer::Amcl(amcl), planner, table2_with_map())
             }
-            Workload::Exploration => {
+            Localizer::Slam(()) => {
                 let slam_cfg = SlamConfig {
                     num_particles: cfg.slam_particles,
                     threads: 1,
@@ -285,7 +294,7 @@ impl VehicleSession {
                     allow_unknown: true,
                     ..PlannerConfig::default()
                 });
-                (None, Some(slam), planner, table2_without_map())
+                (Localizer::Slam(slam), planner, table2_without_map())
             }
         };
         let known_map = layers.known_map;
@@ -361,8 +370,7 @@ impl VehicleSession {
             vehicle,
             lidar,
             known_map,
-            amcl,
-            slam,
+            localizer,
             costmap,
             planner,
             dwa,
@@ -509,11 +517,6 @@ impl VehicleSession {
         self.now
     }
 
-    /// Whether the mission has ended (goal, battery, or time cap).
-    pub fn finished(&self) -> bool {
-        self.outcome.is_some()
-    }
-
     fn charge_node(&mut self, kind: NodeKind, work: &Work, local: bool) -> Duration {
         *self.node_cycles.entry(kind).or_insert(0.0) += work.total_cycles();
         if local {
@@ -614,18 +617,6 @@ impl VehicleSession {
         }
     }
 
-    /// Host threads for a node's parallel kernel: an offloaded node
-    /// gets its modelled threads capped at the host's parallelism, an
-    /// on-board one gets 1. Outputs do not depend on this; it only
-    /// decides how many cores the host spends.
-    fn host_threads(&self, local: bool) -> usize {
-        if local {
-            1
-        } else {
-            (self.effective_threads as usize).min(lgv_slam::pool::host_parallelism())
-        }
-    }
-
     /// Run the VDP (CostmapGen → PathTracking → VelocityMux) on the
     /// given scan; returns the velocity command and its total
     /// processing time on the executing platform.
@@ -641,7 +632,8 @@ impl VehicleSession {
         let t_cm = self.charge_node(NodeKind::CostmapGen, &cm_work, local);
 
         self.dwa.set_max_linear(self.vmax_now);
-        self.dwa.set_threads(self.host_threads(local));
+        self.dwa
+            .set_threads(host_threads(self.effective_threads, local));
         let dwa_out = {
             let _prof = lgv_trace::prof::scope("nav/dwa");
             self.dwa
@@ -667,20 +659,17 @@ impl VehicleSession {
     }
 
     fn run_localization(&mut self, odom: &OdometryMsg, scan: &LaserScan) {
-        match self.cfg.workload {
-            Workload::Navigation => {
+        match &mut self.localizer {
+            Localizer::Amcl(amcl) => {
                 let out = {
                     let _prof = lgv_trace::prof::scope("nav/amcl");
-                    self.amcl
-                        .as_mut()
-                        .expect("Navigation sessions always build AMCL")
-                        .process(odom, scan)
+                    amcl.process(odom, scan)
                 };
                 self.charge_node(NodeKind::Localization, &out.work, true);
                 self.pose_est = out.pose.pose;
                 self.pose_conf = out.pose.confidence;
             }
-            Workload::Exploration => {
+            Localizer::Slam(slam) => {
                 // SLAM is an ECN: it may run remotely; when its platform
                 // is busy, the scan is dropped (one-length queue) and
                 // the pose estimate dead-reckons on odometry — exactly
@@ -695,24 +684,15 @@ impl VehicleSession {
                     return;
                 }
                 let slam_remote = self.remote_enabled && self.plan.remote.contains(NodeKind::Slam);
-                let threads = self.host_threads(!slam_remote);
-                let slam = self
-                    .slam
-                    .as_mut()
-                    .expect("Exploration sessions always build SLAM");
-                slam.set_threads(threads);
+                slam.set_threads(host_threads(self.effective_threads, !slam_remote));
                 let out = slam.process(odom, scan);
+                let best_map = slam.best_map(self.now);
                 let t = self.charge_node(NodeKind::Slam, &out.work, !slam_remote);
                 self.slam_busy_until = self.now + t;
                 self.pose_est = out.pose.pose;
                 self.pose_conf = out.pose.confidence;
                 self.odom_at_fix = Some(odom.pose);
-                self.known_map = Arc::new(
-                    self.slam
-                        .as_ref()
-                        .expect("Exploration sessions always build SLAM")
-                        .best_map(self.now),
-                );
+                self.known_map = Arc::new(best_map);
                 self.costmap.set_static_map(&self.known_map);
             }
         }
@@ -981,7 +961,7 @@ impl VehicleSession {
                     self.degraded = true;
                     self.degrade_entered_at = cycle_start;
                     self.missed_cycles_degraded = 0;
-                    if let Some(slam) = self.slam.as_mut() {
+                    if let Localizer::Slam(slam) = &mut self.localizer {
                         slam.set_active_particles(DEGRADED_SLAM_PARTICLES);
                     }
                     self.dwa.set_samples(DEGRADED_DWA_SAMPLES);
@@ -999,7 +979,7 @@ impl VehicleSession {
                 let since = *self.healthy_since.get_or_insert(cycle_start);
                 if self.degraded && cycle_start.saturating_since(since) >= DEGRADED_RESTORE_HOLD {
                     self.degraded = false;
-                    if let Some(slam) = self.slam.as_mut() {
+                    if let Localizer::Slam(slam) = &mut self.localizer {
                         slam.set_active_particles(self.cfg.slam_particles);
                     }
                     self.dwa.set_samples(self.cfg.dwa_samples);
@@ -1451,5 +1431,17 @@ impl VehicleSession {
         self.begin();
         while self.step() {}
         self.finish()
+    }
+}
+
+/// Host threads for a node's parallel kernel: an offloaded node gets
+/// the session's modelled threads capped at the host's parallelism, an
+/// on-board one gets 1. Outputs do not depend on this; it only decides
+/// how many cores the host spends.
+fn host_threads(effective_threads: u32, local: bool) -> usize {
+    if local {
+        1
+    } else {
+        (effective_threads as usize).min(lgv_slam::pool::host_parallelism())
     }
 }

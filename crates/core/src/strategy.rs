@@ -232,4 +232,14 @@ mod tests {
         let plan = s.decide(&class, ms(100), ms(100));
         assert!(plan.remote.contains(NodeKind::PathTracking));
     }
+
+    #[test]
+    fn energy_goal_keeps_t3_remote_when_the_cloud_is_slower() {
+        let class = classify(&table2_with_map());
+        let s = OffloadStrategy::new(Goal::Energy);
+        let plan = s.decide(&class, ms(60), ms(600));
+        assert_eq!(plan.remote, class.ecn);
+        assert_eq!(plan.expected_vdp, ms(600));
+        assert!((plan.max_velocity - s.velocity.vmax(ms(600))).abs() < 1e-12);
+    }
 }

@@ -165,20 +165,12 @@ fn one_region_fleet_is_identical_to_unsharded() {
 fn wan_hop_charges_cross_region_admissions() {
     use lgv_types::prelude::Duration;
     let hop = Duration::from_millis(10);
-    let crossed = run_fleet(
-        FleetConfig::new(base(), 4).with_topology(
-            RegionTopology::sharded(2)
-                .with_cloud_pools(1)
-                .with_wan_hop(hop),
-        ),
-    );
-    let free = run_fleet(
-        FleetConfig::new(base(), 4).with_topology(
-            RegionTopology::sharded(2)
-                .with_cloud_pools(1)
-                .with_wan_hop(Duration::ZERO),
-        ),
-    );
+    let topology = |wan_hop| RegionTopology {
+        wan_hop,
+        ..RegionTopology::sharded(2).with_cloud_pools(1)
+    };
+    let crossed = run_fleet(FleetConfig::new(base(), 4).with_topology(topology(hop)));
+    let free = run_fleet(FleetConfig::new(base(), 4).with_topology(topology(Duration::ZERO)));
     assert!(crossed.wan_crossings() > 0);
     assert_eq!(free.wan_crossings(), 0);
     // Only region 1 (served by pool 0, homed in region 0) crosses.

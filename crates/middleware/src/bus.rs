@@ -72,14 +72,6 @@ impl Bus {
         Bus::default()
     }
 
-    /// Create a publisher handle for a topic.
-    pub fn publisher(&self, topic: TopicName) -> Publisher {
-        Publisher {
-            bus: self.clone(),
-            topic,
-        }
-    }
-
     /// Subscribe to a topic with a bounded queue of `cap` messages.
     pub fn subscribe(&self, topic: TopicName, cap: usize) -> Subscriber {
         assert!(cap > 0, "queue capacity must be at least 1");
@@ -180,25 +172,6 @@ impl Bus {
             .topics
             .get(&topic)
             .map_or(0, |t| t.publish_count)
-    }
-}
-
-/// A typed publishing handle.
-#[derive(Debug, Clone)]
-pub struct Publisher {
-    bus: Bus,
-    topic: TopicName,
-}
-
-impl Publisher {
-    /// Publish one message, returning its lineage id.
-    pub fn send<T: Wire>(&self, msg: &T) -> Result<MsgId, CodecError> {
-        self.bus.publish(self.topic, msg)
-    }
-
-    /// The topic this handle publishes to.
-    pub fn topic(&self) -> TopicName {
-        self.topic
     }
 }
 
@@ -376,5 +349,41 @@ mod tests {
         let sub = bus.subscribe(TopicName::GOAL, 2);
         bus2.publish(TopicName::GOAL, &9u8).unwrap();
         assert_eq!(sub.recv::<u8>().unwrap(), Some(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "queue capacity must be at least 1")]
+    fn zero_capacity_subscription_panics() {
+        let _ = Bus::new().subscribe(TopicName::SCAN, 0);
+    }
+
+    #[test]
+    fn an_undecodable_payload_is_an_error_not_a_panic() {
+        let bus = Bus::new();
+        let sub = bus.subscribe(TopicName::PLAN, 4);
+        bus.publish_bytes(TopicName::PLAN, Bytes::from_static(&[1, 2]));
+        assert!(sub.recv::<u64>().is_err());
+        // The latched copy is garbage too: `latest` reports nothing.
+        assert_eq!(bus.latest::<u64>(TopicName::PLAN), None);
+        assert_eq!(bus.latest_bytes(TopicName::PLAN).unwrap()[..], [1, 2]);
+        bus.publish_bytes(TopicName::PLAN, Bytes::from_static(&[3]));
+        assert!(sub.recv_latest::<u64>().is_err());
+        assert!(sub.is_empty());
+    }
+
+    #[test]
+    fn each_subscriber_counts_its_own_drops() {
+        let bus = Bus::new();
+        let small = bus.subscribe(TopicName::ODOM, 1);
+        let large = bus.subscribe(TopicName::ODOM, 3);
+        for v in 0..3u32 {
+            bus.publish(TopicName::ODOM, &v).unwrap();
+        }
+        assert_eq!((small.dropped(), small.len()), (2, 1));
+        assert_eq!((large.dropped(), large.len()), (0, 3));
+        assert_eq!(small.topic(), TopicName::ODOM);
+        assert_eq!(bus.publish_count(TopicName::ODOM), 3);
+        assert_eq!(bus.publish_count(TopicName::SCAN), 0);
+        assert_eq!(large.recv::<u32>().unwrap(), Some(0));
     }
 }

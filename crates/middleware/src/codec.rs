@@ -125,8 +125,8 @@ pub fn from_bytes<T: Wire>(mut bytes: &[u8]) -> Result<T, CodecError> {
 /// ```
 #[macro_export]
 macro_rules! wire_struct {
-    ($ty:ident $(<$param:ident>)? { $($field:ident),+ $(,)? }) => {
-        impl$(<$param: $crate::codec::Wire>)? $crate::codec::Wire for $ty$(<$param>)? {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
             fn encode(&self, out: &mut $crate::codec::BytesMut) {
                 let $ty { $($field),+ } = self;
                 $($crate::codec::Wire::encode($field, out);)+
@@ -555,6 +555,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
+        #[test]
         fn bulk_vec_codec_matches_the_element_by_element_codec(
             bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
             cells in proptest::collection::vec(proptest::prelude::any::<i8>(), 0..80),
@@ -592,5 +593,32 @@ mod tests {
         b.extend_from_slice(&[0xFF, 0xFE]);
         let r: Result<String, _> = from_bytes(&b);
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn times_travel_as_little_endian_nanoseconds() {
+        let ns = 0x0102_0304_0506_0708u64;
+        assert_eq!(
+            to_bytes(&SimTime::from_nanos(ns)).unwrap()[..],
+            ns.to_le_bytes()
+        );
+        assert_eq!(
+            to_bytes(&Duration::from_nanos(ns)).unwrap()[..],
+            ns.to_le_bytes()
+        );
+        assert_eq!(
+            from_bytes::<Duration>(&ns.to_le_bytes()).unwrap(),
+            Duration::from_nanos(ns)
+        );
+    }
+
+    #[test]
+    fn errors_name_what_went_wrong() {
+        let e = from_bytes::<Option<u8>>(&[7]).unwrap_err();
+        assert_eq!(e.to_string(), "codec error: invalid option tag 7");
+        let e = from_bytes::<NodeKind>(&9u32.to_le_bytes()).unwrap_err();
+        assert_eq!(e.0, "invalid NodeKind variant index 9");
+        let e = from_bytes::<u32>(&[0, 0, 0, 0, 0]).unwrap_err();
+        assert_eq!(e.0, "1 trailing bytes");
     }
 }

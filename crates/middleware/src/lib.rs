@@ -8,8 +8,6 @@
 //!   stand-in for protobuf over evpp).
 //! * [`bus`] — an in-process topic bus with bounded per-subscriber
 //!   queues; VDP topics use one-length queues for data freshness.
-//! * [`service`] — the client/server paradigm of Fig. 2's dashed
-//!   arrows (Path Planning serving route requests).
 //! * [`topic`] — the standard topic names of the pipeline (Fig. 2).
 //! * [`switcher`] — the cross-host message relay: forwards selected
 //!   topics over a simulated [`lgv_net::DuplexLink`], attaching
@@ -22,12 +20,10 @@
 
 pub mod bus;
 pub mod codec;
-pub mod service;
 pub mod switcher;
 pub mod topic;
 
-pub use bus::{Bus, Publisher, Subscriber};
+pub use bus::{Bus, Subscriber};
 pub use codec::{from_bytes, to_bytes, CodecError, Wire};
-pub use service::{ServiceClient, ServiceServer};
 pub use switcher::{Envelope, Switcher, SwitcherConfig};
 pub use topic::TopicName;

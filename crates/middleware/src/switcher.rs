@@ -24,7 +24,6 @@ use lgv_net::measure::{BandwidthMeter, RttTracker};
 use lgv_net::DuplexLink;
 use lgv_trace::{MsgId, TraceEvent, Tracer};
 use lgv_types::prelude::*;
-use std::collections::HashMap;
 
 /// The wire envelope around every relayed message.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,21 +70,6 @@ pub struct SwitcherConfig {
     pub down_topics: Vec<(TopicName, usize)>,
 }
 
-impl SwitcherConfig {
-    /// The standard VDP offloading set: sensor data up, velocity
-    /// commands down, all with one-length queues for freshness.
-    pub fn vdp_offload() -> Self {
-        SwitcherConfig {
-            up_topics: vec![
-                (TopicName::SCAN, 1),
-                (TopicName::ODOM, 1),
-                (TopicName::POSE, 1),
-            ],
-            down_topics: vec![(TopicName::CMD_VEL_NAV, 1), (TopicName::PLAN, 1)],
-        }
-    }
-}
-
 /// Relay statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitcherStats {
@@ -121,8 +105,6 @@ pub struct Switcher {
     /// Robot-side receive-rate meter over the downlink (Algorithm 2's
     /// packet bandwidth `r_t`).
     bandwidth: BandwidthMeter,
-    /// Remote processing times as last reported (robot-side view).
-    remote_proc: HashMap<NodeKind, Duration>,
     /// Pending processing times to piggyback on the next downlink
     /// envelopes (remote-side state).
     pending_proc: Vec<(NodeKind, Duration)>,
@@ -162,9 +144,8 @@ impl Switcher {
             seq: 0,
             latest_up_stamp: None,
             latest_down_stamp: None,
-            rtt: RttTracker::new(64),
+            rtt: RttTracker::default(),
             bandwidth: BandwidthMeter::new(Duration::from_secs(1)),
-            remote_proc: HashMap::new(),
             pending_proc: Vec::new(),
             last_downlink_at: None,
             uplink_bytes_sent: 0,
@@ -193,11 +174,6 @@ impl Switcher {
     pub fn report_remote_proc_time(&mut self, node: NodeKind, time: Duration) {
         self.pending_proc.retain(|(n, _)| *n != node);
         self.pending_proc.push((node, time));
-    }
-
-    /// Robot-side view of the last reported remote processing time.
-    pub fn remote_proc_time(&self, node: NodeKind) -> Option<Duration> {
-        self.remote_proc.get(&node).copied()
     }
 
     /// Robot-side RTT tracker (fed by echoed stamps).
@@ -333,7 +309,7 @@ impl Switcher {
         self.link.tick(now, robot_pos);
 
         // Deliver arrivals at the robot. Ack envelopes (PROC_TIME)
-        // feed the RTT tracker and remote processing times; data
+        // feed the RTT tracker; data
         // envelopes feed the packet-bandwidth meter (Algorithm 2's
         // r_t counts the VDP data stream, not control chatter).
         while let Some(pkt) = self.link.recv_at_robot() {
@@ -357,9 +333,6 @@ impl Switcher {
                         rtt_ns: rtt.as_nanos(),
                     },
                 );
-            }
-            for (node, t) in &env.proc_times {
-                self.remote_proc.insert(*node, *t);
             }
             if env.topic == TopicName::PROC_TIME.as_str() {
                 continue;
@@ -391,12 +364,17 @@ mod tests {
         let link = DuplexLink::new(cfg, &mut rng);
         let robot = Bus::new();
         let remote = Bus::new();
-        let sw = Switcher::new(
-            link,
-            robot.clone(),
-            remote.clone(),
-            &SwitcherConfig::vdp_offload(),
-        );
+        // The VDP offloading set: sensor data up, velocity commands
+        // down, all with one-length queues for freshness.
+        let cfg = SwitcherConfig {
+            up_topics: vec![
+                (TopicName::SCAN, 1),
+                (TopicName::ODOM, 1),
+                (TopicName::POSE, 1),
+            ],
+            down_topics: vec![(TopicName::CMD_VEL_NAV, 1), (TopicName::PLAN, 1)],
+        };
+        let sw = Switcher::new(link, robot.clone(), remote.clone(), &cfg);
         (sw, robot, remote)
     }
 
@@ -454,18 +432,21 @@ mod tests {
     #[test]
     fn remote_proc_times_are_piggybacked() {
         let (mut sw, robot, _remote) = make(RemoteSite::EdgeGateway);
+        // A second report for the same node replaces the first.
+        sw.report_remote_proc_time(NodeKind::PathTracking, Duration::from_millis(9));
         sw.report_remote_proc_time(NodeKind::PathTracking, Duration::from_millis(15));
+        assert_eq!(
+            sw.pending_proc,
+            [(NodeKind::PathTracking, Duration::from_millis(15))]
+        );
         // Proc times ride on the ack generated when uplink traffic is
         // delivered at the server.
         robot.publish(TopicName::SCAN, &0u8).unwrap();
         step(&mut sw, 0, near());
         step(&mut sw, 40, near());
-        step(&mut sw, 80, near());
-        assert_eq!(
-            sw.remote_proc_time(NodeKind::PathTracking),
-            Some(Duration::from_millis(15))
-        );
-        assert_eq!(sw.remote_proc_time(NodeKind::Slam), None);
+        assert_eq!(sw.stats().up_delivered, 1);
+        assert!(sw.pending_proc.is_empty(), "the ack took them");
+        assert_eq!(sw.stats().down_sent, 0, "acks are not data");
     }
 
     #[test]

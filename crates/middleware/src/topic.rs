@@ -96,4 +96,13 @@ mod tests {
     fn display_is_path_like() {
         assert_eq!(TopicName::SCAN.to_string(), "/scan");
     }
+
+    #[test]
+    fn resolve_inverts_as_str() {
+        for t in TopicName::ALL {
+            assert_eq!(TopicName::resolve(t.as_str()), Some(t));
+        }
+        assert_eq!(TopicName::resolve("/not_a_topic"), None);
+        assert_eq!(TopicName::resolve("scan"), None);
+    }
 }

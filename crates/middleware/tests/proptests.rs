@@ -1,7 +1,13 @@
 //! Property-based tests for the middleware: codec roundtrips over
-//! arbitrary data, decoding of hostile input, and bus queue invariants.
+//! arbitrary data, decoding of hostile input, bus queue invariants, and
+//! the Switcher relaying over a faulty link.
 
-use lgv_middleware::{from_bytes, to_bytes, wire_struct, Bus, Envelope, TopicName, Wire};
+use lgv_middleware::{
+    from_bytes, to_bytes, wire_struct, Bus, Envelope, Switcher, SwitcherConfig, TopicName, Wire,
+};
+use lgv_net::fault::{FaultKind, FaultSchedule};
+use lgv_net::link::{LinkConfig, RemoteSite};
+use lgv_net::DuplexLink;
 use lgv_types::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -208,6 +214,52 @@ proptest! {
         prop_assert_eq!(bus.publish_count(TopicName::ODOM), n as u64);
         if n > 0 {
             prop_assert_eq!(bus.latest::<u64>(TopicName::ODOM), Some(n as u64 - 1));
+        }
+    }
+
+    #[test]
+    fn switcher_survives_corrupted_and_blacked_out_links(
+        seed in any::<u64>(),
+        // (start s, length s, blackout?, corruption probability)
+        windows in vec((0.0f64..8.0, 0.0f64..3.0, any::<bool>(), 0.0f64..1.0), 0..6),
+        scans in vec(scan_strategy(), 1..6),
+        cmds in vec(cmd_strategy(), 1..6),
+        robot_x in 0.0f64..30.0,
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let link = DuplexLink::new(
+            LinkConfig::new(RemoteSite::EdgeGateway, Point2::ORIGIN),
+            &mut rng,
+        );
+        let (robot, remote) = (Bus::new(), Bus::new());
+        let cfg = SwitcherConfig {
+            up_topics: vec![(TopicName::SCAN, 1)],
+            down_topics: vec![(TopicName::CMD_VEL_NAV, 1)],
+        };
+        let mut sw = Switcher::new(link, robot.clone(), remote.clone(), &cfg);
+        let schedule = windows.iter().fold(FaultSchedule::none(), |s, &(from, len, blackout, prob)| {
+            s.with(from, len, if blackout { FaultKind::Blackout } else { FaultKind::Corruption { prob } })
+        });
+        sw.set_faults(&schedule);
+        let scans_at_remote = remote.subscribe(TopicName::SCAN, 4);
+        let cmds_at_robot = robot.subscribe(TopicName::CMD_VEL_NAV, 4);
+        let pos = Point2::new(robot_x, 0.0);
+        // Ten seconds of 10 Hz traffic both ways.
+        for tick in 0..100usize {
+            let now = SimTime::EPOCH + Duration::from_millis(100 * tick as u64);
+            robot.publish(TopicName::SCAN, &scans[tick % scans.len()]).unwrap();
+            remote.publish(TopicName::CMD_VEL_NAV, &cmds[tick % cmds.len()]).unwrap();
+            sw.tick(now, pos);
+            // Whatever arrives decodes or errs; it never panics.
+            while !matches!(scans_at_remote.recv::<LaserScan>(), Ok(None)) {}
+            while !matches!(cmds_at_robot.recv::<VelocityCmd>(), Ok(None)) {}
+            let st = sw.stats();
+            prop_assert!(st.up_delivered <= st.up_sent, "{st:?}");
+            prop_assert!(st.down_delivered <= st.down_sent, "{st:?}");
+            // RTT saturates at zero, and no echo predates the epoch.
+            if let Some(rtt) = sw.rtt().latest() {
+                prop_assert!(rtt <= now.saturating_since(SimTime::EPOCH), "rtt {rtt}");
+            }
         }
     }
 }

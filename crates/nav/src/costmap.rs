@@ -975,7 +975,10 @@ mod tests {
             let mut rng = SimRng::seed_from_u64(seed);
             let cm = random_costmap(&mut rng);
             let dims = *cm.dims();
-            let (ww, wh) = dims.world_size();
+            let (ww, wh) = (
+                dims.width as f64 * dims.resolution,
+                dims.height as f64 * dims.resolution,
+            );
             let centre = Point2::new(
                 dims.origin.x + rng.uniform_range(-0.3, ww + 0.3),
                 dims.origin.y + rng.uniform_range(-0.3, wh + 0.3),
@@ -1013,6 +1016,7 @@ mod tests {
             }
         }
 
+        #[test]
         fn probe_matches_the_costmap_inside_on_and_beyond_the_border(seed in 0u64..1_000_000) {
             let mut rng = SimRng::seed_from_u64(seed);
             let cm = random_costmap(&mut rng);
@@ -1147,5 +1151,27 @@ mod tests {
         cm.update(&m, Pose2D::new(6.0, 5.0, 0.0), &scan, &mut meter);
         let g = meter.finish().total_cycles() / 1e9;
         assert!((0.12..0.25).contains(&g), "per-update Gcycles {g}");
+    }
+
+    #[test]
+    fn an_empty_costmap_is_unknown_and_untraversable() {
+        let dims = GridDims::new(8, 6, 0.05, Point2::ORIGIN);
+        let cm = Costmap::empty(CostmapConfig::default(), dims);
+        assert_eq!(
+            cm.config().inflation_radius,
+            CostmapConfig::default().inflation_radius
+        );
+        for i in 0..dims.len() {
+            let idx = dims.unflat(i);
+            assert_eq!(cm.cost(idx), COST_UNKNOWN);
+            assert!(!cm.traversable(idx));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "map geometry must match")]
+    fn a_static_map_of_another_geometry_is_rejected() {
+        let mut cm = Costmap::from_map(CostmapConfig::default(), &map_with_block(100, 100));
+        cm.set_static_map(&map_with_block(50, 50));
     }
 }

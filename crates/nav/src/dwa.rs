@@ -811,6 +811,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
 
+        #[test]
         fn probe_scoring_matches_the_reference_scorer(seed in 0u64..1_000_000) {
             let mut rng = SimRng::seed_from_u64(seed);
             let cm = Costmap::from_map(CostmapConfig::default(), &cluttered_map(&mut rng));

@@ -290,4 +290,56 @@ mod tests {
         let wl = e.select_goal(&large, Point2::ORIGIN, SimTime::EPOCH).work;
         assert!(wl.total_cycles() > 10.0 * ws.total_cycles());
     }
+
+    fn two_regions() -> MapMsg {
+        let dims = GridDims::new(60, 20, 0.1, Point2::ORIGIN);
+        let mut cells = vec![MapMsg::FREE; dims.len()];
+        // Unknown: columns 0..6 of the lower half (near), and all of
+        // columns 54..60 (far, with the longer frontier).
+        for row in 0..20 {
+            for col in 54..60 {
+                cells[row * 60 + col] = MapMsg::UNKNOWN;
+            }
+        }
+        for row in 0..10 {
+            for col in 0..6 {
+                cells[row * 60 + col] = MapMsg::UNKNOWN;
+            }
+        }
+        MapMsg {
+            stamp: SimTime::EPOCH,
+            dims,
+            cells,
+        }
+    }
+
+    #[test]
+    fn excluded_goals_fall_through_to_the_next_cluster() {
+        let e = FrontierExplorer::default();
+        let (map, robot) = (two_regions(), Point2::new(1.5, 1.5));
+        let near = e
+            .select_goal(&map, robot, SimTime::EPOCH)
+            .goal
+            .unwrap()
+            .target;
+        assert!(near.x < 3.0, "{near:?}");
+        let out = e.select_goal_excluding(&map, robot, SimTime::EPOCH, &[near], 0.5);
+        assert_eq!(out.clusters, 1);
+        let far = out.goal.unwrap().target;
+        assert!(far.x > 3.0, "{far:?}");
+        let none = e.select_goal_excluding(&map, robot, SimTime::EPOCH, &[near, far], 0.5);
+        assert!(none.goal.is_none());
+        assert_eq!(none.clusters, 0);
+    }
+
+    #[test]
+    fn largest_cluster_wins_unless_nearest_is_preferred() {
+        let e = FrontierExplorer::new(FrontierConfig {
+            prefer_nearest: false,
+            ..FrontierConfig::default()
+        });
+        let out = e.select_goal(&two_regions(), Point2::new(1.5, 1.5), SimTime::EPOCH);
+        assert_eq!(out.clusters, 2);
+        assert!(out.goal.unwrap().target.x > 3.0);
+    }
 }

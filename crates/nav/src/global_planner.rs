@@ -499,4 +499,30 @@ mod tests {
             assert!(cm.cost(idx) < COST_INSCRIBED, "waypoint {w:?} in collision");
         }
     }
+
+    #[test]
+    fn plan_near_retargets_a_goal_inside_an_obstacle() {
+        let cm = Costmap::from_map(CostmapConfig::default(), &wall_map());
+        let p = planner(PlannerAlgorithm::AStar);
+        let (start, goal) = (Point2::new(1.0, 1.0), Point2::new(2.525, 1.0));
+        assert!(p.plan(&cm, start, goal, SimTime::EPOCH).is_err());
+        assert!(p.plan_near(&cm, start, goal, 0.0, SimTime::EPOCH).is_err());
+        let r = p.plan_near(&cm, start, goal, 1.0, SimTime::EPOCH).unwrap();
+        let end = *r.path.waypoints.last().unwrap();
+        assert!(end.distance(goal) <= 1.0, "end {end:?}");
+        assert!(end.x < 2.5, "retargeted on the start's side: {end:?}");
+        assert!(cm.traversable(cm.dims().world_to_grid(end)));
+    }
+
+    #[test]
+    fn planning_to_the_start_cell_is_trivial() {
+        let cm = Costmap::from_map(CostmapConfig::default(), &open_map(40, 40));
+        let p = planner(PlannerAlgorithm::Dijkstra);
+        assert_eq!(p.config().algorithm, PlannerAlgorithm::Dijkstra);
+        let here = Point2::new(1.0, 1.0);
+        let r = p.plan(&cm, here, here, SimTime::EPOCH).unwrap();
+        assert_eq!(r.expansions, 1);
+        assert_eq!(r.path.length(), 0.0);
+        assert_eq!(r.work.total_cycles(), cost::CYCLES_PER_EXPANSION);
+    }
 }

@@ -137,4 +137,33 @@ mod tests {
         let mux = VelocityMux::new();
         assert!(mux.work().total_cycles() < 1e5);
     }
+
+    #[test]
+    fn timeout_is_inclusive_and_configurable() {
+        let at = |ns: u64| SimTime::EPOCH + Duration::from_nanos(ns);
+        let mut mux = VelocityMux::new();
+        mux.submit(cmd(0, 0.2, VelocitySource::Joystick));
+        let edge = BASE_TIMEOUT.as_nanos();
+        assert_eq!(mux.select(at(edge)).source, VelocitySource::Joystick);
+        let stop = mux.select(at(edge + 1));
+        assert!(stop.twist.is_stop());
+        assert_eq!(
+            (stop.stamp, stop.source),
+            (at(edge + 1), VelocitySource::Navigation)
+        );
+
+        mux.set_timeout(Duration::from_millis(100));
+        mux.submit(cmd(0, 0.2, VelocitySource::Joystick));
+        assert!(mux.select(at(150_000_000)).twist.is_stop());
+    }
+
+    #[test]
+    fn a_newer_command_replaces_its_source() {
+        let mut mux = VelocityMux::default();
+        mux.submit(cmd(0, 0.1, VelocitySource::Navigation));
+        mux.submit(cmd(50, 0.2, VelocitySource::Navigation));
+        let out = mux.select(SimTime::EPOCH + Duration::from_millis(100));
+        assert_eq!(out.twist.linear, 0.2);
+        assert_eq!(out.stamp, SimTime::EPOCH + Duration::from_millis(50));
+    }
 }

@@ -717,4 +717,77 @@ mod tests {
         assert_eq!(e.len(), 3);
         assert!(clock.poll(t(20.0)).is_empty());
     }
+
+    #[test]
+    fn labels_are_distinct() {
+        let radio = [
+            FaultKind::Blackout,
+            FaultKind::BurstLoss {
+                p_enter: 0.1,
+                p_exit: 0.1,
+                loss_in_burst: 1.0,
+            },
+            FaultKind::LatencySpike {
+                extra: Duration::ZERO,
+            },
+            FaultKind::Corruption { prob: 0.5 },
+            FaultKind::RemoteCrash,
+        ];
+        let cloud = [
+            CloudFaultKind::ReplicaCrash { replicas: 1 },
+            CloudFaultKind::Straggler { factor: 2.0 },
+            CloudFaultKind::FailedScaleUp,
+        ];
+        let labels: std::collections::BTreeSet<_> = radio
+            .iter()
+            .map(FaultKind::label)
+            .chain(cloud.iter().map(CloudFaultKind::label))
+            .collect();
+        assert_eq!(labels.len(), radio.len() + cloud.len());
+    }
+
+    #[test]
+    fn disabled_injector_never_interferes() {
+        let mut inj = FaultInjector::disabled();
+        for s in 0..50 {
+            let now = t(s as f64 * 0.1);
+            assert!(!inj.drops_at_send(now));
+            assert!(!inj.swallows_at_delivery(now));
+            assert!(!inj.corrupts(now));
+        }
+        let empty = bytes::Bytes::new();
+        assert!(inj.corrupt_payload(&empty).is_empty());
+    }
+
+    #[test]
+    fn a_burst_ends_with_its_window() {
+        let schedule = FaultSchedule::none().with(
+            1.0,
+            1.0,
+            FaultKind::BurstLoss {
+                p_enter: 1.0,
+                p_exit: 0.0,
+                loss_in_burst: 1.0,
+            },
+        );
+        let mut inj = FaultInjector::new(schedule, SimRng::seed_from_u64(4), true);
+        assert!(!inj.drops_at_send(t(0.5)));
+        for s in 0..10 {
+            assert!(inj.drops_at_send(t(1.0 + s as f64 * 0.09)));
+        }
+        assert!(!inj.drops_at_send(t(2.0)));
+        assert!(!inj.swallows_at_delivery(t(1.5)));
+    }
+
+    #[test]
+    fn straggle_factor_never_speeds_a_replica_up() {
+        let s = CloudFaultSchedule::none()
+            .with(0.0, 1.0, CloudFaultKind::Straggler { factor: 0.5 })
+            .with(0.5, 1.0, CloudFaultKind::ReplicaCrash { replicas: 2 });
+        assert_eq!(s.straggle_factor_at(t(0.25)), 1.0);
+        assert_eq!(s.straggle_factor_at(t(5.0)), 1.0);
+        assert_eq!(s.crashed_at(t(0.25)), 0);
+        assert_eq!(s.crashed_at(t(0.75)), 2);
+        assert!(!s.scale_up_fails_at(t(0.75)));
+    }
 }

@@ -123,11 +123,6 @@ impl DuplexLink {
         self.uplink_bps
     }
 
-    /// Send robot → server.
-    pub fn send_up(&mut self, now: SimTime, robot: Point2, payload: Bytes) -> SendOutcome {
-        self.uplink.send(now, robot, payload)
-    }
-
     /// Send robot → server carrying the lineage id of the bus message
     /// inside the datagram.
     pub fn send_up_tagged(
@@ -172,18 +167,13 @@ impl DuplexLink {
     pub fn recv_at_robot(&mut self) -> Option<Packet> {
         self.downlink.recv()
     }
-
-    /// Expected one-way latency for a payload of `bytes` at the
-    /// robot's current position, ignoring loss (a prior estimate; the
-    /// profiler measures the real value).
-    pub fn nominal_latency(&self, bytes: usize) -> Duration {
-        self.uplink.signal().tx_delay(bytes) + self.site.wan_latency()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultKind;
+    use lgv_trace::MsgId;
 
     fn link(site: RemoteSite) -> DuplexLink {
         let mut rng = SimRng::seed_from_u64(3);
@@ -201,7 +191,7 @@ mod tests {
         let mut l = link(RemoteSite::EdgeGateway);
         let robot = Point2::new(2.0, 0.0);
         let t0 = SimTime::EPOCH;
-        l.send_up(t0, robot, Bytes::from_static(b"scan"));
+        l.send_up_tagged(t0, robot, Bytes::from_static(b"scan"), MsgId::NONE);
         l.tick(t0 + Duration::from_millis(20), robot);
         let got = l.recv_at_server().expect("server receives scan");
         assert_eq!(&got.payload[..], b"scan");
@@ -219,8 +209,8 @@ mod tests {
         let mut cl = link(RemoteSite::CloudServer);
         let robot = Point2::new(2.0, 0.0);
         let t0 = SimTime::EPOCH;
-        gw.send_up(t0, robot, Bytes::from_static(b"x"));
-        cl.send_up(t0, robot, Bytes::from_static(b"x"));
+        gw.send_up_tagged(t0, robot, Bytes::from_static(b"x"), MsgId::NONE);
+        cl.send_up_tagged(t0, robot, Bytes::from_static(b"x"), MsgId::NONE);
         gw.tick(t0 + Duration::from_millis(100), robot);
         cl.tick(t0 + Duration::from_millis(100), robot);
         let lg = gw.recv_at_server().unwrap().latency();
@@ -230,21 +220,55 @@ mod tests {
     }
 
     #[test]
-    fn nominal_latency_includes_wan() {
-        let gw = link(RemoteSite::EdgeGateway);
-        let cl = link(RemoteSite::CloudServer);
-        assert!(cl.nominal_latency(48) > gw.nominal_latency(48));
-    }
-
-    #[test]
     fn directions_use_independent_loss_streams() {
         let mut l = link(RemoteSite::EdgeGateway);
         let robot = Point2::new(2.0, 0.0);
         // Both directions work; stats are tracked separately.
-        l.send_up(SimTime::EPOCH, robot, Bytes::from_static(b"a"));
+        l.send_up_tagged(SimTime::EPOCH, robot, Bytes::from_static(b"a"), MsgId::NONE);
         l.send_down(SimTime::EPOCH, robot, Bytes::from_static(b"b"));
         l.tick(SimTime::EPOCH + Duration::from_millis(50), robot);
         assert_eq!(l.uplink.stats().transmitted, 1);
         assert_eq!(l.downlink.stats().transmitted, 1);
+    }
+
+    #[test]
+    fn wan_latency_override_replaces_the_site_default() {
+        assert_eq!(RemoteSite::EdgeGateway.wan_latency(), Duration::ZERO);
+        assert_eq!(
+            RemoteSite::CloudServer.wan_latency(),
+            Duration::from_millis(12)
+        );
+        let robot = Point2::new(2.0, 0.0);
+        let mut gw = link(RemoteSite::EdgeGateway);
+        let mut cfg = LinkConfig::new(RemoteSite::CloudServer, Point2::new(0.0, 0.0));
+        cfg.wireless = WirelessConfig {
+            jitter: Duration::ZERO,
+            ..WirelessConfig::default()
+        }
+        .with_weak_radius(20.0);
+        cfg.wan_latency = Some(Duration::ZERO);
+        let mut cl = DuplexLink::new(cfg, &mut SimRng::seed_from_u64(3));
+        assert_eq!(cl.site(), RemoteSite::CloudServer);
+        assert_eq!(cl.uplink_bps(), crate::signal::BANDWIDTH_BPS);
+        for l in [&mut gw, &mut cl] {
+            l.send_up_tagged(SimTime::EPOCH, robot, Bytes::from_static(b"x"), MsgId::NONE);
+            l.tick(SimTime::EPOCH + Duration::from_millis(100), robot);
+        }
+        assert_eq!(
+            cl.recv_at_server().unwrap().latency(),
+            gw.recv_at_server().unwrap().latency()
+        );
+    }
+
+    #[test]
+    fn radio_weak_follows_distance_and_blackouts() {
+        let mut l = link(RemoteSite::EdgeGateway);
+        let (near, far) = (Point2::new(2.0, 0.0), Point2::new(30.0, 0.0));
+        let t = SimTime::from_secs_f64(1.5);
+        assert!(!l.radio_weak(near, t));
+        assert!(l.radio_weak(far, t));
+        l.set_faults(&FaultSchedule::none().with(1.0, 1.0, FaultKind::Blackout));
+        assert!(l.radio_weak(near, t));
+        assert!(!l.radio_weak(near, SimTime::from_secs_f64(2.0)));
     }
 }

@@ -8,9 +8,8 @@
 //! * **signal direction** — whether the LGV is moving towards or away
 //!   from the WAP, derived from its internal model of the environment.
 //!
-//! An [`RttTracker`] is still provided (the Profiler uses RTT for the
-//! VDP makespan), plus it lets the ablation benches demonstrate *why*
-//! latency alone fails.
+//! An [`RttTracker`] is still provided: the Profiler adds the latest
+//! RTT to the VDP makespan.
 
 use lgv_types::prelude::*;
 use std::collections::VecDeque;
@@ -57,12 +56,6 @@ impl BandwidthMeter {
     pub fn rate(&mut self, now: SimTime) -> f64 {
         self.evict(now);
         self.arrivals.len() as f64 / self.window.as_secs_f64()
-    }
-
-    /// Packets currently inside the window.
-    pub fn count(&mut self, now: SimTime) -> usize {
-        self.evict(now);
-        self.arrivals.len()
     }
 }
 
@@ -112,65 +105,22 @@ impl SignalDirectionEstimator {
     }
 }
 
-/// Round-trip-time tracker with simple order statistics, kept for the
-/// VDP-makespan profiler and for the latency-metric ablation.
-#[derive(Debug, Clone)]
+/// The latest round-trip time, fed by echoed stamps; the Profiler
+/// reads it for the VDP makespan.
+#[derive(Debug, Clone, Default)]
 pub struct RttTracker {
-    cap: usize,
-    samples: VecDeque<Duration>,
+    latest: Option<Duration>,
 }
 
 impl RttTracker {
-    /// Tracker remembering up to `cap` recent samples.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0);
-        RttTracker {
-            cap,
-            samples: VecDeque::new(),
-        }
-    }
-
     /// Record an RTT sample.
     pub fn record(&mut self, rtt: Duration) {
-        if self.samples.len() == self.cap {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(rtt);
+        self.latest = Some(rtt);
     }
 
     /// Most recent sample.
     pub fn latest(&self) -> Option<Duration> {
-        self.samples.back().copied()
-    }
-
-    /// Mean of the retained samples.
-    pub fn mean(&self) -> Option<Duration> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let total: f64 = self.samples.iter().map(|d| d.as_secs_f64()).sum();
-        Some(Duration::from_secs_f64(total / self.samples.len() as f64))
-    }
-
-    /// Percentile (0–100) of the retained samples (nearest-rank).
-    pub fn percentile(&self, pct: f64) -> Option<Duration> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut v: Vec<Duration> = self.samples.iter().copied().collect();
-        v.sort_unstable();
-        let rank = ((pct / 100.0) * v.len() as f64).ceil().max(1.0) as usize - 1;
-        Some(v[rank.min(v.len() - 1)])
-    }
-
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.latest
     }
 }
 
@@ -195,7 +145,7 @@ mod tests {
         let mut m = BandwidthMeter::new(Duration::from_secs(1));
         // 5 Hz sender, but only 1 packet survives each second.
         m.record(SimTime::EPOCH + Duration::from_millis(100));
-        assert_eq!(m.count(SimTime::EPOCH + Duration::from_secs(1)), 1);
+        assert_eq!(m.rate(SimTime::EPOCH + Duration::from_secs(1)), 1.0);
     }
 
     #[test]
@@ -245,25 +195,40 @@ mod tests {
 
     #[test]
     fn rtt_tracker_stats() {
-        let mut r = RttTracker::new(10);
-        assert!(r.is_empty());
+        let mut r = RttTracker::default();
+        assert_eq!(r.latest(), None);
         for ms in [10u64, 20, 30, 40] {
             r.record(Duration::from_millis(ms));
         }
         assert_eq!(r.latest(), Some(Duration::from_millis(40)));
-        assert_eq!(r.mean(), Some(Duration::from_millis(25)));
-        assert_eq!(r.percentile(50.0), Some(Duration::from_millis(20)));
-        assert_eq!(r.percentile(99.0), Some(Duration::from_millis(40)));
-        assert_eq!(r.len(), 4);
     }
 
     #[test]
-    fn rtt_tracker_evicts_oldest() {
-        let mut r = RttTracker::new(3);
-        for ms in [1u64, 2, 3, 4] {
-            r.record(Duration::from_millis(ms));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.percentile(0.0), Some(Duration::from_millis(2)));
+    fn bandwidth_window_keeps_an_arrival_exactly_one_window_old() {
+        let w = Duration::from_millis(500);
+        let mut m = BandwidthMeter::new(w);
+        m.record(SimTime::EPOCH);
+        assert_eq!(m.rate(SimTime::EPOCH + w), 2.0);
+        assert_eq!(m.rate(SimTime::EPOCH + w + Duration::from_nanos(1)), 0.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn bandwidth_meter_rejects_an_empty_window() {
+        let _ = BandwidthMeter::new(Duration::ZERO);
+    }
+
+    #[test]
+    fn direction_is_a_smoothed_closing_speed() {
+        let mut d = SignalDirectionEstimator::new(Point2::ORIGIN);
+        let at = |s: u64| SimTime::EPOCH + Duration::from_secs(s);
+        // The first fix has nothing to compare with.
+        assert_eq!(d.update(at(0), Point2::new(10.0, 0.0)), 0.0);
+        // Closing at 1 m/s: each step blends in 30% of the new speed.
+        assert!((d.update(at(1), Point2::new(9.0, 0.0)) - 0.3).abs() < 1e-12);
+        assert!((d.update(at(2), Point2::new(8.0, 0.0)) - 0.51).abs() < 1e-12);
+        // A repeated timestamp carries no speed and changes nothing.
+        assert!((d.update(at(2), Point2::new(0.0, 0.0)) - 0.51).abs() < 1e-12);
+        assert_eq!(d.direction(), d.update(at(2), Point2::new(0.0, 0.0)));
     }
 }

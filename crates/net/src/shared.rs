@@ -239,4 +239,15 @@ mod tests {
         assert_eq!(m.contend(1, at(200), AIR), AIR);
         assert_eq!(m.stats().sends, 3);
     }
+
+    #[test]
+    fn zero_window_falls_back_to_the_default() {
+        // 200 ms apart: the previous window under the default width.
+        let m = SharedMedium::new(Duration::ZERO);
+        m.contend(1, at(0), AIR);
+        assert_eq!(m.contend(2, at(250), AIR), scale(AIR, 1));
+        let narrow = SharedMedium::new(Duration::from_millis(1));
+        narrow.contend(1, at(0), AIR);
+        assert_eq!(narrow.contend(2, at(250), AIR), Duration::ZERO);
+    }
 }

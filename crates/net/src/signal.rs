@@ -158,6 +158,7 @@ impl SignalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultKind;
 
     fn model() -> SignalModel {
         SignalModel::new(WirelessConfig::default(), Point2::new(0.0, 0.0))
@@ -230,5 +231,36 @@ mod tests {
         // At the WAP itself we clamp to 0.1 m instead of +∞ dB.
         let r = m.rssi_at(Point2::new(0.0, 0.0));
         assert!(r.is_finite());
+    }
+
+    #[test]
+    fn blackout_window_forces_certain_loss() {
+        let mut m = model();
+        let robot = Point2::new(1.0, 0.0);
+        m.set_faults(FaultSchedule::none().with(1.0, 2.0, FaultKind::Blackout));
+        assert_eq!(m.faults().windows().len(), 1);
+        let inside = SimTime::from_secs_f64(2.0);
+        let after = SimTime::from_secs_f64(3.0);
+        assert_eq!(m.loss_prob_at(robot, inside), 1.0);
+        assert!(m.is_weak_at(robot, inside));
+        assert_eq!(m.loss_prob_at(robot, after), m.loss_prob(robot));
+        assert_eq!(m.is_weak_at(robot, after), m.is_weak(robot));
+    }
+
+    #[test]
+    fn latency_spikes_add_to_tx_delay_inside_their_window() {
+        let mut m = model();
+        let extra = Duration::from_millis(40);
+        m.set_faults(FaultSchedule::none().with(0.0, 1.0, FaultKind::LatencySpike { extra }));
+        assert_eq!(
+            m.tx_delay_at(1000, SimTime::EPOCH),
+            m.tx_delay(1000) + extra
+        );
+        assert_eq!(
+            m.tx_delay_at(1000, SimTime::from_secs_f64(1.0)),
+            m.tx_delay(1000)
+        );
+        assert_eq!(m.tx_delay(0), BASE_LATENCY);
+        assert_eq!(m.distance(Point2::new(3.0, 4.0)), 5.0);
     }
 }

@@ -238,11 +238,6 @@ impl TcpChannel {
         self.rx_queue.pop_front()
     }
 
-    /// Segments queued but not yet delivered.
-    pub fn backlog(&self) -> usize {
-        self.send_queue.len()
-    }
-
     /// Abandon the transfer: flush every queued segment, the in-flight
     /// copy, and any delivered-but-undrained payloads. Returns the
     /// number of segments flushed from the send side. Without this, an
@@ -261,14 +256,6 @@ impl TcpChannel {
     /// Protocol statistics.
     pub fn stats(&self) -> TcpStats {
         self.stats
-    }
-
-    /// Age of the oldest undelivered segment (how far behind the
-    /// reliable stream is — the head-of-line blocking observable).
-    pub fn head_age(&self, now: SimTime) -> Option<Duration> {
-        self.send_queue
-            .front()
-            .map(|s| now.saturating_since(s.queued_at))
     }
 }
 
@@ -311,7 +298,7 @@ mod tests {
             }
         }
         assert_eq!(got, vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
-        assert_eq!(ch.backlog(), 0);
+        assert!(ch.send_queue.is_empty());
         assert_eq!(ch.stats().delivered, 5);
     }
 
@@ -347,11 +334,11 @@ mod tests {
         ch.send(SimTime::EPOCH, Bytes::from_static(b"tail"));
         let mut t = SimTime::EPOCH;
         let mut worst_age = Duration::ZERO;
-        while ch.backlog() > 0 {
+        while !ch.send_queue.is_empty() {
             t += Duration::from_millis(20);
             ch.tick(t, lossy);
-            if let Some(age) = ch.head_age(t) {
-                worst_age = worst_age.max(age);
+            if let Some(head) = ch.send_queue.front() {
+                worst_age = worst_age.max(t.saturating_since(head.queued_at));
             }
             assert!(t < SimTime::EPOCH + Duration::from_secs(120), "livelock");
             while ch.recv().is_some() {}
@@ -375,7 +362,7 @@ mod tests {
             t += Duration::from_millis(50);
             ch.tick(t, weak);
         }
-        assert_eq!(ch.backlog(), 1, "segment still queued, not dropped");
+        assert_eq!(ch.send_queue.len(), 1, "segment still queued, not dropped");
         // …and delivery resumes when the robot returns.
         for _ in 0..100 {
             t += Duration::from_millis(50);
@@ -436,7 +423,7 @@ mod tests {
         assert!(ch.stats().delivered > 0);
         let flushed = ch.cancel_pending();
         assert!(flushed > 0);
-        assert_eq!(ch.backlog(), 0);
+        assert!(ch.send_queue.is_empty());
         assert!(ch.recv().is_none(), "stale deliveries flushed too");
         assert_eq!(ch.stats().cancelled, flushed as u64);
         // A fresh transfer is not blocked behind stale segments.

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use lgv_net::channel::{SendOutcome, UdpChannel};
-use lgv_net::measure::{BandwidthMeter, RttTracker, SignalDirectionEstimator};
+use lgv_net::measure::{BandwidthMeter, SignalDirectionEstimator};
 use lgv_net::signal::{SignalModel, WirelessConfig};
 use lgv_types::prelude::*;
 use proptest::prelude::*;
@@ -115,18 +115,6 @@ proptest! {
         let in_window =
             offsets.iter().filter(|&&o| 5000 - o <= 1000).count();
         prop_assert_eq!(m.rate(now) as usize, in_window);
-    }
-
-    #[test]
-    fn rtt_percentiles_are_ordered(ms in proptest::collection::vec(1u64..1000, 1..40)) {
-        let mut r = RttTracker::new(64);
-        for &v in &ms {
-            r.record(Duration::from_millis(v));
-        }
-        let p50 = r.percentile(50.0).unwrap();
-        let p99 = r.percentile(99.0).unwrap();
-        prop_assert!(p50 <= p99);
-        prop_assert!(r.mean().unwrap() <= p99);
     }
 
     #[test]

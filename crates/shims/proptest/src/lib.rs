@@ -96,13 +96,19 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assume, proptest};
 }
 
-/// Run the properties defined in the block as `#[test]` functions.
+/// Turn the properties defined in the block into functions that run
+/// each one over [`test_runner::ProptestConfig::cases`] drawn inputs.
 ///
 /// Supports an optional leading
 /// `#![proptest_config(ProptestConfig::with_cases(n))]` and one or
-/// more `fn name(pat in strategy, ...) { body }` items. The macro adds
-/// `#[test]` itself, so a property that also carries its own `#[test]`
-/// is registered, and run, twice under the same name.
+/// more `#[test] fn name(pat in strategy, ...) { body }` items. As in
+/// the real crate, each property carries its own `#[test]`, so it is
+/// registered once. Stricter than the real crate, `#[test]` must come
+/// right after the property's doc comment and before its other
+/// attributes, and a property without it is a compile error: the
+/// macro adds no `#[test]`, and a plain `fn` it generated would
+/// otherwise be dead code that no lint reports (lints skip code
+/// expanded from another crate's macro).
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -119,10 +125,16 @@ macro_rules! proptest {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __proptest_items {
-    (($cfg:expr) $($(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
+    (($cfg:expr) $(
+        $(#[doc = $doc:expr])*
+        #[test]
+        $(#[$meta:meta])*
+        fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block
+    )*) => {
         $(
-            $(#[$meta])*
+            $(#[doc = $doc])*
             #[test]
+            $(#[$meta])*
             fn $name() {
                 let __config = $cfg;
                 let __strategy = ($($strat,)+);
@@ -165,6 +177,12 @@ macro_rules! __proptest_items {
                 }
             }
         )*
+    };
+    (($cfg:expr) $($rest:tt)*) => {
+        ::core::compile_error!(
+            "proptest!: every property is `#[test] fn name(pat in strategy, ...) { ... }`, \
+             with `#[test]` after its doc comment and before any other attribute"
+        );
     };
 }
 
@@ -288,6 +306,7 @@ mod tests {
     }
 
     proptest! {
+        #[test]
         #[should_panic(expected = "proptest `reports_the_failing_inputs` failed at case 0 \
                                    (attempt 1): assertion failed: x < 5\n  inputs: (5, \"ab\")")]
         fn reports_the_failing_inputs(x in 5u32..6, s in Just(String::from("ab"))) {

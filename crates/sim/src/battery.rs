@@ -33,11 +33,6 @@ impl Battery {
         self.capacity_j - self.consumed_j
     }
 
-    /// Remaining energy (Wh).
-    pub fn remaining_wh(&self) -> f64 {
-        self.remaining_j() / 3600.0
-    }
-
     /// State of charge in [0, 1].
     pub fn soc(&self) -> f64 {
         self.remaining_j() / self.capacity_j
@@ -46,15 +41,6 @@ impl Battery {
     /// True when fully drained.
     pub fn depleted(&self) -> bool {
         self.remaining_j() <= 0.0
-    }
-
-    /// How long the battery lasts at a constant draw (seconds).
-    pub fn runtime_at(&self, watts: f64) -> f64 {
-        if watts <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.remaining_j() / watts
-        }
     }
 }
 
@@ -65,7 +51,7 @@ mod tests {
     #[test]
     fn fresh_battery_is_full() {
         let b = Battery::new_wh(19.98);
-        assert!((b.remaining_wh() - 19.98).abs() < 1e-9);
+        assert!((b.remaining_j() - 19.98 * 3600.0).abs() < 1e-6);
         assert_eq!(b.soc(), 1.0);
         assert!(!b.depleted());
     }
@@ -81,12 +67,24 @@ mod tests {
     }
 
     #[test]
-    fn runtime_estimate() {
-        let b = Battery::new_wh(19.98);
-        // Paper §I: the EC budget is ≈ 3.35 Wh for one hour; at a
-        // 3.35 W draw the full pack would last ≈ 6 h.
-        let hours = b.runtime_at(3.35) / 3600.0;
-        assert!((hours - 19.98 / 3.35).abs() < 1e-9);
-        assert_eq!(b.runtime_at(0.0), f64::INFINITY);
+    #[should_panic(expected = "battery capacity must be positive")]
+    fn non_positive_capacity_panics() {
+        let _ = Battery::new_wh(0.0);
+    }
+
+    #[test]
+    fn drains_accumulate_and_clamp_at_empty() {
+        let mut b = Battery::new_wh(1.0);
+        for _ in 0..4 {
+            b.drain(450.0);
+        }
+        assert_eq!(b.remaining_j(), 1800.0);
+        b.drain(0.0);
+        assert_eq!(b.soc(), 0.5);
+        b.drain(1800.0);
+        assert!(b.depleted());
+        assert_eq!(b.soc(), 0.0);
+        b.drain(1.0);
+        assert_eq!(b.remaining_j(), 0.0);
     }
 }

@@ -145,17 +145,6 @@ impl EnergyReport {
     pub fn total_wh(&self) -> f64 {
         self.total_joules() / 3600.0
     }
-
-    /// Ratio of this report's total energy to another's (used for the
-    /// paper's "reduced by 2.12×" statements: `other / self`).
-    pub fn energy_reduction_vs(&self, baseline: &EnergyReport) -> f64 {
-        baseline.total_joules() / self.total_joules()
-    }
-
-    /// Ratio of mission times (`baseline / self`).
-    pub fn time_reduction_vs(&self, baseline: &EnergyReport) -> f64 {
-        baseline.mission_time.as_secs_f64() / self.mission_time.as_secs_f64()
-    }
 }
 
 impl fmt::Display for EnergyReport {
@@ -208,22 +197,57 @@ mod tests {
     }
 
     #[test]
-    fn reduction_factors() {
-        let mut a = EnergyLedger::new();
-        a.add(Component::Motor, 100.0);
-        let base = a.report(Duration::from_secs(100));
-        let mut b = EnergyLedger::new();
-        b.add(Component::Motor, 50.0);
-        let opt = b.report(Duration::from_secs(40));
-        assert!((opt.energy_reduction_vs(&base) - 2.0).abs() < 1e-12);
-        assert!((opt.time_reduction_vs(&base) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn display_contains_components() {
         let l = EnergyLedger::new();
         let s = l.report(Duration::from_secs(1)).to_string();
         assert!(s.contains("motor"));
         assert!(s.contains("TOTAL"));
+    }
+
+    #[test]
+    fn trace_flush_emits_only_new_energy() {
+        let tracer = lgv_trace::Tracer::enabled();
+        let ring = tracer.attach(lgv_trace::RingBufferSink::new(16));
+        let mut l = EnergyLedger::new();
+        l.set_tracer(tracer);
+        l.add(Component::Motor, 3.0);
+        l.add(Component::Sensor, 1.0);
+        l.trace_flush();
+        // Nothing new: a second flush is silent.
+        l.trace_flush();
+        l.add(Component::Motor, 2.0);
+        l.trace_flush();
+        let deltas: Vec<(String, f64)> = ring
+            .lock()
+            .unwrap()
+            .records()
+            .map(|r| match &r.event {
+                TraceEvent::EnergyDelta { component, joules } => (component.clone(), *joules),
+                e => panic!("unexpected event {e:?}"),
+            })
+            .collect();
+        assert_eq!(
+            deltas,
+            vec![
+                ("sensor".to_string(), 1.0),
+                ("motor".to_string(), 3.0),
+                ("motor".to_string(), 2.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_report_is_a_snapshot_of_every_component() {
+        let mut l = EnergyLedger::new();
+        for (i, c) in Component::ALL.into_iter().enumerate() {
+            l.add(c, (i + 1) as f64);
+        }
+        let r = l.report(Duration::from_secs(2));
+        l.add(Component::Wireless, 100.0);
+        for (i, c) in Component::ALL.into_iter().enumerate() {
+            assert_eq!(r.joules(c), (i + 1) as f64, "{}", c.name());
+        }
+        assert_eq!(r.total_joules(), 15.0);
+        assert_eq!(l.total_joules(), 115.0);
     }
 }

@@ -228,4 +228,43 @@ mod tests {
         };
         assert_eq!(mk(), mk());
     }
+
+    #[test]
+    fn beam_table_holds_unit_directions_counter_clockwise() {
+        let cfg = LidarConfig {
+            beams: 4,
+            ..LidarConfig::default()
+        };
+        let t = Lidar::beam_table(&cfg);
+        let want = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)];
+        for (&(c, s), (wc, ws)) in t.iter().zip(want) {
+            assert!((c - wc).abs() < 1e-12 && (s - ws).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beam table of another beam count")]
+    fn a_beam_table_must_match_the_beam_count() {
+        let cfg = LidarConfig::default();
+        let table = Lidar::beam_table(&LidarConfig {
+            beams: 90,
+            ..cfg.clone()
+        });
+        let _ = Lidar::with_beam_table(cfg, table, SimRng::seed_from_u64(1));
+    }
+
+    #[test]
+    fn a_shared_beam_table_scans_like_a_fresh_lidar() {
+        let cfg = quiet_lidar().config().clone();
+        let mut shared = Lidar::with_beam_table(
+            cfg.clone(),
+            Lidar::beam_table(&cfg),
+            SimRng::seed_from_u64(2),
+        );
+        let pose = Pose2D::new(3.0, 4.0, 0.7);
+        assert_eq!(
+            shared.scan(&room(), pose, SimTime::EPOCH),
+            quiet_lidar().scan(&room(), pose, SimTime::EPOCH)
+        );
+    }
 }

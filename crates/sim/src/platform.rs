@@ -187,17 +187,6 @@ impl Platform {
         }
         Duration::from_secs_f64(secs)
     }
-
-    /// The thread count (among 1..=hw_threads) minimizing `exec_time`.
-    pub fn best_threads(&self, work: &Work) -> u32 {
-        (1..=self.hw_threads)
-            .min_by(|&a, &b| {
-                self.exec_time(work, a)
-                    .cmp(&self.exec_time(work, b))
-                    .then(a.cmp(&b))
-            })
-            .unwrap_or(1)
-    }
 }
 
 #[cfg(test)]
@@ -335,15 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn best_threads_finds_plateau() {
-        let p = Platform::cloud_server();
-        let bt_vdp = p.best_threads(&vdp_work());
-        let bt_ecn = p.best_threads(&ecn_work());
-        assert!(bt_vdp <= 12, "VDP optimum should be modest, got {bt_vdp}");
-        assert!(bt_ecn >= 12, "ECN optimum should be large, got {bt_ecn}");
-    }
-
-    #[test]
     fn presets_match_table_iii() {
         let t = Platform::turtlebot3();
         assert_eq!(t.cores, 4);
@@ -353,5 +333,41 @@ mod tests {
         let c = Platform::cloud_server();
         assert_eq!(c.cores, 24);
         assert!((c.memory_gb - 768.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn smt_siblings_add_a_fraction_of_a_core() {
+        let p = Platform::cloud_server();
+        assert_eq!(p.effective_parallelism(0, 100), 1.0);
+        assert_eq!(p.effective_parallelism(p.cores, 1000), p.cores as f64);
+        if p.hw_threads > p.cores {
+            let extra = p.effective_parallelism(p.cores + 1, 1000) - p.cores as f64;
+            assert!(extra > 0.0 && extra < 1.0, "extra {extra}");
+        }
+        // Beyond the hardware threads nothing more is gained.
+        assert_eq!(
+            p.effective_parallelism(p.hw_threads * 4, 1000),
+            p.effective_parallelism(p.hw_threads, 1000)
+        );
+    }
+
+    #[test]
+    fn presets_agree_with_their_constructors() {
+        assert_eq!(
+            Platform::preset(PlatformKind::Turtlebot3),
+            Platform::turtlebot3()
+        );
+        assert_eq!(
+            Platform::preset(PlatformKind::EdgeGateway),
+            Platform::edge_gateway()
+        );
+        assert_eq!(
+            Platform::preset(PlatformKind::CloudServer),
+            Platform::cloud_server()
+        );
+        assert_eq!(
+            Platform::turtlebot3().exec_time(&Work::ZERO, 4),
+            Duration::ZERO
+        );
     }
 }

@@ -195,11 +195,6 @@ impl ComputeEnergyModel {
     pub fn dynamic_energy(&self, cycles: f64) -> f64 {
         self.k * cycles * self.freq_hz * self.freq_hz
     }
-
-    /// Idle energy (J) over a span of `secs`.
-    pub fn idle_energy(&self, secs: f64) -> f64 {
-        self.idle_w * secs
-    }
 }
 
 /// Eq. 1b: transmission energy `P_trans · D / R`.
@@ -282,7 +277,7 @@ mod tests {
         let m = profile.compute_model(&platform);
         // One second of full-rate cycles on all cores:
         let cycles = platform.rate() * platform.cores as f64;
-        let p = m.dynamic_energy(cycles) + m.idle_energy(1.0);
+        let p = m.dynamic_energy(cycles) + m.idle_w;
         assert!(
             (p - profile.max_power.embedded_computer).abs() < 1e-6,
             "p = {p}"
@@ -310,5 +305,38 @@ mod tests {
         let e = t.energy(2940, 10e6);
         assert!((e - 1.3 * 2940.0 * 8.0 / 10e6).abs() < 1e-12);
         assert_eq!(t.energy(1000, 0.0), 0.0);
+    }
+
+    #[test]
+    fn motor_draws_only_its_losses_when_still() {
+        let m = LgvProfile::turtlebot3().motor_model();
+        assert_eq!(m.power(0.0, 3.0), m.loss_w);
+        // Reversing costs the same as driving forward.
+        assert_eq!(m.power(-0.2, -1.0), m.power(0.2, 1.0));
+    }
+
+    #[test]
+    fn idle_at_or_above_max_leaves_no_dynamic_energy() {
+        let platform = crate::platform::Platform::turtlebot3();
+        let flat = ComputeEnergyModel::calibrated(&platform, 5.0, 5.0);
+        assert_eq!(flat.k, 0.0);
+        assert_eq!(flat.dynamic_energy(1e9), 0.0);
+        let inverted = ComputeEnergyModel::calibrated(&platform, 2.0, 5.0);
+        assert_eq!(inverted.dynamic_energy(1e9), 0.0);
+        assert_eq!(inverted.idle_w, 5.0);
+    }
+
+    #[test]
+    fn every_profile_shares_sum_to_one_hundred() {
+        for p in [
+            LgvProfile::turtlebot3(),
+            LgvProfile::turtlebot2(),
+            LgvProfile::pioneer_3dx(),
+        ] {
+            let s = p.max_power.shares();
+            assert!((s.iter().sum::<f64>() - 100.0).abs() < 1e-9);
+            assert!(s.iter().all(|&x| x > 0.0));
+            assert_eq!(p.motor_model().max_w, p.max_power.motor);
+        }
     }
 }

@@ -40,20 +40,6 @@ impl World {
         self.occ[self.dims.flat(idx)]
     }
 
-    /// Is the world-frame point inside a solid cell?
-    pub fn occupied_at(&self, p: Point2) -> bool {
-        self.occupied(self.dims.world_to_grid(p))
-    }
-
-    /// Fraction of in-bounds cells that are free.
-    pub fn free_fraction(&self) -> f64 {
-        if self.occ.is_empty() {
-            return 0.0;
-        }
-        let free = self.occ.iter().filter(|&&o| !o).count();
-        free as f64 / self.occ.len() as f64
-    }
-
     /// Cast a ray from `from` at absolute angle `angle` and return the
     /// distance to the first solid cell, capped at `max_range`.
     ///
@@ -256,14 +242,19 @@ mod tests {
         assert!((d - 1.0).abs() < 0.15, "d = {d}");
     }
 
+    /// Is the world-frame point `(x, y)` inside a solid cell?
+    fn solid(w: &World, x: f64, y: f64) -> bool {
+        w.occupied(w.dims().world_to_grid(Point2::new(x, y)))
+    }
+
     #[test]
     fn disc_obstacle_marks_cells() {
         let w = WorldBuilder::new(10.0, 8.0, 0.1)
             .disc(Point2::new(5.0, 4.0), 0.5)
             .build();
-        assert!(w.occupied_at(Point2::new(5.0, 4.0)));
-        assert!(w.occupied_at(Point2::new(5.4, 4.0)));
-        assert!(!w.occupied_at(Point2::new(5.7, 4.0)));
+        assert!(solid(&w, 5.0, 4.0));
+        assert!(solid(&w, 5.4, 4.0));
+        assert!(!solid(&w, 5.7, 4.0));
     }
 
     #[test]
@@ -272,8 +263,8 @@ mod tests {
             .rect(Point2::new(5.0, 0.0), Point2::new(5.1, 8.0))
             .carve(Point2::new(5.0, 3.5), Point2::new(5.1, 4.5))
             .build();
-        assert!(w.occupied_at(Point2::new(5.05, 1.0)));
-        assert!(!w.occupied_at(Point2::new(5.05, 4.0)));
+        assert!(solid(&w, 5.05, 1.0));
+        assert!(!solid(&w, 5.05, 4.0));
     }
 
     #[test]
@@ -292,13 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn free_fraction_sane() {
-        let w = empty_room();
-        let f = w.free_fraction();
-        assert!(f > 0.9 && f < 1.0, "{f}");
-    }
-
-    #[test]
     fn map_msg_roundtrip_values() {
         let w = WorldBuilder::new(2.0, 2.0, 0.5).walls().build();
         let m = w.to_map_msg(SimTime::EPOCH);
@@ -306,5 +290,52 @@ mod tests {
         assert_eq!(m.cells[0], MapMsg::OCCUPIED);
         assert_eq!(m.cells[5], MapMsg::FREE);
         assert_eq!(m.known_fraction(), 1.0);
+    }
+
+    #[test]
+    fn cells_off_the_grid_count_as_occupied() {
+        let w = WorldBuilder::new(4.0, 4.0, 0.1).build();
+        assert!(!w.occupied(GridIndex::new(0, 0)));
+        assert!(w.occupied(GridIndex::new(-1, 0)));
+        assert!(w.occupied(GridIndex::new(40, 39)));
+        // With no walls, a ray still stops at the edge of the grid.
+        // It ends at the centre of the first off-grid cell, (40, 20).
+        let from = Point2::new(2.0, 2.0);
+        let r = w.raycast(from, 0.0, 10.0);
+        assert!(
+            (r - from.distance(Point2::new(4.05, 2.05))).abs() < 1e-9,
+            "range {r}"
+        );
+    }
+
+    #[test]
+    fn painting_clips_to_the_grid() {
+        let w = WorldBuilder::new(1.0, 1.0, 0.1)
+            .rect(Point2::new(-1.0, -1.0), Point2::new(0.25, 0.25))
+            .build();
+        assert!(w.occupied(GridIndex::new(0, 0)));
+        assert!(w.occupied(GridIndex::new(2, 2)));
+        assert!(!w.occupied(GridIndex::new(3, 3)));
+        assert!(!w.occupied(GridIndex::new(0, 3)));
+    }
+
+    #[test]
+    fn builder_clones_draw_independently() {
+        let base = WorldBuilder::new(2.0, 2.0, 0.1);
+        let marked = base.clone().disc(Point2::new(1.0, 1.0), 0.3).build();
+        let plain = base.build();
+        let centre = GridIndex::new(10, 10);
+        assert!(marked.occupied(centre));
+        assert!(!plain.occupied(centre));
+    }
+
+    #[test]
+    fn a_disc_reaching_past_a_cell_edge_collides() {
+        let w = WorldBuilder::new(4.0, 4.0, 1.0)
+            .rect(Point2::new(0.0, 0.0), Point2::new(0.5, 0.5))
+            .build();
+        assert!(w.collides_disc(Point2::new(1.5, 0.5), 0.51));
+        assert!(!w.collides_disc(Point2::new(1.5, 0.5), 0.49));
+        assert!(w.collides_disc(Point2::new(0.5, 0.5), 0.01));
     }
 }

@@ -300,9 +300,9 @@ mod tests {
         };
         let f = generate(&cfg, 3);
         assert_eq!(f.room_centres.len(), 12);
-        let (w, h) = f.world.dims().world_size();
-        assert!((w - 20.0).abs() < 0.1);
-        assert!((h - 15.0).abs() < 0.1);
+        let d = f.world.dims();
+        assert!((d.width as f64 * d.resolution - 20.0).abs() < 0.1);
+        assert!((d.height as f64 * d.resolution - 15.0).abs() < 0.1);
     }
 
     #[test]

@@ -161,32 +161,37 @@ mod tests {
         assert!(!w.collides_disc(lab_goal(), 0.15));
     }
 
+    /// Is the world-frame point `(x, y)` inside a solid cell?
+    fn solid(w: &World, x: f64, y: f64) -> bool {
+        w.occupied(w.dims().world_to_grid(Point2::new(x, y)))
+    }
+
     #[test]
     fn lab_doorway_is_open() {
         let w = lab();
-        assert!(!w.occupied_at(Point2::new(6.07, 4.8)));
-        assert!(w.occupied_at(Point2::new(6.07, 2.0)));
+        assert!(!solid(&w, 6.07, 4.8));
+        assert!(solid(&w, 6.07, 2.0));
     }
 
     #[test]
     fn intel_like_rooms_reachable_through_doorways() {
         let w = intel_like();
         // Corridor free, doorway free, wall solid.
-        assert!(!w.occupied_at(Point2::new(9.0, 7.0)));
-        assert!(!w.occupied_at(Point2::new(2.3, 5.9)));
-        assert!(w.occupied_at(Point2::new(0.5, 5.9)));
+        assert!(!solid(&w, 9.0, 7.0));
+        assert!(!solid(&w, 2.3, 5.9));
+        assert!(solid(&w, 0.5, 5.9));
     }
 
     #[test]
     fn course_phases_have_expected_geometry() {
         let w = obstacle_course();
         // Slalom obstacle present.
-        assert!(w.occupied_at(Point2::new(2.5, 2.2)));
+        assert!(solid(&w, 2.5, 2.2));
         // Straight stretch free.
-        assert!(!w.occupied_at(Point2::new(12.0, 3.0)));
+        assert!(!solid(&w, 12.0, 3.0));
         // Turn forces north: corridor blocked at the east end.
-        assert!(w.occupied_at(Point2::new(19.5, 3.0)));
-        assert!(!w.occupied_at(Point2::new(17.5, 8.0)));
+        assert!(solid(&w, 19.5, 3.0));
+        assert!(!solid(&w, 17.5, 8.0));
         assert!(!w.collides_disc(course_goal(), 0.15));
     }
 

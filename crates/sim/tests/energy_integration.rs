@@ -45,7 +45,7 @@ fn full_compute_minute_matches_table1_maximum() {
     let platform = Platform::turtlebot3();
     let ec = profile.compute_model(&platform);
     let cycles_per_minute = platform.rate() * platform.cores as f64 * 60.0;
-    let joules = ec.dynamic_energy(cycles_per_minute) + ec.idle_energy(60.0);
+    let joules = ec.dynamic_energy(cycles_per_minute) + ec.idle_w * 60.0;
     let expected = profile.max_power.embedded_computer * 60.0;
     assert!((joules - expected).abs() < 1e-6, "{joules} vs {expected}");
 }
@@ -84,8 +84,8 @@ fn transmission_energy_is_negligible_at_mission_scale() {
 
 #[test]
 fn battery_runtime_matches_ledger_drain() {
-    // Draining the ledger's joules from the pack matches the runtime
-    // estimate for the equivalent constant power.
+    // Draining the ledger's joules from the pack costs exactly the
+    // energy of the equivalent constant power.
     let profile = LgvProfile::turtlebot3();
     let mut battery = Battery::new_wh(profile.battery_wh);
     let mut ledger = EnergyLedger::new();
@@ -93,8 +93,9 @@ fn battery_runtime_matches_ledger_drain() {
     let span = Duration::from_secs(600);
     ledger.add_power(Component::EmbeddedComputer, watts, span);
     battery.drain(ledger.total_joules());
-    let remaining_runtime = battery.runtime_at(watts);
-    let full_runtime = Battery::new_wh(profile.battery_wh).runtime_at(watts);
+    // Runtime at `watts` is remaining joules / watts.
+    let remaining_runtime = battery.remaining_j() / watts;
+    let full_runtime = Battery::new_wh(profile.battery_wh).remaining_j() / watts;
     assert!(
         ((full_runtime - remaining_runtime) - 600.0).abs() < 1.0,
         "600 s of draw should cost 600 s of runtime: {}",

@@ -83,17 +83,6 @@ proptest! {
     }
 
     #[test]
-    fn best_threads_is_optimal(serial in 0.0f64..1e8, par in 0.0f64..1e9, items in 1u32..256) {
-        let p = Platform::cloud_server();
-        let w = Work::with_parallel(serial, par, items);
-        let best = p.best_threads(&w);
-        let t_best = p.exec_time(&w, best);
-        for t in [1u32, 2, 4, 8, 16, 24, 48] {
-            prop_assert!(t_best <= p.exec_time(&w, t));
-        }
-    }
-
-    #[test]
     fn motor_power_nonnegative_and_bounded(v in -1.0f64..1.0, a in -5.0f64..5.0) {
         let m = LgvProfile::turtlebot3().motor_model();
         let p = m.power(v, a);
@@ -213,6 +202,7 @@ fn reference_raycast_dir(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
+    #[test]
     fn raycast_dir_matches_reference_bit_for_bit(
         x in -1.0f64..11.0, y in -1.0f64..11.0, a in -3.2f64..3.2, r in 0.0f64..16.0,
         axis in 0u8..3,

@@ -77,12 +77,6 @@ impl OccupancyGrid {
         &self.logodds
     }
 
-    /// Occupancy probability of a cell in [0, 1]; unknown = 0.5.
-    pub fn occ_prob(&self, idx: GridIndex) -> f64 {
-        let l = self.logodds(idx) as f64;
-        1.0 / (1.0 + (-l).exp())
-    }
-
     /// Is the cell confidently occupied?
     pub fn is_occupied(&self, idx: GridIndex) -> bool {
         self.logodds(idx) > L_OCC_THRESHOLD
@@ -208,7 +202,7 @@ mod tests {
         let g = OccupancyGrid::new(dims());
         let idx = GridIndex::new(50, 50);
         assert!(g.is_unknown(idx));
-        assert_eq!(g.occ_prob(idx), 0.5);
+        assert_eq!(g.logodds(idx), 0.0);
         assert_eq!(g.observed_cells(), 0);
     }
 
@@ -270,7 +264,7 @@ mod tests {
     fn out_of_bounds_reads_are_unknown() {
         let g = OccupancyGrid::new(dims());
         assert_eq!(g.logodds(GridIndex::new(-5, 3)), 0.0);
-        assert_eq!(g.occ_prob(GridIndex::new(1000, 1000)), 0.5);
+        assert_eq!(g.logodds(GridIndex::new(1000, 1000)), 0.0);
     }
 
     #[test]
@@ -287,5 +281,53 @@ mod tests {
         assert!(g2.is_occupied(hit_cell));
         assert_eq!(g2.dims(), g.dims());
         assert!(msg.known_fraction() > 0.0);
+    }
+
+    #[test]
+    fn each_cell_counts_as_observed_once() {
+        let mut g = OccupancyGrid::new(dims());
+        let pose = Pose2D::new(2.5, 2.5, 0.0);
+        let mut m = WorkMeter::new();
+        g.integrate_scan(pose, &scan_hitting(1.0), &mut m);
+        let first = g.observed_cells();
+        assert!(first > 8, "observed {first}");
+        g.integrate_scan(pose, &scan_hitting(1.0), &mut m);
+        assert_eq!(g.observed_cells(), first);
+        let msg = g.to_map_msg(SimTime::EPOCH);
+        let known = msg.cells.iter().filter(|&&c| c != MapMsg::UNKNOWN).count();
+        assert!(known <= first);
+    }
+
+    #[test]
+    fn clone_from_copies_geometry_cells_and_count() {
+        let mut a = OccupancyGrid::new(dims());
+        let mut m = WorkMeter::new();
+        a.integrate_scan(Pose2D::new(2.5, 2.5, 0.3), &scan_hitting(0.8), &mut m);
+        let mut b = OccupancyGrid::new(GridDims::new(10, 10, 0.1, Point2::ORIGIN));
+        b.clone_from(&a);
+        assert_eq!(b.dims(), a.dims());
+        assert_eq!(b.observed_cells(), a.observed_cells());
+        assert_eq!(b.logodds_cells(), a.logodds_cells());
+        assert_eq!(b.to_map_msg(SimTime::EPOCH), a.to_map_msg(SimTime::EPOCH));
+    }
+
+    #[test]
+    fn a_loaded_map_is_saturated_and_counts_its_known_cells() {
+        let msg = MapMsg {
+            stamp: SimTime::EPOCH,
+            dims: GridDims::new(2, 2, 0.05, Point2::ORIGIN),
+            cells: vec![
+                MapMsg::UNKNOWN,
+                MapMsg::FREE,
+                MapMsg::OCCUPIED,
+                MapMsg::FREE,
+            ],
+        };
+        let g = OccupancyGrid::from_map_msg(&msg);
+        assert_eq!(g.observed_cells(), 3);
+        assert!(g.is_unknown(GridIndex::new(0, 0)));
+        assert!(g.is_free(GridIndex::new(1, 0)));
+        assert!(g.is_occupied(GridIndex::new(0, 1)));
+        assert_eq!(g.to_map_msg(SimTime::EPOCH).cells, msg.cells);
     }
 }

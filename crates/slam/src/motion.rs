@@ -147,4 +147,28 @@ mod tests {
         assert!(q.y > 0.29, "{q:?}");
         assert!(q.x.abs() < 0.01);
     }
+
+    #[test]
+    fn noiseless_samples_are_the_exact_composition() {
+        let m = MotionModel::new(MotionNoise {
+            alpha1: 0.0,
+            alpha2: 0.0,
+            alpha3: 0.0,
+            alpha4: 0.0,
+        });
+        assert_eq!(m.noise().alpha3, 0.0);
+        let mut rng = SimRng::seed_from_u64(8);
+        let pose = Pose2D::new(1.0, -2.0, 0.4);
+        for delta in [
+            Pose2D::new(0.3, 0.0, 0.0),
+            Pose2D::new(0.0, 0.3, 0.0),
+            Pose2D::new(-0.2, 0.1, 1.0),
+            Pose2D::new(0.0, 0.0, -0.5),
+        ] {
+            let got = m.sample(pose, delta, &mut rng);
+            let want = pose.compose(delta);
+            assert!(got.distance(want) < 1e-6, "{delta:?}: {got:?} vs {want:?}");
+            assert!(normalize_angle(got.theta - want.theta).abs() < 1e-6);
+        }
+    }
 }

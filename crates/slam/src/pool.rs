@@ -376,4 +376,14 @@ mod tests {
         let rb = map(&parallel, &mut b, |x| x.sin());
         assert_eq!(ra, rb);
     }
+
+    #[test]
+    fn a_zero_degree_executor_runs_on_one_thread() {
+        let pool = ParallelExecutor::new(0);
+        assert_eq!(pool.threads(), 1);
+        assert!(host_parallelism() >= 1);
+        let mut items = vec![1u32, 2, 3];
+        let out = pool.run_chunks(&mut items, |chunk| chunk.iter().sum::<u32>());
+        assert_eq!(out, vec![6]);
+    }
 }

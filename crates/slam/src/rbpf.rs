@@ -160,11 +160,6 @@ impl GMapping {
         self.particles.len()
     }
 
-    /// Particles currently participating in the filter.
-    pub fn active_particles(&self) -> usize {
-        self.active
-    }
-
     /// Set the fidelity knob: run the filter over the first `k`
     /// particles only (clamped to `1..=num_particles`). Shrinking
     /// keeps the best particle; growing back re-seeds the reactivated
@@ -613,7 +608,7 @@ mod tests {
         }
         let full_pose = slam.best_pose();
         slam.set_active_particles(2);
-        assert_eq!(slam.active_particles(), 2);
+        assert_eq!(slam.active, 2);
         assert_eq!(
             slam.best_pose(),
             full_pose,
@@ -629,9 +624,9 @@ mod tests {
         assert!(slam.best_pose().distance(start) < 0.2);
         // Clamped at both ends.
         slam.set_active_particles(0);
-        assert_eq!(slam.active_particles(), 1);
+        assert_eq!(slam.active, 1);
         slam.set_active_particles(99);
-        assert_eq!(slam.active_particles(), 10);
+        assert_eq!(slam.active, 10);
     }
 
     #[test]
@@ -739,6 +734,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
 
+        #[test]
         fn in_place_resample_matches_cloning(seed in 0u64..1_000_000, shape in 0usize..4) {
             let (mut fast, mut slow) = (scrambled_filter(seed), scrambled_filter(seed));
             let m = fast.active;

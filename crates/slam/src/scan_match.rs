@@ -484,4 +484,22 @@ mod tests {
         let (_, used_half) = half.score_cached(&map, pose, &cache(&half, &scan));
         assert!(used_half * 2 <= used_all + 1);
     }
+
+    #[test]
+    fn scan_cache_keeps_the_hits_at_the_skip_stride() {
+        let mut scan = LaserScan {
+            stamp: SimTime::EPOCH,
+            angle_min: 0.0,
+            angle_increment: std::f64::consts::PI / 4.0,
+            range_max: 3.5,
+            ranges: vec![1.0; 8],
+        };
+        scan.ranges[3] = 3.5;
+        // A skip of zero reads every beam, like a skip of one.
+        assert_eq!(ScanCache::new(&scan, 0).used_beams(), 7);
+        assert_eq!(ScanCache::new(&scan, 1).used_beams(), 7);
+        // Beams 0, 3 and 6: beam 3 is a miss.
+        assert_eq!(ScanCache::new(&scan, 3).used_beams(), 2);
+        assert_eq!(ScanCache::new(&scan, 100).used_beams(), 1);
+    }
 }

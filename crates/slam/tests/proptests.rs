@@ -60,8 +60,9 @@ proptest! {
         }
         for col in (0..160).step_by(7) {
             for row in (0..160).step_by(7) {
-                let p = map.occ_prob(GridIndex::new(col, row));
-                prop_assert!((0.0..=1.0).contains(&p));
+                // The log-odds clamp keeps every cell a valid belief.
+                let l = map.logodds(GridIndex::new(col, row));
+                prop_assert!((-8.0..=8.0).contains(&l));
             }
         }
     }
@@ -211,6 +212,7 @@ proptest! {
     // Equivalence checks are cheap: draw many more cases than usual.
     #![proptest_config(ProptestConfig::with_cases(500))]
 
+    #[test]
     fn score_matches_the_checked_reference(
         seed in 0u64..1_000_000, x in -0.3f64..2.3, y in -0.3f64..1.9, th in -PI..PI,
     ) {
@@ -310,6 +312,7 @@ fn reference_optimize(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
+    #[test]
     fn pruned_optimize_matches_the_full_reference(
         seed in 0u64..1_000_000,
         x in -0.3f64..2.3, y in -0.3f64..1.9, th in -PI..PI,

@@ -827,4 +827,84 @@ mod tests {
             r#"{"t_ns":9,"seq":1,"span":2,"kind":"migration_abort"}"#
         );
     }
+
+    #[test]
+    fn labels_are_distinct_snake_case() {
+        let labels: Vec<&str> = SendKind::ALL
+            .iter()
+            .map(|k| k.as_str())
+            .chain(EventCategory::ALL.iter().map(|c| c.as_str()))
+            .chain(TraceEvent::KINDS.iter().map(|(kind, ..)| *kind))
+            .collect();
+        for l in &labels {
+            assert!(
+                l.bytes().all(|b| b.is_ascii_lowercase() || b == b'_'),
+                "{l}"
+            );
+        }
+        let send: std::collections::BTreeSet<_> =
+            SendKind::ALL.iter().map(|k| k.as_str()).collect();
+        assert_eq!(send.len(), SendKind::ALL.len());
+        let cats: std::collections::BTreeSet<_> =
+            EventCategory::ALL.iter().map(|c| c.as_str()).collect();
+        assert_eq!(cats.len(), EventCategory::ALL.len());
+    }
+
+    fn samples() -> Vec<TraceEvent> {
+        vec![
+            TraceEvent::RttSample { rtt_ns: 5 },
+            TraceEvent::MigrationAbort,
+            TraceEvent::EnergyDelta {
+                component: "motor".into(),
+                joules: 1.5,
+            },
+            TraceEvent::MissionEnd {
+                completed: true,
+                reason: "goal".into(),
+            },
+            TraceEvent::GovernorDecision {
+                mean_gap: 0.25,
+                threads: 4,
+            },
+            TraceEvent::SpanBegin {
+                span: SpanId(3),
+                name: "cycle".into(),
+                index: 7,
+            },
+        ]
+    }
+
+    #[test]
+    fn kind_and_category_come_from_the_kinds_table() {
+        for e in samples() {
+            let row = TraceEvent::KINDS
+                .iter()
+                .find(|(kind, ..)| *kind == e.kind())
+                .unwrap_or_else(|| panic!("{} missing from KINDS", e.kind()));
+            assert_eq!(row.1, e.category(), "{}", e.kind());
+        }
+    }
+
+    #[test]
+    fn records_list_the_envelope_then_the_kinds_fields() {
+        for (seq, event) in samples().into_iter().enumerate() {
+            let kind = event.kind();
+            let rec = TraceRecord {
+                t_ns: 1,
+                seq: seq as u64,
+                span: SpanId::NONE,
+                vehicle: 0,
+                event,
+            };
+            let crate::json::Value::Obj(fields) =
+                crate::json::Value::parse(&rec.to_json()).unwrap()
+            else {
+                panic!("not an object");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            let (_, _, want) = TraceEvent::KINDS.iter().find(|(k, ..)| *k == kind).unwrap();
+            assert_eq!(keys[..4], ["t_ns", "seq", "span", "kind"], "{kind}");
+            assert_eq!(keys[4..], want[..], "{kind}");
+        }
+    }
 }

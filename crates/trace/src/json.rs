@@ -437,4 +437,45 @@ mod tests {
             prop_assert_eq!(Value::parse(&doc).is_ok(), depth <= MAX_DEPTH);
         }
     }
+
+    #[test]
+    fn escaped_strings_parse_back_to_the_original() {
+        for s in [
+            "plain",
+            "q\"uote",
+            "back\\slash",
+            "tab\tcr\rlf\n",
+            "\u{1}\u{1f}",
+            "é🦀",
+            "",
+        ] {
+            let mut doc = String::from("\"");
+            write_escaped(&mut doc, s);
+            doc.push('"');
+            assert_eq!(Value::parse(&doc).unwrap().as_str(), Some(s), "{doc}");
+        }
+        let mut out = String::new();
+        write_escaped(&mut out, "\u{2}");
+        assert_eq!(out, "\\u0002");
+    }
+
+    #[test]
+    fn the_last_duplicate_key_wins_and_non_objects_have_no_fields() {
+        let v = Value::parse(r#"{"a": 1, "a": 2}"#).unwrap();
+        assert_eq!(v.get("a").and_then(Value::as_u64), Some(2));
+        assert!(v.items().is_empty());
+        let arr = Value::parse("[1, \"x\"]").unwrap();
+        assert_eq!(arr.get("a"), None);
+        assert_eq!(arr.items()[0].as_str(), None);
+        assert_eq!(arr.items()[1].as_f64(), None);
+    }
+
+    #[test]
+    fn whitespace_between_tokens_is_ignored() {
+        let v = Value::parse(" \n\t{ \"a\" :\r\n [ 1 , true , null ] }\n ").unwrap();
+        assert_eq!(
+            v.get("a").unwrap().items(),
+            &[Value::U64(1), Value::Bool(true), Value::Null]
+        );
+    }
 }

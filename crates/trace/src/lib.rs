@@ -68,7 +68,7 @@ mod span;
 
 pub use analyze::{RecoveryReport, TraceAnalysis};
 pub use event::{EventCategory, SendKind, TraceEvent, TraceRecord};
-pub use metrics::{Histogram, MetricsRegistry, StreamingHistogram};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use reader::{ParseError, TraceReader};
 pub use sink::{JsonlSink, NullSink, RingBufferSink, TraceSink};
 pub use span::{MsgId, SpanId};
@@ -503,5 +503,28 @@ mod tests {
         t.emit(TraceEvent::RttSample { rtt_ns: 1_000_000 });
         assert_eq!(ring.lock().unwrap().len(), 1);
         assert_eq!(metrics.lock().unwrap().counter("events.rtt_sample"), 1);
+    }
+
+    #[test]
+    fn a_new_span_replaces_the_open_one_and_its_end_clears_it() {
+        let t = Tracer::enabled();
+        let ring = t.attach(RingBufferSink::new(8));
+        let outer = t.span_begin("outer", 0);
+        let inner = t.span_begin("inner", 1);
+        assert_ne!(outer, inner);
+        assert_eq!(t.current_span(), inner);
+        t.span_end(inner);
+        // Spans do not nest: closing one leaves no span open.
+        assert_eq!(t.current_span(), SpanId::NONE);
+        let ring = ring.lock().unwrap();
+        let kinds: Vec<_> = ring.records().map(|r| (r.event.kind(), r.span)).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                ("span_begin", outer),
+                ("span_begin", inner),
+                ("span_end", inner)
+            ]
+        );
     }
 }

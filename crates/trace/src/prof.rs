@@ -179,17 +179,13 @@ impl ProfileTree {
         n.total_ns += total_ns;
     }
 
-    /// Merge `other` into `self`: same-path nodes combine their stats
-    /// (counts/totals add, min/max widen), new paths are created. The
-    /// resulting *shape* depends only on the set of paths, not on the
-    /// merge order — the cross-worker determinism the suite relies on.
-    pub fn merge(&mut self, other: &ProfileTree) {
-        self.graft(0, other, 0);
-    }
-
-    /// Merge `other`'s top-level scopes as children of `at` — how a
-    /// fork-join caller adopts its workers' trees under the scope that
-    /// spawned them.
+    /// Merge `other`'s top-level scopes as children of `at` (0, the
+    /// root, merges tree into tree) — how a fork-join caller adopts its
+    /// workers' trees under the scope that spawned them. Same-path
+    /// nodes combine their stats (counts/totals add, min/max widen),
+    /// new paths are created. The resulting *shape* depends only on the
+    /// set of paths, not on the merge order — the cross-worker
+    /// determinism the suite relies on.
     pub fn merge_at(&mut self, at: usize, other: &ProfileTree) {
         assert!(at < self.nodes.len(), "merge_at: node out of range");
         self.graft(at, other, 0);
@@ -503,13 +499,13 @@ mod tests {
         let w3 = tree_of(&[("score;raycast", 5, 500)]);
 
         let mut ab = ProfileTree::new();
-        ab.merge(&w1);
-        ab.merge(&w2);
-        ab.merge(&w3);
+        ab.merge_at(0, &w1);
+        ab.merge_at(0, &w2);
+        ab.merge_at(0, &w3);
         let mut ba = ProfileTree::new();
-        ba.merge(&w3);
-        ba.merge(&w2);
-        ba.merge(&w1);
+        ba.merge_at(0, &w3);
+        ba.merge_at(0, &w2);
+        ba.merge_at(0, &w1);
 
         // Canonical folded output is identical either way (values too:
         // they are sums, and sums commute).
@@ -537,7 +533,7 @@ mod tests {
     #[test]
     fn min_max_widen_on_merge() {
         let mut t = tree_of(&[("a", 1, 10)]);
-        t.merge(&tree_of(&[("a", 1, 50)]));
+        t.merge_at(0, &tree_of(&[("a", 1, 50)]));
         let a = t.nodes()[0].children[0];
         assert_eq!(t.nodes()[a].min_ns, 10);
         assert_eq!(t.nodes()[a].max_ns, 50);

@@ -505,4 +505,26 @@ mod tests {
             prop_assert!(TraceReader::parse_line(&LINE.replacen("true", &nested, 1)).is_err());
         }
     }
+
+    #[test]
+    fn an_unreadable_file_is_an_error_without_a_line() {
+        let err = TraceReader::read_file("/nonexistent/lgv/trace.jsonl").unwrap_err();
+        assert_eq!(err.line_no, 0);
+        assert!(err
+            .to_string()
+            .starts_with("trace parse error: cannot read"));
+    }
+
+    #[test]
+    fn nested_values_and_non_objects_are_rejected() {
+        let nested = r#"{"t_ns":0,"seq":0,"span":0,"kind":"migration_abort","x":[1]}"#;
+        assert!(TraceReader::parse_line(nested)
+            .unwrap_err()
+            .contains("nested value"));
+        assert_eq!(
+            TraceReader::parse_line("[1]").unwrap_err(),
+            "expected a JSON object"
+        );
+        assert!(TraceReader::parse_str("\n  \n").unwrap().is_empty());
+    }
 }

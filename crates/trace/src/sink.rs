@@ -222,4 +222,32 @@ mod tests {
         assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
         assert!(lines[1].contains("\"seq\":1"));
     }
+
+    #[test]
+    fn ring_buffer_holds_at_least_one_record() {
+        let mut ring = RingBufferSink::new(0);
+        assert!(ring.is_empty());
+        ring.record(&rec(0));
+        ring.record(&rec(1));
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.records().next().unwrap().seq, 1);
+        let mut null = NullSink;
+        null.record(&rec(2));
+    }
+
+    #[test]
+    fn a_created_jsonl_file_reads_back() {
+        let path =
+            std::env::temp_dir().join(format!("lgv-trace-sink-{}.jsonl", std::process::id()));
+        {
+            let mut sink = JsonlSink::create(&path).unwrap();
+            for i in 0..3 {
+                sink.record(&rec(i));
+            }
+            assert_eq!(sink.lines(), 3);
+        }
+        let back = crate::TraceReader::read_file(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(back.unwrap(), vec![rec(0), rec(1), rec(2)]);
+    }
 }

@@ -51,11 +51,6 @@ impl Angle {
         Angle(normalize_angle(r))
     }
 
-    /// Build from degrees.
-    pub fn from_degrees(d: f64) -> Self {
-        Angle::from_radians(d.to_radians())
-    }
-
     /// The normalized radian value.
     pub fn radians(self) -> f64 {
         self.0
@@ -79,12 +74,6 @@ impl Angle {
     /// Shortest absolute angular distance to `other`, in `[0, π]`.
     pub fn distance(self, other: Angle) -> f64 {
         (self - other).radians().abs()
-    }
-
-    /// Linear interpolation along the shortest arc. `t` in `[0, 1]`.
-    pub fn slerp(self, other: Angle, t: f64) -> Angle {
-        let d = (other - self).radians();
-        Angle::from_radians(self.0 + d * t.clamp(0.0, 1.0))
     }
 }
 
@@ -205,10 +194,14 @@ mod tests {
         }
     }
 
+    fn deg(d: f64) -> Angle {
+        Angle::from_radians(d.to_radians())
+    }
+
     #[test]
     fn subtraction_gives_shortest_rotation() {
-        let a = Angle::from_degrees(170.0);
-        let b = Angle::from_degrees(-170.0);
+        let a = deg(170.0);
+        let b = deg(-170.0);
         // Going from b to a the short way is -20°, not +340°.
         let d = a - b;
         assert!((d.degrees() - (-20.0)).abs() < 1e-9, "{}", d.degrees());
@@ -216,26 +209,26 @@ mod tests {
 
     #[test]
     fn distance_is_symmetric_and_bounded() {
-        let a = Angle::from_degrees(10.0);
-        let b = Angle::from_degrees(-175.0);
+        let a = deg(10.0);
+        let b = deg(-175.0);
         assert!((a.distance(b) - b.distance(a)).abs() < 1e-12);
         assert!(a.distance(b) <= PI + 1e-12);
     }
 
     #[test]
-    fn slerp_endpoints_and_midpoint() {
-        let a = Angle::from_degrees(170.0);
-        let b = Angle::from_degrees(-170.0);
-        assert!((a.slerp(b, 0.0).degrees() - 170.0).abs() < 1e-9);
-        assert!((a.slerp(b, 1.0).degrees() - (-170.0)).abs() < 1e-9);
-        // Midpoint across the wrap is ±180°.
-        let mid = a.slerp(b, 0.5).degrees().abs();
-        assert!((mid - 180.0).abs() < 1e-9);
+    fn degrees_roundtrip() {
+        let a = deg(42.5);
+        assert!((a.degrees() - 42.5).abs() < 1e-9);
     }
 
     #[test]
-    fn degrees_roundtrip() {
-        let a = Angle::from_degrees(42.5);
-        assert!((a.degrees() - 42.5).abs() < 1e-9);
+    fn negation_and_conversion_normalize() {
+        let a = Angle::from(1.5 * PI);
+        assert!((a.radians() + 0.5 * PI).abs() < 1e-12);
+        assert!(((-a).radians() - 0.5 * PI).abs() < 1e-12);
+        assert!(((a + a).radians() - PI).abs() < 1e-12);
+        assert!((a.cos()).abs() < 1e-12);
+        assert!((a.sin() + 1.0).abs() < 1e-12);
+        assert_eq!(Angle::ZERO.radians(), 0.0);
     }
 }

@@ -75,30 +75,9 @@ impl Vec2 {
         self.x * other.x + self.y * other.y
     }
 
-    /// Z component of the cross product (signed area).
-    pub fn cross(self, other: Vec2) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
     /// Heading of the vector.
     pub fn angle(self) -> Angle {
         Angle::from_radians(self.y.atan2(self.x))
-    }
-
-    /// The vector scaled to unit length; zero vectors stay zero.
-    pub fn normalized(self) -> Vec2 {
-        let n = self.norm();
-        if n < 1e-12 {
-            Vec2::ZERO
-        } else {
-            self / n
-        }
-    }
-
-    /// Rotate by an angle about the origin.
-    pub fn rotated(self, a: Angle) -> Vec2 {
-        let (s, c) = (a.sin(), a.cos());
-        Vec2::new(self.x * c - self.y * s, self.x * s + self.y * c)
     }
 }
 
@@ -293,16 +272,7 @@ mod tests {
     fn vector_algebra_basics() {
         let v = Vec2::new(3.0, 4.0);
         assert_eq!(v.norm(), 5.0);
-        assert_eq!(v.normalized().norm(), 1.0);
-        assert_eq!(Vec2::ZERO.normalized(), Vec2::ZERO);
         assert_eq!(v.dot(Vec2::new(1.0, 0.0)), 3.0);
-        assert_eq!(Vec2::new(1.0, 0.0).cross(Vec2::new(0.0, 1.0)), 1.0);
-    }
-
-    #[test]
-    fn vector_rotation_quarter_turn() {
-        let r = Vec2::new(1.0, 0.0).rotated(Angle::from_radians(FRAC_PI_2));
-        assert!((r.x).abs() < 1e-12 && (r.y - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -364,5 +334,50 @@ mod tests {
         assert_eq!(t.linear, 0.22);
         assert_eq!(t.angular, -2.84);
         assert!(Twist::STOP.is_stop());
+    }
+
+    #[test]
+    fn pose_new_normalizes_heading() {
+        let p = Pose2D::new(0.0, 0.0, 2.0 * PI + 0.25);
+        assert!((p.theta - 0.25).abs() < 1e-12);
+        let q = Pose2D::new(0.0, 0.0, -1.5 * PI);
+        assert!((q.theta - 0.5 * PI).abs() < 1e-12);
+        assert_eq!(q.heading().radians(), q.theta);
+    }
+
+    #[test]
+    fn transform_from_local_rotates_then_translates() {
+        let pose = Pose2D::new(1.0, 2.0, PI / 2.0);
+        let w = pose.transform_from_local(Point2::new(1.0, 0.0));
+        assert!((w.x - 1.0).abs() < 1e-12 && (w.y - 3.0).abs() < 1e-12);
+        let w = pose.transform_from_local(Point2::new(0.0, 1.0));
+        assert!((w.x - 0.0).abs() < 1e-12 && (w.y - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn twist_stop_has_a_tolerance() {
+        assert!(Twist::STOP.is_stop());
+        assert!(Twist::new(1e-10, -1e-10).is_stop());
+        assert!(!Twist::new(1e-6, 0.0).is_stop());
+        assert!(!Twist::new(0.0, -1e-6).is_stop());
+    }
+
+    #[test]
+    fn integrate_pure_rotation_stays_in_place() {
+        let p = Pose2D::new(2.0, -1.0, 0.5).integrate(Twist::new(0.0, 1.0), 0.25);
+        assert!((p.x - 2.0).abs() < 1e-12 && (p.y + 1.0).abs() < 1e-12);
+        assert!((p.theta - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn vector_angle_scaling_and_point_offsets() {
+        assert!((Vec2::new(0.0, 2.0).angle().radians() - PI / 2.0).abs() < 1e-12);
+        assert!((Vec2::new(-1.0, 0.0).angle().radians() - PI).abs() < 1e-12);
+        assert_eq!(Vec2::new(3.0, -4.0) / 2.0, Vec2::new(1.5, -2.0));
+        assert_eq!(-Vec2::new(3.0, -4.0), Vec2::new(-3.0, 4.0));
+        assert_eq!(Vec2::new(3.0, 4.0).norm_sq(), 25.0);
+        let p = Point2::new(1.0, 1.0);
+        assert_eq!(p - Vec2::new(1.0, 2.0), Point2::new(0.0, -1.0));
+        assert_eq!(p.distance_sq(Point2::new(4.0, 5.0)), 25.0);
     }
 }

@@ -25,21 +25,9 @@ impl GridIndex {
     /// Chebyshev (8-connected) distance to another cell (in i64: cells
     /// at opposite ends of the i32 range are 2³² − 1 apart).
     pub fn chebyshev(self, other: GridIndex) -> i64 {
-        let (dc, dr) = self.deltas(other);
+        let dc = (self.col as i64 - other.col as i64).abs();
+        let dr = (self.row as i64 - other.row as i64).abs();
         dc.max(dr)
-    }
-
-    /// Manhattan (4-connected) distance to another cell.
-    pub fn manhattan(self, other: GridIndex) -> i64 {
-        let (dc, dr) = self.deltas(other);
-        dc + dr
-    }
-
-    fn deltas(self, other: GridIndex) -> (i64, i64) {
-        (
-            (self.col as i64 - other.col as i64).abs(),
-            (self.row as i64 - other.row as i64).abs(),
-        )
     }
 
     /// The 4-connected neighbours (no bounds check).
@@ -100,14 +88,6 @@ impl GridDims {
     /// True when the grid has zero cells.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// World extent in metres (width, height).
-    pub fn world_size(&self) -> (f64, f64) {
-        (
-            self.width as f64 * self.resolution,
-            self.height as f64 * self.resolution,
-        )
     }
 
     /// Does this cell lie inside the grid?
@@ -433,9 +413,8 @@ mod tests {
         assert!(!cells.is_empty());
         for w in cells.windows(2) {
             // Amanatides–Woo steps one axis at a time: 4-connected chain.
-            assert_eq!(
-                w[0].manhattan(w[1]),
-                1,
+            assert!(
+                w[0].neighbors4().contains(&w[1]),
                 "gap between {:?} and {:?}",
                 w[0],
                 w[1]
@@ -468,10 +447,60 @@ mod tests {
     fn neighbor_distances() {
         let c = GridIndex::new(4, 4);
         for n in c.neighbors4() {
-            assert_eq!(c.manhattan(n), 1);
+            assert_eq!(c.chebyshev(n), 1);
+            assert!(n.col == c.col || n.row == c.row, "{n:?} is diagonal");
         }
         for n in c.neighbors8() {
             assert_eq!(c.chebyshev(n), 1);
         }
+    }
+
+    #[test]
+    fn unflat_inverts_flat_for_every_cell() {
+        let d = GridDims::new(7, 5, 0.1, Point2::ORIGIN);
+        assert_eq!(d.len(), 35);
+        for i in 0..d.len() {
+            let idx = d.unflat(i);
+            assert!(d.contains(idx));
+            assert_eq!(d.flat(idx), i);
+        }
+    }
+
+    #[test]
+    fn floor_i32_rounds_down_and_saturates() {
+        assert_eq!(floor_i32(2.9), 2);
+        assert_eq!(floor_i32(-0.5), -1);
+        assert_eq!(floor_i32(-1.0), -1);
+        assert_eq!(floor_i32(0.0), 0);
+        assert_eq!(floor_i32(1e12), i32::MAX);
+        assert_eq!(floor_i32(-1e12), i32::MIN);
+        assert_eq!(floor_i32(f64::NAN), 0);
+    }
+
+    #[test]
+    fn points_below_the_origin_map_to_negative_cells() {
+        let d = dims();
+        let below = Point2::new(
+            d.origin.x - 0.5 * d.resolution,
+            d.origin.y + 0.5 * d.resolution,
+        );
+        let idx = d.world_to_grid(below);
+        assert_eq!(idx, GridIndex::new(-1, 0));
+        assert!(!d.contains(idx));
+        assert_eq!(d.clamp(idx), GridIndex::new(0, 0));
+    }
+
+    #[test]
+    fn zero_sized_grid_is_empty() {
+        let d = GridDims::new(0, 4, 1.0, Point2::ORIGIN);
+        assert!(d.is_empty());
+        assert!(!d.contains(GridIndex::new(0, 0)));
+        assert!(!GridDims::new(3, 4, 1.0, Point2::ORIGIN).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "resolution must be positive")]
+    fn non_positive_resolution_panics() {
+        let _ = GridDims::new(4, 4, 0.0, Point2::ORIGIN);
     }
 }

@@ -238,4 +238,29 @@ mod tests {
         assert!(VelocitySource::SafetyController > VelocitySource::Joystick);
         assert!(VelocitySource::Joystick > VelocitySource::Navigation);
     }
+
+    #[test]
+    fn beam_endpoint_caps_a_miss_at_range_max() {
+        let mut s = scan();
+        s.ranges[0] = f64::INFINITY;
+        let p = s.beam_endpoint(Pose2D::new(0.0, 0.0, 0.0), 0);
+        assert!((p.x - 3.5).abs() < 1e-12 && p.y.abs() < 1e-12);
+        assert!(!s.is_hit(0));
+    }
+
+    #[test]
+    fn empty_messages_are_safe() {
+        let m = MapMsg {
+            stamp: SimTime::EPOCH,
+            dims: GridDims::new(0, 0, 1.0, Point2::ORIGIN),
+            cells: vec![],
+        };
+        assert_eq!(m.known_fraction(), 0.0);
+        let s = LaserScan {
+            ranges: vec![],
+            ..scan()
+        };
+        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
+    }
 }

@@ -252,4 +252,41 @@ mod tests {
         let s = NodeSet::from_iter([NodeKind::Slam]);
         assert_eq!(s.to_string(), "{slam}");
     }
+
+    #[test]
+    fn short_names_are_unique_and_match_display() {
+        let names: std::collections::BTreeSet<_> = NodeKind::ALL
+            .into_iter()
+            .map(NodeKind::short_name)
+            .collect();
+        assert_eq!(names.len(), NodeKind::ALL.len());
+        for k in NodeKind::ALL {
+            assert_eq!(k.to_string(), k.short_name());
+        }
+    }
+
+    #[test]
+    fn nodeset_display_lists_members_in_pipeline_order() {
+        assert_eq!(NodeSet::EMPTY.to_string(), "{}");
+        let s: NodeSet = [NodeKind::PathTracking, NodeKind::Slam]
+            .into_iter()
+            .collect();
+        assert_eq!(s.to_string(), "{slam, path_tracking}");
+    }
+
+    #[test]
+    fn nodeset_collect_ignores_duplicates_and_remove_is_idempotent() {
+        let mut s: NodeSet = [NodeKind::Slam, NodeKind::Slam, NodeKind::Exploration]
+            .into_iter()
+            .collect();
+        assert_eq!(s.len(), 2);
+        s.remove(NodeKind::VelocityMux);
+        assert_eq!(s.len(), 2);
+        s.remove(NodeKind::Slam);
+        s.remove(NodeKind::Slam);
+        assert_eq!(s, NodeSet::single(NodeKind::Exploration));
+        let all = NodeSet::from_iter(NodeKind::ALL);
+        assert_eq!(all.len(), 7);
+        assert_eq!(all.difference(all), NodeSet::EMPTY);
+    }
 }

@@ -124,27 +124,6 @@ impl SimRng {
         debug_assert!(std_dev >= 0.0);
         mean + std_dev * self.gaussian_std()
     }
-
-    /// Sample an index proportionally to non-negative `weights`.
-    /// Returns `None` when all weights are zero (or the slice is empty).
-    pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
-        if total <= 0.0 || !total.is_finite() {
-            return None;
-        }
-        let mut target = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if w <= 0.0 {
-                continue;
-            }
-            target -= w;
-            if target <= 0.0 {
-                return Some(i);
-            }
-        }
-        // Floating point slack: fall back to the last positive weight.
-        weights.iter().rposition(|&w| w > 0.0)
-    }
 }
 
 /// Low-variance (systematic) resampling: draws `n` indices from the
@@ -231,26 +210,6 @@ mod tests {
         let hits = (0..20_000).filter(|_| rng.chance(0.3)).count();
         let rate = hits as f64 / 20_000.0;
         assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = SimRng::seed_from_u64(6);
-        let w = [0.0, 1.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[rng.weighted_index(&w).unwrap()] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        let ratio = counts[2] as f64 / counts[1] as f64;
-        assert!((ratio - 3.0).abs() < 0.25, "ratio {ratio}");
-    }
-
-    #[test]
-    fn weighted_index_degenerate() {
-        let mut rng = SimRng::seed_from_u64(7);
-        assert_eq!(rng.weighted_index(&[]), None);
-        assert_eq!(rng.weighted_index(&[0.0, 0.0]), None);
     }
 
     #[test]
@@ -370,5 +329,48 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn uniform_range_rejects_a_reversed_range() {
         SimRng::seed_from_u64(4).uniform_range(3.0, -2.0);
+    }
+
+    #[test]
+    fn gaussian_shifts_and_scales_the_standard_draw() {
+        let mut a = SimRng::seed_from_u64(11);
+        let mut b = SimRng::seed_from_u64(11);
+        for _ in 0..100 {
+            let z = a.gaussian_std();
+            assert_eq!(b.gaussian(3.0, 0.5), 3.0 + 0.5 * z);
+        }
+        let mut c = SimRng::seed_from_u64(12);
+        assert_eq!(c.gaussian(-2.0, 0.0), -2.0);
+    }
+
+    #[test]
+    fn fork_is_deterministic_and_salt_sensitive() {
+        let mut a = SimRng::seed_from_u64(5);
+        let mut b = SimRng::seed_from_u64(5);
+        let (mut fa, mut fb) = (a.fork(9), b.fork(9));
+        for _ in 0..16 {
+            assert_eq!(fa.uniform(), fb.uniform());
+        }
+        // The parents advanced in step too.
+        assert_eq!(a.uniform(), b.uniform());
+        let mut c = SimRng::seed_from_u64(5);
+        let mut fc = c.fork(10);
+        let mut fa = SimRng::seed_from_u64(5).fork(9);
+        assert_ne!(fa.uniform(), fc.uniform());
+    }
+
+    #[test]
+    fn degenerate_ranges_return_their_only_value() {
+        let mut r = SimRng::seed_from_u64(3);
+        for _ in 0..8 {
+            assert_eq!(r.index(1), 0);
+            assert_eq!(r.uniform_range(2.5, 2.5), 2.5);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index range must be non-empty")]
+    fn index_of_zero_panics() {
+        SimRng::seed_from_u64(1).index(0);
     }
 }

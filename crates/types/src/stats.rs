@@ -1,8 +1,5 @@
-//! Small summary-statistics toolkit.
-//!
-//! The benches and reports repeatedly need means, spreads, percentiles
-//! and series downsampling; this module centralizes them (and keeps
-//! the figure binaries free of ad-hoc numerics).
+//! Summary statistics for the benches and reports: means, spreads and
+//! ranges in one pass, without ad-hoc numerics in each scenario.
 
 /// Running summary of a scalar stream (Welford's online algorithm —
 /// numerically stable, single pass, O(1) memory).
@@ -80,58 +77,6 @@ impl Summary {
             self.max
         }
     }
-
-    /// Merge another summary into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Nearest-rank percentile of a slice (`pct` in [0, 100]); `None` when
-/// empty. Does not require a pre-sorted input.
-pub fn percentile(values: &[f64], pct: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-    if v.is_empty() {
-        return None;
-    }
-    v.sort_by(f64::total_cmp);
-    let rank = ((pct.clamp(0.0, 100.0) / 100.0) * v.len() as f64)
-        .ceil()
-        .max(1.0) as usize
-        - 1;
-    Some(v[rank.min(v.len() - 1)])
-}
-
-/// Downsample a series to at most `max_points` by averaging fixed-size
-/// buckets — the figure binaries use it to print long traces compactly.
-pub fn downsample(series: &[f64], max_points: usize) -> Vec<f64> {
-    assert!(max_points > 0);
-    if series.len() <= max_points {
-        return series.to_vec();
-    }
-    let bucket = series.len().div_ceil(max_points);
-    series
-        .chunks(bucket)
-        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect()
 }
 
 #[cfg(test)]
@@ -170,51 +115,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 5.0).collect();
-        let mut whole = Summary::new();
-        data.iter().for_each(|&x| whole.push(x));
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        data[..37].iter().for_each(|&x| a.push(x));
-        data[37..].iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.std_dev() - whole.std_dev()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::new();
-        a.push(3.0);
-        let before = a.mean();
-        a.merge(&Summary::new());
-        assert_eq!(a.mean(), before);
-        let mut e = Summary::new();
-        e.merge(&a);
-        assert_eq!(e.mean(), before);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v = [15.0, 20.0, 35.0, 40.0, 50.0];
-        assert_eq!(percentile(&v, 30.0), Some(20.0));
-        assert_eq!(percentile(&v, 100.0), Some(50.0));
-        assert_eq!(percentile(&v, 0.0), Some(15.0));
-        assert_eq!(percentile(&[], 50.0), None);
-    }
-
-    #[test]
-    fn downsample_preserves_short_series() {
-        let v = vec![1.0, 2.0, 3.0];
-        assert_eq!(downsample(&v, 10), v);
-    }
-
-    #[test]
-    fn downsample_buckets_average() {
-        let v: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let d = downsample(&v, 5);
-        assert_eq!(d, vec![0.5, 2.5, 4.5, 6.5, 8.5]);
+    fn single_sample_has_no_spread() {
+        let mut s = Summary::new();
+        s.push(-3.5);
+        assert_eq!(s.count(), 1);
+        assert_eq!(s.mean(), -3.5);
+        assert_eq!(s.std_dev(), 0.0);
+        assert_eq!(s.min(), -3.5);
+        assert_eq!(s.max(), -3.5);
     }
 }

@@ -207,11 +207,6 @@ impl Rate {
     pub fn period(self) -> Duration {
         Duration::from_secs_f64(1.0 / self.hz)
     }
-
-    /// Number of whole ticks that fit in a span.
-    pub fn ticks_in(self, span: Duration) -> u64 {
-        (span.as_secs_f64() * self.hz).floor() as u64
-    }
 }
 
 #[cfg(test)]
@@ -260,10 +255,9 @@ mod tests {
     }
 
     #[test]
-    fn rate_period_and_ticks() {
+    fn rate_period() {
         let r = Rate::hz(5.0);
         assert_eq!(r.period(), Duration::from_millis(200));
-        assert_eq!(r.ticks_in(Duration::from_secs(2)), 10);
     }
 
     #[test]
@@ -271,5 +265,42 @@ mod tests {
         assert_eq!(format!("{}", Duration::from_millis(1500)), "1.500s");
         assert_eq!(format!("{}", Duration::from_micros(1500)), "1.500ms");
         assert_eq!(format!("{}", Duration::from_nanos(12)), "12ns");
+    }
+
+    #[test]
+    #[should_panic(expected = "Duration underflow")]
+    fn duration_subtraction_panics_on_underflow() {
+        let _ = Duration::from_millis(1) - Duration::from_millis(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be positive")]
+    fn rate_rejects_zero_frequency() {
+        let _ = Rate::hz(0.0);
+    }
+
+    #[test]
+    fn duration_min_max_and_float_views() {
+        let a = Duration::from_micros(1_500);
+        let b = Duration::from_millis(2);
+        assert_eq!(a.max(b), b);
+        assert_eq!(a.min(b), a);
+        assert_eq!(a.as_millis_f64(), 1.5);
+        assert_eq!(b.as_secs_f64(), 0.002);
+        // Seconds round to the nearest nanosecond.
+        assert_eq!(Duration::from_secs_f64(1.6e-9).as_nanos(), 2);
+        assert_eq!(Duration::from_secs_f64(1.4e-9).as_nanos(), 1);
+    }
+
+    #[test]
+    fn simtime_accumulates_and_converts_seconds() {
+        let mut t = SimTime::from_secs_f64(2.5);
+        assert_eq!(t.as_nanos(), 2_500_000_000);
+        t += Duration::from_millis(250);
+        assert_eq!(t.as_secs_f64(), 2.75);
+        assert_eq!(
+            t.since(SimTime::from_nanos(750_000_000)),
+            Duration::from_secs(2)
+        );
     }
 }

@@ -65,15 +65,6 @@ impl Work {
             self.parallel_cycles / t
         }
     }
-
-    /// Average parallel cycles per item (0 when there is no parallel part).
-    pub fn cycles_per_item(&self) -> f64 {
-        if self.parallel_items == 0 {
-            0.0
-        } else {
-            self.parallel_cycles / self.parallel_items as f64
-        }
-    }
 }
 
 impl Add for Work {
@@ -143,7 +134,6 @@ mod tests {
     fn zero_work_properties() {
         assert_eq!(Work::ZERO.total_cycles(), 0.0);
         assert_eq!(Work::ZERO.parallel_fraction(), 0.0);
-        assert_eq!(Work::ZERO.cycles_per_item(), 0.0);
     }
 
     #[test]
@@ -151,7 +141,6 @@ mod tests {
         let w = Work::with_parallel(25.0, 75.0, 10);
         assert_eq!(w.total_cycles(), 100.0);
         assert_eq!(w.parallel_fraction(), 0.75);
-        assert_eq!(w.cycles_per_item(), 7.5);
     }
 
     #[test]
@@ -176,5 +165,15 @@ mod tests {
         assert_eq!(w.parallel_items, 30);
         m.reset();
         assert_eq!(m.finish(), Work::ZERO);
+    }
+
+    #[test]
+    fn add_assign_sums_cycles_and_keeps_the_widest_parallel_section() {
+        let mut w = Work::with_parallel(1.0, 10.0, 8);
+        w += Work::with_parallel(2.0, 5.0, 30);
+        w += Work::with_parallel(0.0, 1.0, 4);
+        assert_eq!(w, Work::with_parallel(3.0, 16.0, 30));
+        assert_eq!(Work::ZERO + w, w);
+        assert_eq!(Work::serial(4.0).parallel_fraction(), 0.0);
     }
 }

@@ -9,7 +9,8 @@
 #             perfbench benchmark package (its own manifest), whose
 #             --print-golden fingerprints must diff clean against
 #             perfbench/golden.txt
-#   tests   — cargo test -q (unit + integration, all crates)
+#   tests   — cargo test -q (unit + integration, all crates), then
+#             one summed `tier-1: N passed, M failed` line
 #   clippy  — warnings denied, all targets
 #   fmt     — rustfmt --check
 #   docs    — rustdoc warnings denied + doctests (the doc-drift
@@ -80,7 +81,15 @@ stage_build() {
 }
 
 stage_tests() {
-    cargo test -q --workspace
+    # --no-fail-fast runs every test binary even after one fails, so
+    # the summed line below counts the whole tier-1 suite.
+    local log status=0
+    log="$(mktemp)"
+    cargo test -q --workspace --no-fail-fast 2>&1 | tee "$log" || status=$?
+    awk '/^test result:/ { passed += $4; failed += $6 }
+         END { printf "tier-1: %d passed, %d failed\n", passed, failed }' "$log"
+    rm -f "$log"
+    return "$status"
 }
 
 stage_clippy() {
