@@ -49,8 +49,10 @@
 //! questions up front: it holds the exact Chebyshev clearance and the
 //! cost of every cell near the robot, a disc centred in a cell with
 //! enough clearance cannot collide, and where the scan still runs it
-//! skips the cells the clearance proves unblocked. `Costmap` owns the
-//! rule for what counts as blocked in both places.
+//! skips the cells the clearance proves unblocked. It also says in four
+//! reads whether a whole box of cells is open floor, where no disc of
+//! its radius centred in the box collides and every cell costs 0.
+//! `Costmap` owns the rule for what counts as blocked in all of these.
 
 use lgv_types::prelude::*;
 use std::ops::ControlFlow;
@@ -398,9 +400,32 @@ impl Costmap {
             let (done, rest) = clear.split_at_mut(r * stride);
             chessboard_row(&mut rest[..stride], &done[(r - 1) * stride..], false);
         }
+        // The busy table, one row per inner row as the backward pass
+        // finishes it: entry `(r, c)` counts the busy cells in inner
+        // rows `r..` and inner columns `..c`. Each row's busy flags are
+        // taken in one pass that vectorises, then summed along the row.
+        let sat_w = cols + 1;
+        let mut busy = vec![0u32; sat_w * (rows + 1)];
+        let mut flags = vec![0u8; cols];
+        let busy_at_or_below = free_above.min(u32::from(u8::MAX)) as u8;
         for r in (1..=rows).rev() {
             let (head, done) = clear.split_at_mut((r + 1) * stride);
-            chessboard_row(&mut head[r * stride..], &done[..stride], true);
+            let row = &mut head[r * stride..];
+            chessboard_row(row, &done[..stride], true);
+            let cells = row[1..=cols].iter().zip(&cost[r * stride + 1..][..cols]);
+            for (f, (&k, &c)) in flags.iter_mut().zip(cells) {
+                *f = u8::from(c != 0) | u8::from(k <= busy_at_or_below);
+            }
+            let (above, below) = busy.split_at_mut(r * sat_w);
+            let mut run = 0u32;
+            for ((s, &b), &f) in above[(r - 1) * sat_w + 1..]
+                .iter_mut()
+                .zip(&below[1..sat_w])
+                .zip(&flags)
+            {
+                run += u32::from(f);
+                *s = b + run;
+            }
         }
         ClearanceWindow {
             cm: self,
@@ -411,6 +436,7 @@ impl Costmap {
             clear,
             cost,
             free_above,
+            busy,
         }
     }
 }
@@ -477,6 +503,25 @@ fn chessboard_row(cur: &mut [u8], adj: &[u8], backward: bool) {
 /// 3 cells from the centre on at most one side per axis, so at
 /// clearance 3, where most scanned poses sit, at most 11 of its up to
 /// 36 cells are left to look at, and often none.
+///
+/// **The free box.** A cell is *busy* when its cost is not 0 or its
+/// clearance is at most `k`, and every border cell is busy. The window
+/// keeps a summed-area table of busy cells, built row by row as the
+/// backward pass finishes each row, so [`ClearanceWindow::box_is_free`]
+/// answers "is any cell of this box busy?" in four reads. A pose whose
+/// cell is not busy needs no probe: its clearance exceeds `k`, so
+/// [`ClearanceWindow::probe`] returns its cost, 0, without a scan. A
+/// box of cells covers every pose of a rollout when it runs from
+/// `world_to_grid` of the poses' smallest coordinates to
+/// `world_to_grid` of their largest. Per axis, `world_to_grid` is
+/// `floor_i32(fl(fl(x − origin) / res))`, a chain of steps that never
+/// decrease with `x` for finite `x` (IEEE subtraction of a constant and
+/// division by a positive one are monotone, and so is the saturating
+/// floor), so each pose's column lies between the columns of the
+/// smallest and the largest `x`, and likewise for rows. A free box
+/// therefore proves that every pose's probe returns `Some(0)`. A NaN
+/// coordinate is not ordered and `floor_i32` sends it to cell 0, so
+/// the caller asks only about finite poses.
 #[derive(Debug, Clone)]
 pub(crate) struct ClearanceWindow<'a> {
     cm: &'a Costmap,
@@ -492,6 +537,10 @@ pub(crate) struct ClearanceWindow<'a> {
     cost: Vec<u8>,
     /// `k`: clearances above this rule out a collision.
     free_above: u32,
+    /// Summed-area table of the busy inner cells: `cols + 1` entries
+    /// per row, `rows + 1` rows, entry `(r, c)` counting inner rows
+    /// `r..` and inner columns `..c`; the last row is zero.
+    busy: Vec<u32>,
 }
 
 impl ClearanceWindow<'_> {
@@ -511,6 +560,32 @@ impl ClearanceWindow<'_> {
                 .cm
                 .footprint_collides_beyond(p, self.radius, cell, i32::from(k));
         (!collides).then_some(self.cost[i])
+    }
+
+    /// Is every cell of the box `[lo, hi]` (inclusive) inside the
+    /// window's border, with cost 0 and clearance above `k`? Then any
+    /// pose whose cell lies in the box probes as `Some(0)`. False for
+    /// an empty or inverted box and for one that reaches the border or
+    /// beyond it.
+    pub(crate) fn box_is_free(&self, lo: GridIndex, hi: GridIndex) -> bool {
+        let offset = |v: i32, o: i32| i64::from(v) - i64::from(o) - 1;
+        let (c0, c1) = (
+            offset(lo.col, self.origin.col),
+            offset(hi.col, self.origin.col),
+        );
+        let (r0, r1) = (
+            offset(lo.row, self.origin.row),
+            offset(hi.row, self.origin.row),
+        );
+        let (cols, rows) = ((self.stride - 2) as i64, (self.rows - 2) as i64);
+        if c0 < 0 || r0 < 0 || c0 > c1 || r0 > r1 || c1 >= cols || r1 >= rows {
+            return false;
+        }
+        let w = self.stride - 1;
+        let at = |r: i64, c: i64| self.busy[r as usize * w + c as usize];
+        let top = at(r0, c1 + 1).wrapping_sub(at(r0, c0));
+        let bottom = at(r1 + 1, c1 + 1).wrapping_sub(at(r1 + 1, c0));
+        top == bottom
     }
 
     /// Flat index of `idx` when it lies inside the window's border.
@@ -1096,6 +1171,102 @@ mod tests {
                 }
             }
         }
+
+        #[test]
+        fn box_is_free_matches_a_cell_by_cell_check(seed in 0u64..1_000_000) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let cm = random_costmap(&mut rng);
+            let dims = *cm.dims();
+            let centre = dims.grid_to_world(GridIndex::new(
+                rng.index(dims.width as usize) as i32,
+                rng.index(dims.height as usize) as i32,
+            ));
+            let window = cm.clearance_window(centre, rng.uniform_range(0.0, 0.6), 0.11);
+            let o = window.origin;
+            let (cols, rows) = (window.stride as i32, window.rows as i32);
+            // Boxes of up to 6 × 6 cells, and now and then inverted,
+            // from corners within the bordered window and two cells
+            // beyond it.
+            for _ in 0..200 {
+                let lo = GridIndex::new(
+                    o.col - 2 + rng.index(cols as usize + 4) as i32,
+                    o.row - 2 + rng.index(rows as usize + 4) as i32,
+                );
+                let hi = GridIndex::new(
+                    lo.col + rng.index(7) as i32 - 1,
+                    lo.row + rng.index(7) as i32 - 1,
+                );
+                let free = lo.col <= hi.col
+                    && lo.row <= hi.row
+                    && (lo.row..=hi.row).all(|row| {
+                        (lo.col..=hi.col).all(|col| {
+                            let idx = GridIndex::new(col, row);
+                            window.inner_index(idx).is_some_and(|i| {
+                                window.cost[i] == 0 && u32::from(window.clear[i]) > window.free_above
+                            })
+                        })
+                    });
+                proptest::prop_assert_eq!(window.box_is_free(lo, hi), free, "{:?}..{:?}", lo, hi);
+            }
+        }
+    }
+
+    /// A 100 × 100 map, lethal only at cell (60, 60), and the window
+    /// reaching 0.5 m around (3.5, 3.5): inner cells 54..=86 on both
+    /// axes.
+    fn one_obstacle() -> Costmap {
+        let mut m = empty_map(100, 100);
+        m.cells[60 * 100 + 60] = MapMsg::OCCUPIED;
+        Costmap::from_map(CostmapConfig::default(), &m)
+    }
+
+    fn cell(col: i32, row: i32) -> GridIndex {
+        GridIndex::new(col, row)
+    }
+
+    #[test]
+    fn box_is_free_for_a_single_open_cell_only() {
+        let cm = one_obstacle();
+        let window = cm.clearance_window(Point2::new(3.5, 3.5), 0.5, 0.11);
+        assert_eq!(window.origin, cell(53, 53));
+        assert!(window.box_is_free(cell(70, 70), cell(70, 70)));
+        // Inflated cost near the obstacle; cost 0 but clearance 1 next
+        // to the border; the obstacle itself.
+        assert!(cm.cost(cell(64, 64)) != 0);
+        assert!(!window.box_is_free(cell(64, 64), cell(64, 64)));
+        assert_eq!(cm.cost(cell(86, 70)), 0);
+        assert!(!window.box_is_free(cell(86, 70), cell(86, 70)));
+        assert!(!window.box_is_free(cell(60, 60), cell(60, 60)));
+    }
+
+    #[test]
+    fn box_is_free_is_false_at_the_border_and_beyond() {
+        let cm = one_obstacle();
+        let window = cm.clearance_window(Point2::new(3.5, 3.5), 0.5, 0.11);
+        assert!(window.box_is_free(cell(70, 70), cell(82, 82)));
+        // Touching the border, reaching onto it, partly outside the
+        // window, and far beyond it.
+        assert!(!window.box_is_free(cell(70, 70), cell(86, 82)));
+        assert!(!window.box_is_free(cell(70, 70), cell(87, 82)));
+        assert!(!window.box_is_free(cell(70, 70), cell(82, 95)));
+        assert!(!window.box_is_free(cell(40, 70), cell(82, 82)));
+        assert!(!window.box_is_free(cell(i32::MAX, 70), cell(i32::MAX, 70)));
+        assert!(!window.box_is_free(cell(i32::MIN, i32::MIN), cell(82, 82)));
+        // A window off the map has no inner cells at all.
+        let outside = cm.clearance_window(Point2::new(-20.0, -20.0), 0.5, 0.11);
+        let o = outside.origin;
+        assert!(!outside.box_is_free(o, o));
+        assert!(!outside.box_is_free(cell(0, 0), cell(0, 0)));
+    }
+
+    #[test]
+    fn box_is_free_is_false_for_an_inverted_box() {
+        let cm = one_obstacle();
+        let window = cm.clearance_window(Point2::new(3.5, 3.5), 0.5, 0.11);
+        assert!(window.box_is_free(cell(72, 72), cell(76, 76)));
+        assert!(!window.box_is_free(cell(76, 76), cell(72, 72)));
+        assert!(!window.box_is_free(cell(76, 72), cell(72, 76)));
+        assert!(!window.box_is_free(cell(72, 76), cell(76, 72)));
     }
 
     #[test]

@@ -76,12 +76,15 @@ impl World {
 
     /// Would a disc of radius `r` centred at `p` collide with any
     /// solid cell? Conservative circle-vs-grid test used by the
-    /// vehicle simulator.
+    /// vehicle simulator; a disc touching a solid cell collides.
     pub fn collides_disc(&self, p: Point2, r: f64) -> bool {
         let lo = self.dims.world_to_grid(Point2::new(p.x - r, p.y - r));
         let hi = self.dims.world_to_grid(Point2::new(p.x + r, p.y + r));
-        for row in lo.row..=hi.row {
-            for col in lo.col..=hi.col {
+        // `world_to_grid` puts a point on a cell edge in the cell above
+        // it, so a disc whose low edge lies on a cell edge touches the
+        // cell one before `lo` too.
+        for row in lo.row.saturating_sub(1)..=hi.row {
+            for col in lo.col.saturating_sub(1)..=hi.col {
                 let idx = GridIndex::new(col, row);
                 if self.occupied(idx) {
                     let c = self.dims.grid_to_world(idx);
@@ -337,5 +340,18 @@ mod tests {
         assert!(w.collides_disc(Point2::new(1.5, 0.5), 0.51));
         assert!(!w.collides_disc(Point2::new(1.5, 0.5), 0.49));
         assert!(w.collides_disc(Point2::new(0.5, 0.5), 0.01));
+    }
+
+    #[test]
+    fn a_disc_touching_a_cell_edge_collides() {
+        let w = WorldBuilder::new(4.0, 4.0, 1.0)
+            .rect(Point2::new(0.0, 0.0), Point2::new(0.5, 0.5))
+            .build();
+        assert!(w.occupied(GridIndex::new(0, 0)) && !w.occupied(GridIndex::new(1, 0)));
+        // Cell (0, 0) spans [0, 1]²: the disc's left edge touches it,
+        // and likewise its bottom edge for the disc above it.
+        assert!(w.collides_disc(Point2::new(1.5, 0.5), 0.5));
+        assert!(w.collides_disc(Point2::new(0.5, 1.5), 0.5));
+        assert!(!w.collides_disc(Point2::new(1.5, 1.5), 0.5));
     }
 }

@@ -13,7 +13,7 @@
 #             one summed `tier-1: N passed, M failed` line
 #   clippy  — warnings denied, all targets
 #   fmt     — rustfmt --check
-#   docs    — rustdoc warnings denied + doctests (the doc-drift
+#   docs    — rustdoc warnings denied (the doctests and the doc-drift
 #             checks are ordinary tests in the tests stage)
 #   suite   — release-mode quick run of the full evaluation suite
 #             (every scenario must succeed; writes BENCH_ci.json and
@@ -101,8 +101,8 @@ stage_fmt() {
 }
 
 stage_docs() {
+    # The doctests run once, with every other test, in the tests stage.
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-    cargo test --doc --workspace -q
 }
 
 stage_suite() {
@@ -174,7 +174,7 @@ run_stage build  "cargo build --release"
 run_stage tests  "cargo test"
 run_stage clippy "cargo clippy (warnings denied)"
 run_stage fmt    "cargo fmt --check"
-run_stage docs   "docs (rustdoc warnings denied, doctests)"
+run_stage docs   "docs (rustdoc warnings denied)"
 run_stage suite  "evaluation-suite gate (quick, all scenarios)"
 run_stage perf   "perf-regression gate (vs committed quick baseline)"
 run_stage noprof "no-prof control build (checksum identity)"
